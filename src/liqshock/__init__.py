@@ -6,7 +6,6 @@ from .analysis import (
     CheckResult,
     ConvergenceRow,
     ExtrapolationRow,
-    RichardsonResult,
     at_the_money,
     audit_comparison,
     audit_sup_bound,
@@ -55,15 +54,13 @@ from .schemes import (
     SchemeConfig,
     SolveDiagnostics,
     SolveResult,
-    apply_left_boundary,
     assemble_scheme1,
     assemble_scheme2,
     initial_state,
     resolve_config,
     restriction_ratio,
     solve_forward,
-    step_scheme1,
-    step_scheme2,
+    step,
 )
 from .tridiag import (
     MMatrixReport,

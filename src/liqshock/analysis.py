@@ -33,6 +33,7 @@ from .mesh import (
 from .model import ModelParams, derive_constants, payoff_call, to_prices
 from .schemes import (
     NATURAL,
+    RESTRICTION_SLACK,
     GridState,
     SchemeConfig,
     SolveResult,
@@ -44,7 +45,6 @@ from .schemes import (
 
 __all__ = [
     "ConvergenceRow",
-    "RichardsonResult",
     "richardson",
     "convergence_study",
     "convergence_tables",
@@ -85,19 +85,6 @@ def richardson(z: float, w: float, p: int = 1) -> float:
         raise ValidationError("extrapolation order p must be >= 1")
     factor = 2.0 ** p
     return (factor * w - z) / (factor - 1.0)
-
-
-@dataclass(frozen=True)
-class RichardsonResult:
-    coarse_value: float
-    fine_value: float
-    extrapolated: float
-    order_input: int
-
-    @classmethod
-    def from_pair(cls, z: float, w: float, p: int = 1) -> "RichardsonResult":
-        return cls(coarse_value=z, fine_value=w,
-                   extrapolated=richardson(z, w, p), order_input=p)
 
 
 # --------------------------------------------------------------------------
@@ -166,13 +153,27 @@ def _rows_from_values(levels, values) -> list[ConvergenceRow]:
     return rows
 
 
-def _run_level(params, scheme, grid_kind, intervals, alpha, left_bc,
-               capture=False) -> SolveResult:
-    grid = _build_grid(params, grid_kind, intervals, alpha)
-    tg = time_grid_from_space(grid, params.horizon, HALF_MIN_SPACING)
+def _probe(quantity) -> Callable[[SolveResult], float]:
+    if callable(quantity):
+        return quantity
+    return lambda res: at_the_money(res, quantity)
+
+
+def _ladder(params, scheme, grid_kind, levels, alpha, left_bc, on_result,
+            halved=False):
+    """Per level, yield the runs at the slaved dt and (with ``halved``)
+    at dt/2 on the same spatial grid, each first passed to ``on_result``."""
+    _validate_levels(levels)
     config = SchemeConfig(scheme=scheme, left_bc=left_bc)
-    return solve_forward(params, grid, tg, config,
-                         capture_trajectory=capture)
+    for lvl in levels:
+        grid = _build_grid(params, grid_kind, lvl, alpha)
+        tg = time_grid_from_space(grid, params.horizon, HALF_MIN_SPACING)
+        runs = [solve_forward(params, grid, t, config)
+                for t in ((tg, tg.halved()) if halved else (tg,))]
+        if on_result is not None:
+            for run in runs:
+                on_result(run)
+        yield runs
 
 
 def convergence_study(params: ModelParams, scheme: str, grid_kind: str,
@@ -186,15 +187,9 @@ def convergence_study(params: ModelParams, scheme: str, grid_kind: str,
     ``on_result`` (when given) receives every SolveResult, e.g. to audit
     the per-run diagnostics.
     """
-    _validate_levels(levels)
-    probe = quantity if callable(quantity) else (
-        lambda res, q=quantity: at_the_money(res, q))
-    values = []
-    for lvl in levels:
-        result = _run_level(params, scheme, grid_kind, lvl, alpha, left_bc)
-        if on_result is not None:
-            on_result(result)
-        values.append(probe(result))
+    probe = _probe(quantity)
+    values = [probe(runs[0]) for runs in _ladder(
+        params, scheme, grid_kind, levels, alpha, left_bc, on_result)]
     return _rows_from_values(levels, values)
 
 
@@ -203,15 +198,10 @@ def convergence_tables(params: ModelParams, scheme: str, grid_kind: str,
                        left_bc=NATURAL, on_result=None,
                        ) -> dict[str, list[ConvergenceRow]]:
     """Like convergence_study but probes R0 and R1 from one solve per level."""
-    _validate_levels(levels)
-    values = {"r0": [], "r1": []}
-    for lvl in levels:
-        result = _run_level(params, scheme, grid_kind, lvl, alpha, left_bc)
-        if on_result is not None:
-            on_result(result)
-        values["r0"].append(at_the_money(result, "r0"))
-        values["r1"].append(at_the_money(result, "r1"))
-    return {q: _rows_from_values(levels, vals) for q, vals in values.items()}
+    results = [runs[0] for runs in _ladder(params, scheme, grid_kind, levels,
+                                           alpha, left_bc, on_result)]
+    return {q: _rows_from_values(levels, [at_the_money(r, q) for r in results])
+            for q in ("r0", "r1")}
 
 
 def extrapolated_study(params: ModelParams, scheme: str, grid_kind: str,
@@ -221,34 +211,16 @@ def extrapolated_study(params: ModelParams, scheme: str, grid_kind: str,
                        on_result=None) -> list[ExtrapolationRow]:
     """Per level: pair the slaved dt with dt/2 on the same spatial grid
     and extrapolate at order 1; tabulate the extrapolated values."""
-    _validate_levels(levels)
-    probe = quantity if callable(quantity) else (
-        lambda res, q=quantity: at_the_money(res, q))
-    rows = []
-    extr = []
-    for lvl in levels:
-        grid = _build_grid(params, grid_kind, lvl, alpha)
-        tg = time_grid_from_space(grid, params.horizon, HALF_MIN_SPACING)
-        config = SchemeConfig(scheme=scheme, left_bc=left_bc)
-        coarse = solve_forward(params, grid, tg, config)
-        fine = solve_forward(params, grid, tg.halved(), config)
-        if on_result is not None:
-            on_result(coarse)
-            on_result(fine)
-        z, w = probe(coarse), probe(fine)
-        extr.append((lvl, z, w, richardson(z, w, 1)))
-    prev_diff = None
-    for k, (lvl, z, w, y) in enumerate(extr):
-        diff = abs(y - extr[k - 1][3]) if k >= 1 else None
-        ratio = order = None
-        if k >= 2 and diff and prev_diff:
-            ratio = prev_diff / diff
-            order = math.log2(ratio)
-        rows.append(ExtrapolationRow(intervals=lvl, coarse_value=z,
-                                     fine_value=w, extrapolated=y,
-                                     difference=diff, ratio=ratio, order=order))
-        prev_diff = diff
-    return rows
+    probe = _probe(quantity)
+    pairs = [(probe(coarse), probe(fine)) for coarse, fine in _ladder(
+        params, scheme, grid_kind, levels, alpha, left_bc, on_result,
+        halved=True)]
+    rows = _rows_from_values(levels, [richardson(z, w, 1) for z, w in pairs])
+    return [ExtrapolationRow(intervals=r.intervals, coarse_value=z,
+                             fine_value=w, extrapolated=r.value,
+                             difference=r.difference, ratio=r.ratio,
+                             order=r.order)
+            for r, (z, w) in zip(rows, pairs)]
 
 
 # --------------------------------------------------------------------------
@@ -396,23 +368,28 @@ class CheckResult:
 @dataclass(frozen=True)
 class AuditReport:
     checks: list[CheckResult]
-    restriction_ok: bool
     restriction_max: float
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
+    def restriction_ok(self) -> bool:
+        return self.restriction_max <= RESTRICTION_SLACK
+
     def lines(self) -> list[str]:
+        """One status line per check, then a warning line when the
+        reaction step restriction was violated in any audited run."""
         out = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            loc = f" at {c.location}" if c.location is not None else ""
-            extra = f" ({c.detail})" if c.detail else ""
-            out.append(f"[{status}] {c.name}: worst {c.worst:.3e}{loc}{extra}")
+            loc = (f" at (level,node)={c.location}"
+                   if c.location is not None else "")
+            out.append(f"[{status}] {c.name}: worst {c.worst:.3e}{loc}")
         if not self.restriction_ok:
-            out.append(f"[WARN] reaction time-step restriction violated "
-                       f"(ratio {self.restriction_max:.3g} > 1)")
+            out.append(f"[WARN] reaction time-step restriction ratio "
+                       f"{self.restriction_max:.3g} exceeds 1")
         return out
 
 
@@ -531,6 +508,4 @@ def audit_run(primary: SolveResult, secondary: SolveResult | None = None,
     if secondary is not None:
         restriction_max = max(restriction_max,
                               secondary.diagnostics.restriction_max)
-    return AuditReport(checks=results,
-                       restriction_ok=restriction_max <= 1.0 + 1e-12,
-                       restriction_max=restriction_max)
+    return AuditReport(checks=results, restriction_max=restriction_max)

@@ -8,16 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import analysis
 from .config import RunConfig, parse_config
 from .errors import NumericalError, ValidationError
-from .mesh import (
-    HALF_MIN_SPACING,
-    tavella_randall_grid,
-    time_grid_from_space,
-    uniform_grid,
-)
+from .mesh import HALF_MIN_SPACING, time_grid_from_space
 from .model import payoff_call, payoff_zero, to_prices
 from .schemes import NATURAL, SchemeConfig, initial_state, solve_forward
 
@@ -69,13 +65,6 @@ def _load_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _build_grid(cfg: RunConfig, intervals: int | None = None):
-    n = cfg.intervals if intervals is None else intervals
-    if cfg.grid == "uniform":
-        return uniform_grid(cfg.s_min, cfg.s_max, n)
-    return tavella_randall_grid(cfg.s_min, cfg.s_max, cfg.strike, cfg.alpha, n)
-
-
 def _scheme_config(cfg: RunConfig) -> SchemeConfig:
     left = NATURAL if cfg.left_bc == "natural" else (lambda tau: 0.0)
     return SchemeConfig(scheme=_SCHEMES[cfg.scheme], left_bc=left)
@@ -88,7 +77,7 @@ def _time_grid(cfg: RunConfig, grid):
 
 def cmd_solve(cfg: RunConfig) -> int:
     params = cfg.model_params()
-    grid = _build_grid(cfg)
+    grid = analysis._build_grid(params, cfg.grid, cfg.intervals, cfg.alpha)
     tg = _time_grid(cfg, grid)
     result = solve_forward(params, grid, tg, _scheme_config(cfg),
                            capture_trajectory=cfg.capture_trajectory)
@@ -116,11 +105,10 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def cmd_converge(cfg: RunConfig, levels: list[int]) -> int:
-    params = cfg.model_params()
-    left = NATURAL if cfg.left_bc == "natural" else (lambda tau: 0.0)
+    sc = _scheme_config(cfg)
     tables = analysis.convergence_tables(
-        params, _SCHEMES[cfg.scheme], cfg.grid, levels, alpha=cfg.alpha,
-        left_bc=left)
+        cfg.model_params(), sc.scheme, cfg.grid, levels, alpha=cfg.alpha,
+        left_bc=sc.left_bc)
     lines = ["I,value_R0,diff_R0,ratio_R0,order_R0,"
              "value_R1,diff_R1,ratio_R1,order_R1"]
     for r0, r1 in zip(tables["r0"], tables["r1"]):
@@ -132,11 +120,10 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> int:
 
 
 def cmd_extrapolate(cfg: RunConfig, levels: list[int]) -> int:
-    params = cfg.model_params()
-    left = NATURAL if cfg.left_bc == "natural" else (lambda tau: 0.0)
+    sc = _scheme_config(cfg)
     rows = analysis.extrapolated_study(
-        params, _SCHEMES[cfg.scheme], cfg.grid, levels, alpha=cfg.alpha,
-        left_bc=left)
+        cfg.model_params(), sc.scheme, cfg.grid, levels, alpha=cfg.alpha,
+        left_bc=sc.left_bc)
     lines = ["I,Z,W,Y,diff_Y,ratio,order"]
     for r in rows:
         lines.append(",".join([str(r.intervals)] + [
@@ -148,7 +135,7 @@ def cmd_extrapolate(cfg: RunConfig, levels: list[int]) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     params = cfg.model_params()
-    grid = _build_grid(cfg)
+    grid = analysis._build_grid(params, cfg.grid, cfg.intervals, cfg.alpha)
     tg = _time_grid(cfg, grid)
     scheme_cfg = _scheme_config(cfg)
     delta = 0.1 * params.gamma
@@ -163,26 +150,19 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     checks = [
         analysis.audit_positivity(base),
-        analysis.audit_comparison(shifted, base),
-        analysis.audit_comparison(base, zero),
+        replace(analysis.audit_comparison(shifted, base),
+                name="comparison(h+0.1)"),
+        replace(analysis.audit_comparison(base, zero),
+                name="comparison(call vs 0)"),
         analysis.audit_translation(base, shifted, delta),
         analysis.audit_m_matrix(base),
         analysis.audit_sup_bound(base),
     ]
-    names = ["positivity", "comparison(h+0.1)", "comparison(call vs 0)",
-             "translation", "m_matrix", "sup_bound"]
-    failed = False
-    restriction_max = max(r.diagnostics.restriction_max
-                          for r in (base, shifted, zero))
-    for name, check in zip(names, checks):
-        status = "PASS" if check.passed else "FAIL"
-        failed = failed or not check.passed
-        loc = f" at (level,node)={check.location}" if check.location else ""
-        print(f"[{status}] {name}: worst {check.worst:.3e}{loc}")
-    if restriction_max > 1.0 + 1e-12:
-        print(f"[WARN] reaction time-step restriction ratio "
-              f"{restriction_max:.3g} exceeds 1")
-    return 3 if failed else 0
+    report = analysis.AuditReport(
+        checks=checks, restriction_max=max(r.diagnostics.restriction_max
+                                           for r in (base, shifted, zero)))
+    _write_lines(None, report.lines())
+    return 0 if report.passed else 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -46,11 +46,9 @@ __all__ = [
     "SolveResult",
     "initial_state",
     "resolve_config",
-    "apply_left_boundary",
     "assemble_scheme1",
-    "step_scheme1",
     "assemble_scheme2",
-    "step_scheme2",
+    "step",
     "restriction_ratio",
     "solve_forward",
 ]
@@ -59,7 +57,9 @@ NATURAL = "natural"
 
 BoundaryRule = Union[str, Callable[[float], float], None]
 
-_RESTRICTION_SLACK = 1.0 + 1e-12
+# Largest reaction restriction ratio that still counts as holding; the
+# slack absorbs roundoff in a ratio that is exactly 1.
+RESTRICTION_SLACK = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class SolveDiagnostics:
 
     @property
     def restriction_ok(self) -> bool:
-        return self.restriction_max <= _RESTRICTION_SLACK
+        return self.restriction_max <= RESTRICTION_SLACK
 
 
 @dataclass(frozen=True)
@@ -153,11 +153,6 @@ class SolveResult:
     tg: TimeGrid
     config: SchemeConfig
     dc: DerivedConstants
-
-    def states(self) -> list[GridState]:
-        if self.trajectory is None:
-            raise ValidationError("run was made without capture_trajectory")
-        return self.trajectory
 
 
 def initial_state(grid: SpatialGrid, params: ModelParams,
@@ -203,6 +198,13 @@ def _natural_update(u_node: float, v_node: float, dc: DerivedConstants,
 
 def _boundary_value(rule, node: int, state: GridState, dc: DerivedConstants,
                     tg: TimeGrid) -> float:
+    """Boundary value of U at level j+1 on one edge.
+
+    A callable rule is a Dirichlet value evaluated at tau_{j+1}; the
+    natural rule advances the reduced ODE u' = b - a e^(u-v) one explicit
+    Euler step, which is the appropriate treatment at S = 0 where the
+    diffusion degenerates.
+    """
     if rule is None:
         raise ValidationError(
             "boundary rule unresolved; call resolve_config or pass a callable")
@@ -213,15 +215,14 @@ def _boundary_value(rule, node: int, state: GridState, dc: DerivedConstants,
     return float(rule(tau_next))
 
 
-def apply_left_boundary(state: GridState, config: SchemeConfig,
-                        dc: DerivedConstants, tg: TimeGrid) -> float:
-    """Left boundary value of U at level j+1.
-
-    Dirichlet mode evaluates phi_l at tau_{j+1}; natural mode advances the
-    reduced ODE u' = b - a e^(u-v) one explicit Euler step, which is the
-    appropriate treatment at S = 0 where the diffusion degenerates.
-    """
-    return _boundary_value(config.left_bc, 0, state, dc, tg)
+def _system(lower, diag, upper, rhs, state: GridState, dc: DerivedConstants,
+            tg: TimeGrid, config: SchemeConfig) -> TridiagonalSystem:
+    """Interior rows closed by the level-(j+1) values of both edges."""
+    return TridiagonalSystem(
+        lower=lower, diag=diag, upper=upper, rhs=rhs,
+        left_value=_boundary_value(config.left_bc, 0, state, dc, tg),
+        right_value=_boundary_value(config.right_bc, -1, state, dc, tg),
+    )
 
 
 def restriction_ratio(state: GridState, dc: DerivedConstants,
@@ -236,19 +237,6 @@ def restriction_ratio(state: GridState, dc: DerivedConstants,
     return tg.dt * max(dc.c * math.exp(spread_vu), dc.a * math.exp(spread_uv))
 
 
-def _check_restriction(state: GridState, dc: DerivedConstants, tg: TimeGrid,
-                       config: SchemeConfig) -> float:
-    ratio = restriction_ratio(state, dc, tg)
-    if ratio > _RESTRICTION_SLACK:
-        if config.enforce_positivity_restriction:
-            raise RestrictionViolationError(
-                f"reaction step restriction violated: ratio {ratio:.6g} > 1")
-        warnings.warn("reaction time-step restriction violated; positivity "
-                      "of the march is no longer guaranteed",
-                      RuntimeWarning, stacklevel=3)
-    return ratio
-
-
 def assemble_scheme1(state: GridState, grid: SpatialGrid, tg: TimeGrid,
                      dc: DerivedConstants, config: SchemeConfig) -> TridiagonalSystem:
     """Linear IMEX rows: implicit diffusion, level-j reaction in the load."""
@@ -256,26 +244,7 @@ def assemble_scheme1(state: GridState, grid: SpatialGrid, tg: TimeGrid,
     u, v = state.u, state.v
     diag = 1.0 / tg.dt + a_lo + b_up
     rhs = u[1:-1] / tg.dt - dc.a * np.exp(u[1:-1] - v[1:-1]) + dc.b
-    return TridiagonalSystem(
-        lower=a_lo, diag=diag, upper=b_up, rhs=rhs,
-        left_value=apply_left_boundary(state, config, dc, tg),
-        right_value=_boundary_value(config.right_bc, -1, state, dc, tg),
-    )
-
-
-def step_scheme1(state: GridState, grid: SpatialGrid, tg: TimeGrid,
-                 dc: DerivedConstants, config: SchemeConfig) -> GridState:
-    """One linear-IMEX step; V advances pointwise by the explicit rule."""
-    new_state, _, _ = _step_scheme1(state, grid, tg, dc, config)
-    return new_state
-
-
-def _step_scheme1(state, grid, tg, dc, config):
-    _check_restriction(state, dc, tg, config)
-    sys = assemble_scheme1(state, grid, tg, dc, config)
-    y = solve(sys)
-    v_new = state.v - tg.dt * dc.c * (np.exp(state.v - state.u) - 1.0)
-    return GridState(state.step_index + 1, y, v_new), sys, y
+    return _system(a_lo, diag, b_up, rhs, state, dc, tg, config)
 
 
 def assemble_scheme2(state: GridState, grid: SpatialGrid, tg: TimeGrid,
@@ -304,34 +273,29 @@ def assemble_scheme2(state: GridState, grid: SpatialGrid, tg: TimeGrid,
     wi = w[1:-1]
     diag = 1.0 / dt + a_lo + b_up + wi - wi * z[1:-1] / k_hat[1:-1]
     rhs = f_hat + wi / k_hat[1:-1] * g[1:-1]
-    sys = TridiagonalSystem(
-        lower=a_lo, diag=diag, upper=b_up, rhs=rhs,
-        left_value=apply_left_boundary(state, config, dc, tg),
-        right_value=_boundary_value(config.right_bc, -1, state, dc, tg),
-    )
-    return sys, VRecovery(k_hat=k_hat, e_hat=e_hat, g=g)
+    return (_system(a_lo, diag, b_up, rhs, state, dc, tg, config),
+            VRecovery(k_hat=k_hat, e_hat=e_hat, g=g))
 
 
-def step_scheme2(state: GridState, grid: SpatialGrid, tg: TimeGrid,
-                 dc: DerivedConstants, config: SchemeConfig) -> GridState:
-    """One linearized-IMEX step; V is recovered at every node, boundaries
-    included, from the same one-point relation."""
-    new_state, _, _ = _step_scheme2(state, grid, tg, dc, config)
-    return new_state
+def step(state: GridState, grid: SpatialGrid, tg: TimeGrid,
+         dc: DerivedConstants,
+         config: SchemeConfig) -> tuple[GridState, TridiagonalSystem]:
+    """Advance one time level with ``config.scheme``.
 
-
-def _step_scheme2(state, grid, tg, dc, config):
-    _check_restriction(state, dc, tg, config)
-    sys, recovery = assemble_scheme2(state, grid, tg, dc, config)
-    y = solve(sys)
-    v_new = recovery.recover(y)
-    return GridState(state.step_index + 1, y, v_new), sys, y
-
-
-_STEPPERS = {
-    "imex_linear": _step_scheme1,
-    "imex_linearized": _step_scheme2,
-}
+    Returns the new state and the tridiagonal system solved for its U.
+    ``imex_linear`` advances V pointwise by the explicit rule;
+    ``imex_linearized`` recovers V at every node, boundaries included,
+    from the eliminated one-point relation.
+    """
+    if config.scheme == "imex_linear":
+        sys = assemble_scheme1(state, grid, tg, dc, config)
+        u_new = solve(sys)
+        v_new = state.v - tg.dt * dc.c * (np.exp(state.v - state.u) - 1.0)
+    else:
+        sys, recovery = assemble_scheme2(state, grid, tg, dc, config)
+        u_new = solve(sys)
+        v_new = recovery.recover(u_new)
+    return GridState(state.step_index + 1, u_new, v_new), sys
 
 
 def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
@@ -341,12 +305,13 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
 
     Returns the final state together with per-run diagnostics (worst
     M-matrix margin, worst sup-norm bound margin, worst reaction-step
-    restriction ratio).  Numerical failures are re-raised as SolveFailure
-    carrying the failing step index.
+    restriction ratio).  A restriction ratio above 1 warns, or raises when
+    ``enforce_positivity_restriction`` is set.  Numerical failures,
+    overflow included, are re-raised as SolveFailure carrying the failing
+    step index.
     """
     config = resolve_config(config or SchemeConfig(), params, payoff)
     dc = derive_constants(params)
-    stepper = _STEPPERS[config.scheme]
     state = initial_state(grid, params, payoff)
     trajectory = [state] if capture_trajectory else None
     diag = SolveDiagnostics()
@@ -354,17 +319,27 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
         cu, cv = config.sup_bounds
         diag.apriori_restriction = tg.dt * max(dc.a, dc.c) * math.exp(
             2.0 * cu + 2.0 * cv)
-        if diag.apriori_restriction > _RESTRICTION_SLACK:
+        if diag.apriori_restriction > RESTRICTION_SLACK:
             warnings.warn("a-priori reaction restriction dt*max(a,c)*"
                           "e^(2Cu+2Cv) exceeds 1", RuntimeWarning)
     for j in range(tg.steps):
-        ratio = restriction_ratio(state, dc, tg)
-        if ratio > diag.restriction_max:
-            diag.restriction_max = ratio
-            diag.restriction_max_step = j
         try:
-            state, sys, y = stepper(state, grid, tg, dc, config)
-        except LiqshockError as err:
+            ratio = restriction_ratio(state, dc, tg)
+            if ratio > diag.restriction_max:
+                diag.restriction_max = ratio
+                diag.restriction_max_step = j
+            if ratio > RESTRICTION_SLACK:
+                if config.enforce_positivity_restriction:
+                    raise RestrictionViolationError(
+                        f"reaction step restriction violated: ratio "
+                        f"{ratio:.6g} > 1")
+                warnings.warn("reaction time-step restriction violated; "
+                              "positivity of the march is no longer "
+                              "guaranteed", RuntimeWarning, stacklevel=2)
+            state, sys = step(state, grid, tg, dc, config)
+        except (LiqshockError, OverflowError) as err:
+            # math.exp (restriction ratio, natural edge) overflows on a
+            # large spread |U - V|; that, too, is a breakdown of this step.
             raise SolveFailure(j, str(err)) from err
         report = check_m_matrix(sys)
         diag.solves += 1
@@ -372,7 +347,7 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
         if report.min_d < diag.min_d:
             diag.min_d = report.min_d
             diag.min_d_step = j
-        margin = stability_bound(sys) - float(np.abs(y).max())
+        margin = stability_bound(sys) - float(np.abs(state.u).max())
         if margin < diag.bound_margin:
             diag.bound_margin = margin
             diag.bound_margin_step = j

@@ -29,11 +29,11 @@ from liqshock import (
     payoff_zero,
     richardson,
     solve_forward,
-    step_scheme1,
+    step,
     time_grid_from_space,
     uniform_grid,
 )
-from liqshock.analysis import RichardsonResult, _rows_from_values
+from liqshock.analysis import _rows_from_values
 
 # frozen 50-digit reference for the constant-data reduced system, h*=1
 ODE_U_REF = 1.0185780234971976
@@ -71,11 +71,6 @@ class TestRichardson:
     def test_rejects_bad_order(self):
         with pytest.raises(ValidationError):
             richardson(1.0, 1.0, 0)
-
-    def test_result_record(self):
-        r = RichardsonResult.from_pair(1.0, 1.5, 1)
-        assert r.extrapolated == 2.0
-        assert r.coarse_value == 1.0 and r.fine_value == 1.5
 
 
 class TestRowMath:
@@ -183,7 +178,7 @@ class TestImplicitOracle:
         cfg = SchemeConfig(left_bc=lambda tau: 0.0, right_bc=lambda tau: 3.0)
         state = initial_state(grid, params)
         for _ in range(tg.steps):
-            state = step_scheme1(state, grid, tg, dc0, cfg)
+            state, _ = step(state, grid, tg, dc0, cfg)
 
         import liqshock.analysis as analysis_mod
         monkeypatch.setattr(analysis_mod, "derive_constants", lambda p: dc0)

@@ -182,6 +182,16 @@ class TestCliErrors:
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # the reaction restriction ratio overflows math.exp at step 5
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma=0.5\nmu=0.45\ngamma=1.5\nnu01=19\nnu10=6\n"
+                       "strike=4.5\nhorizon=2.5\ns_max=27\nintervals=60\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: time step 5: math range error\n")
+
     def test_config_file_drives_run(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma=0.3\nintervals=48\ngrid=uniform\n")

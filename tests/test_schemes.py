@@ -1,6 +1,7 @@
 """Stepper assembly, boundary rules, marching, and structural invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from liqshock import (
     SolveFailure,
     TimeGrid,
     ValidationError,
-    apply_left_boundary,
     assemble_scheme1,
     assemble_scheme2,
     check_m_matrix,
@@ -24,8 +24,8 @@ from liqshock import (
     resolve_config,
     restriction_ratio,
     solve_forward,
-    step_scheme1,
-    step_scheme2,
+    step,
+    time_grid_from_space,
     uniform_grid,
 )
 
@@ -104,7 +104,7 @@ class TestStepScheme1:
         tg = TimeGrid(dt=0.1, steps=10)
         cfg = SchemeConfig(left_bc=NATURAL, right_bc=NATURAL)
         st = GridState(0, np.zeros(7), np.zeros(7))
-        nxt = step_scheme1(st, grid, tg, dc, cfg)
+        nxt, _ = step(st, grid, tg, dc, cfg)
         np.testing.assert_allclose(nxt.u, 0.002, rtol=1e-13)
         np.testing.assert_allclose(nxt.v, 0.0, atol=1e-16)
         assert nxt.step_index == 1
@@ -114,7 +114,7 @@ class TestStepScheme1:
         tg = TimeGrid(dt=0.01, steps=100)
         cfg = resolve_config(SchemeConfig(), params)
         st = initial_state(grid, params)
-        nxt = step_scheme1(st, grid, tg, dc, cfg)
+        nxt, _ = step(st, grid, tg, dc, cfg)
         np.testing.assert_array_equal(nxt.v, st.v)
 
     def test_translation_invariance(self, params, dc):
@@ -126,8 +126,8 @@ class TestStepScheme1:
             right_bc=lambda tau: base_cfg.right_bc(tau) + delta)
         st = initial_state(grid, params)
         shifted = GridState(0, st.u + delta, st.v + delta)
-        a = step_scheme1(st, grid, tg, dc, base_cfg)
-        b = step_scheme1(shifted, grid, tg, dc, shift_cfg)
+        a, _ = step(st, grid, tg, dc, base_cfg)
+        b, _ = step(shifted, grid, tg, dc, shift_cfg)
         assert np.abs(b.u - a.u - delta).max() <= 1e-13
         assert np.abs(b.v - a.v - delta).max() <= 1e-13
 
@@ -166,7 +166,7 @@ class TestStepScheme2:
         cfg = resolve_config(SchemeConfig(scheme="imex_linearized"), params)
         st = initial_state(grid, params)
         sys, rec = assemble_scheme2(st, grid, tg, dc, cfg)
-        nxt = step_scheme2(st, grid, tg, dc, cfg)
+        nxt, _ = step(st, grid, tg, dc, cfg)
         lhs = rec.e_hat * nxt.u + rec.k_hat * nxt.v
         np.testing.assert_allclose(lhs, rec.g, rtol=1e-12)
 
@@ -179,7 +179,7 @@ class TestStepScheme2:
                            right_bc=NATURAL)
         h_star = 0.5
         st = GridState(0, np.full(7, h_star), np.full(7, h_star))
-        nxt = step_scheme2(st, grid, tg, dc, cfg)
+        nxt, _ = step(st, grid, tg, dc, cfg)
         # (1/dt + z) v1 = v0/dt - z (1 - 0) + c + z u1 with z = c here
         z = dc.c
         expected_v = (h_star / tg.dt - z + dc.c + z * nxt.u) / (1 / tg.dt + z)
@@ -195,8 +195,8 @@ class TestStepScheme2:
             right_bc=lambda tau: base_cfg.right_bc(tau) + delta)
         st = initial_state(grid, params)
         shifted = GridState(0, st.u + delta, st.v + delta)
-        a = step_scheme2(st, grid, tg, dc, base_cfg)
-        b = step_scheme2(shifted, grid, tg, dc, shift_cfg)
+        a, _ = step(st, grid, tg, dc, base_cfg)
+        b, _ = step(shifted, grid, tg, dc, shift_cfg)
         assert np.abs(b.u - a.u - delta).max() <= 1e-13
         assert np.abs(b.v - a.v - delta).max() <= 1e-13
 
@@ -208,8 +208,9 @@ class TestStepScheme2:
         gaps = []
         for dt in (1e-3, 1e-4):
             tg = TimeGrid(dt=dt, steps=1)
-            s1 = step_scheme1(st, grid, tg, dc, cfg)
-            s2 = step_scheme2(st, grid, tg, dc, cfg)
+            s1, _ = step(st, grid, tg, dc, cfg)
+            s2, _ = step(st, grid, tg, dc,
+                         replace(cfg, scheme="imex_linearized"))
             gaps.append(max(np.abs(s1.u - s2.u).max(),
                             np.abs(s1.v - s2.v).max()))
         slope = math.log10(gaps[0] / gaps[1])
@@ -220,25 +221,25 @@ class TestBoundaries:
     def test_dirichlet_left(self, params, dc):
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.1, steps=10)
-        cfg = SchemeConfig(left_bc=lambda tau: 0.0)
+        cfg = resolve_config(SchemeConfig(left_bc=lambda tau: 0.0), params)
         st = initial_state(grid, params)
-        assert apply_left_boundary(st, cfg, dc, tg) == 0.0
+        assert assemble_scheme1(st, grid, tg, dc, cfg).left_value == 0.0
 
     def test_natural_growth_when_equal(self, params, dc):
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.1, steps=10)
-        cfg = SchemeConfig(left_bc=NATURAL)
+        cfg = resolve_config(SchemeConfig(left_bc=NATURAL), params)
         st = initial_state(grid, params)
-        out = apply_left_boundary(st, cfg, dc, tg)
+        out = assemble_scheme1(st, grid, tg, dc, cfg).left_value
         assert out == pytest.approx(st.u[0] + tg.dt * dc.d0, abs=1e-15)
 
     def test_natural_fixed_point_when_a_equals_b(self, params):
         dc = reaction_only_dc(a=1.0, b=1.0, c=12.0)
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.1, steps=10)
-        cfg = SchemeConfig(left_bc=NATURAL)
+        cfg = resolve_config(SchemeConfig(left_bc=NATURAL), params)
         st = GridState(0, np.full(11, 0.3), np.full(11, 0.3))
-        assert apply_left_boundary(st, cfg, dc, tg) == 0.3
+        assert assemble_scheme1(st, grid, tg, dc, cfg).left_value == 0.3
 
     def test_unresolved_right_bc_rejected(self, params, dc):
         grid = uniform_grid(0, 5, 10)
@@ -261,22 +262,21 @@ class TestRestriction:
         # U = V so both exponentials are 1
         assert restriction_ratio(st, dc, tg) == pytest.approx(0.1 * 12.0)
 
-    def test_warns_by_default(self, params, dc):
+    def test_warns_by_default(self, params):
         grid = uniform_grid(0, 5, 10)
-        st = initial_state(grid, params)
         tg = TimeGrid(dt=0.5, steps=2)
-        cfg = resolve_config(SchemeConfig(), params)
         with pytest.warns(RuntimeWarning):
-            step_scheme1(st, grid, tg, dc, cfg)
+            res = solve_forward(params, grid, tg)
+        assert res.diagnostics.restriction_max == pytest.approx(0.5 * 12.0)
+        assert res.diagnostics.restriction_max_step == 0
 
-    def test_enforced_raises(self, params, dc):
+    def test_enforced_raises(self, params):
         grid = uniform_grid(0, 5, 10)
-        st = initial_state(grid, params)
         tg = TimeGrid(dt=0.5, steps=2)
-        cfg = resolve_config(
-            SchemeConfig(enforce_positivity_restriction=True), params)
-        with pytest.raises(RestrictionViolationError):
-            step_scheme1(st, grid, tg, dc, cfg)
+        cfg = SchemeConfig(enforce_positivity_restriction=True)
+        with pytest.raises(SolveFailure) as exc:
+            solve_forward(params, grid, tg, cfg)
+        assert isinstance(exc.value.__cause__, RestrictionViolationError)
 
     def test_solve_forward_wraps_with_step_index(self, params):
         grid = uniform_grid(0, 5, 10)
@@ -285,6 +285,30 @@ class TestRestriction:
         with pytest.raises(SolveFailure) as exc:
             solve_forward(params, grid, tg, cfg)
         assert exc.value.step_index == 0
+
+    # Parameter sets from the acceptance criterion-9 box on which the
+    # restriction ratio's math.exp overflows at the given step.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme,values,failing_step", [
+        ("imex_linear", dict(sigma=0.5, mu=0.45, gamma=1.5, nu01=19.0,
+                             nu10=6.0, strike=4.5, horizon=2.5, s_max=27.0),
+         5),
+        ("imex_linear", dict(sigma=0.05, mu=-0.45, gamma=8.0, nu01=12.0,
+                             nu10=0.3, strike=3.5, horizon=2.5, s_max=42.0),
+         2),
+        ("imex_linearized", dict(sigma=0.05, mu=-0.45, gamma=8.0, nu01=12.0,
+                                 nu10=0.3, strike=3.5, horizon=2.5,
+                                 s_max=42.0),
+         2),
+    ])
+    def test_overflow_is_solve_failure(self, scheme, values, failing_step):
+        p = ModelParams(s_min=0.0, **values)
+        grid = uniform_grid(p.s_min, p.s_max, 60)
+        tg = time_grid_from_space(grid, p.horizon)
+        with pytest.raises(SolveFailure) as exc:
+            solve_forward(p, grid, tg, SchemeConfig(scheme=scheme))
+        assert exc.value.step_index == failing_step
+        assert isinstance(exc.value.__cause__, OverflowError)
 
 
 class TestSolveForward:

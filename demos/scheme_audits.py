@@ -1,26 +1,23 @@
 """Structural audits: comparison ordering, translation, positivity.
 
-Three forward runs (call payoff, call + 0.1, zero payoff) demonstrate
-the discrete comparison machinery: ordered data stay ordered at every
-node and level, a constant shift of all data moves the solution by
-exactly that constant, and each tridiagonal solve satisfies the
-monotonicity conditions and the sup-norm a-priori bound.
+``verify`` makes three forward runs (call payoff, call + 0.1, zero
+payoff) and demonstrates the discrete comparison machinery: ordered data
+stay ordered at every node and level, a constant shift of all data moves
+the solution by exactly that constant, and each tridiagonal solve
+satisfies the monotonicity conditions and the sup-norm a-priori bound.
 
-The positivity audit is reported last: the transformed prices stay
-nonnegative up to a small O(dt) dip at the degenerate S = 0 edge, where
-the explicit reaction update lags the exact zero-payoff profile; the
-audit pinpoints the node and level.
+The positivity audit fails by design: the transformed prices stay
+nonnegative up to a small O(dt) dip (at the degenerate S = 0 edge for
+``imex_linear``), which the audit pinpoints by level and node.  These
+are the lines ``liqshock verify --I 120`` prints for each scheme.
 """
 
 from liqshock import (
     ModelParams,
     SchemeConfig,
-    audit_run,
-    payoff_call,
-    payoff_zero,
-    solve_forward,
     time_grid_from_space,
     uniform_grid,
+    verify,
 )
 
 params = ModelParams(sigma=0.3, mu=0.06, gamma=1.0, nu01=1.0, nu10=12.0,
@@ -29,25 +26,6 @@ grid = uniform_grid(params.s_min, params.s_max, 120)
 tg = time_grid_from_space(grid, params.horizon)
 
 for scheme in ("imex_linear", "imex_linearized"):
-    cfg = SchemeConfig(scheme=scheme)
-    base = solve_forward(params, grid, tg, cfg, capture_trajectory=True)
-    shifted = solve_forward(params, grid, tg, cfg,
-                            payoff=lambda s, k: payoff_call(s, k) + 0.1,
-                            capture_trajectory=True)
-    zero = solve_forward(params, grid, tg, cfg, payoff=payoff_zero,
-                         capture_trajectory=True)
-
     print(f"\n=== {scheme} ===")
-    report = audit_run(base, shifted,
-                       checks=("comparison", "translation", "m_matrix",
-                               "sup_bound"), delta=0.1)
-    for line in report.lines():
-        print("  shift-by-0.1    " + line)
-
-    report = audit_run(zero, base, checks=("comparison",))
-    for line in report.lines():
-        print("  call-vs-zero    " + line)
-
-    report = audit_run(base, checks=("positivity",))
-    for line in report.lines():
-        print("  prices          " + line)
+    for line in verify(params, grid, tg, SchemeConfig(scheme=scheme)).lines():
+        print("  " + line)

@@ -11,7 +11,6 @@ from .analysis import (
     audit_sup_bound,
     audit_m_matrix,
     audit_positivity,
-    audit_run,
     audit_translation,
     convergence_study,
     convergence_tables,
@@ -19,6 +18,7 @@ from .analysis import (
     implicit_oracle,
     ode_oracle,
     richardson,
+    verify,
 )
 from .config import RunConfig, emit_config, parse_config
 from .errors import (

@@ -16,8 +16,8 @@ that the linearized stepper approximates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .mesh import (
     time_grid_from_space,
     uniform_grid,
 )
-from .model import ModelParams, derive_constants, payoff_call, to_prices
+from .model import (ModelParams, derive_constants, payoff_call, payoff_zero,
+                    to_prices)
 from .schemes import (
     NATURAL,
     RESTRICTION_SLACK,
@@ -59,12 +60,9 @@ __all__ = [
     "audit_translation",
     "audit_m_matrix",
     "audit_sup_bound",
-    "audit_run",
+    "verify",
     "at_the_money",
 ]
-
-_GRID_KINDS = {"uniform": "uniform", "tavella": "tavella_randall",
-               "tavella_randall": "tavella_randall"}
 
 POSITIVITY_TOL = -1e-10
 COMPARISON_TOL = -1e-12
@@ -112,22 +110,23 @@ class ExtrapolationRow:
 
 
 def at_the_money(result: SolveResult, quantity: str = "r0") -> float:
-    """Linear interpolation of R0 or R1 at S = strike on the final level."""
-    grid = result.grid
+    """Linear interpolation of R0 ("r0") or R1 ("r1") at S = strike on
+    the final level."""
+    if quantity not in ("r0", "r1"):
+        raise ValidationError(f"quantity must be 'r0' or 'r1': {quantity!r}")
     values = result.final_state.u if quantity == "r0" else result.final_state.v
-    return float(np.interp(result.params.strike, grid.nodes, values)
+    return float(np.interp(result.params.strike, result.grid.nodes, values)
                  ) / result.params.gamma
 
 
 def _build_grid(params: ModelParams, grid_kind: str, intervals: int,
                 alpha: float) -> SpatialGrid:
-    kind = _GRID_KINDS.get(grid_kind)
-    if kind is None:
-        raise ValidationError(f"unknown grid kind {grid_kind!r}")
-    if kind == "uniform":
+    if grid_kind == "uniform":
         return uniform_grid(params.s_min, params.s_max, intervals)
-    return tavella_randall_grid(params.s_min, params.s_max, params.strike,
-                                alpha, intervals)
+    if grid_kind == "tavella":
+        return tavella_randall_grid(params.s_min, params.s_max, params.strike,
+                                    alpha, intervals)
+    raise ValidationError(f"unknown grid kind {grid_kind!r}")
 
 
 def _validate_levels(levels: Sequence[int]):
@@ -153,12 +152,6 @@ def _rows_from_values(levels, values) -> list[ConvergenceRow]:
     return rows
 
 
-def _probe(quantity) -> Callable[[SolveResult], float]:
-    if callable(quantity):
-        return quantity
-    return lambda res: at_the_money(res, quantity)
-
-
 def _ladder(params, scheme, grid_kind, levels, alpha, left_bc, on_result,
             halved=False):
     """Per level, yield the runs at the slaved dt and (with ``halved``)
@@ -176,45 +169,41 @@ def _ladder(params, scheme, grid_kind, levels, alpha, left_bc, on_result,
         yield runs
 
 
-def convergence_study(params: ModelParams, scheme: str, grid_kind: str,
-                      levels: Sequence[int],
-                      quantity: str | Callable[[SolveResult], float] = "r0",
-                      alpha: float = 15.0, left_bc=NATURAL,
-                      on_result=None) -> list[ConvergenceRow]:
-    """Solve each level of a doubling ladder and tabulate convergence.
-
-    ``quantity`` is "r0", "r1", or a callable probing a SolveResult.
-    ``on_result`` (when given) receives every SolveResult, e.g. to audit
-    the per-run diagnostics.
-    """
-    probe = _probe(quantity)
-    values = [probe(runs[0]) for runs in _ladder(
-        params, scheme, grid_kind, levels, alpha, left_bc, on_result)]
-    return _rows_from_values(levels, values)
-
-
 def convergence_tables(params: ModelParams, scheme: str, grid_kind: str,
                        levels: Sequence[int], alpha: float = 15.0,
                        left_bc=NATURAL, on_result=None,
                        ) -> dict[str, list[ConvergenceRow]]:
-    """Like convergence_study but probes R0 and R1 from one solve per level."""
+    """Solve each level of a doubling ladder once and tabulate the
+    convergence of the at-the-money R0 ("r0") and R1 ("r1").
+
+    ``on_result`` (when given) receives every SolveResult, e.g. to audit
+    the per-run diagnostics.
+    """
     results = [runs[0] for runs in _ladder(params, scheme, grid_kind, levels,
                                            alpha, left_bc, on_result)]
     return {q: _rows_from_values(levels, [at_the_money(r, q) for r in results])
             for q in ("r0", "r1")}
 
 
+def convergence_study(params: ModelParams, scheme: str, grid_kind: str,
+                      levels: Sequence[int], alpha: float = 15.0,
+                      left_bc=NATURAL, on_result=None) -> list[ConvergenceRow]:
+    """The R0 table of ``convergence_tables``."""
+    return convergence_tables(params, scheme, grid_kind, levels, alpha,
+                              left_bc, on_result)["r0"]
+
+
 def extrapolated_study(params: ModelParams, scheme: str, grid_kind: str,
-                       levels: Sequence[int],
-                       quantity: str | Callable[[SolveResult], float] = "r0",
-                       alpha: float = 15.0, left_bc=NATURAL,
-                       on_result=None) -> list[ExtrapolationRow]:
+                       levels: Sequence[int], alpha: float = 15.0,
+                       left_bc=NATURAL, on_result=None,
+                       ) -> list[ExtrapolationRow]:
     """Per level: pair the slaved dt with dt/2 on the same spatial grid
-    and extrapolate at order 1; tabulate the extrapolated values."""
-    probe = _probe(quantity)
-    pairs = [(probe(coarse), probe(fine)) for coarse, fine in _ladder(
-        params, scheme, grid_kind, levels, alpha, left_bc, on_result,
-        halved=True)]
+    and extrapolate the at-the-money R0 at order 1; tabulate the
+    extrapolated values."""
+    pairs = [(at_the_money(coarse), at_the_money(fine))
+             for coarse, fine in _ladder(params, scheme, grid_kind, levels,
+                                         alpha, left_bc, on_result,
+                                         halved=True)]
     rows = _rows_from_values(levels, [richardson(z, w, 1) for z, w in pairs])
     return [ExtrapolationRow(intervals=r.intervals, coarse_value=z,
                              fine_value=w, extrapolated=r.value,
@@ -362,7 +351,6 @@ class CheckResult:
     passed: bool
     worst: float
     location: tuple | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -411,18 +399,14 @@ def audit_positivity(run: SolveResult, tol: float = POSITIVITY_TOL) -> CheckResu
     dt = run.tg.dt
     worst = math.inf
     where = None
-    which = ""
     for state in run.trajectory:
         t = T - state.step_index * dt
-        p, q = to_prices(state.u, state.v, t, run.params, run.dc)
-        for label, arr in (("p", p), ("q", q)):
+        for arr in to_prices(state.u, state.v, t, run.params, run.dc):
             m = float(arr.min())
             if m < worst:
                 worst = m
                 where = (state.step_index, int(arr.argmin()))
-                which = label
-    return CheckResult("positivity", worst >= tol, worst, where,
-                       detail=f"min over {which}")
+    return CheckResult("positivity", worst >= tol, worst, where)
 
 
 def audit_comparison(upper: SolveResult, lower: SolveResult,
@@ -463,8 +447,7 @@ def audit_translation(base: SolveResult, shifted: SolveResult, delta: float,
 
 def audit_m_matrix(run: SolveResult) -> CheckResult:
     d = run.diagnostics
-    return CheckResult("m_matrix", d.m_matrix_ok, d.min_d,
-                       (d.min_d_step,), detail=f"{d.solves} solves")
+    return CheckResult("m_matrix", d.m_matrix_ok, d.min_d, (d.min_d_step,))
 
 
 def audit_sup_bound(run: SolveResult, tol: float = -1e-9) -> CheckResult:
@@ -473,39 +456,32 @@ def audit_sup_bound(run: SolveResult, tol: float = -1e-9) -> CheckResult:
                        d.bound_margin, (d.bound_margin_step,))
 
 
-_TWO_RUN_CHECKS = {"comparison", "translation"}
+def _lifted_call(s, k):
+    """Call payoff plus 0.1: the dominating data of ``verify``."""
+    return payoff_call(s, k) + 0.1
 
 
-def audit_run(primary: SolveResult, secondary: SolveResult | None = None,
-              checks: Sequence[str] = ("positivity", "m_matrix",
-                                       "sup_bound"),
-              delta: float | None = None) -> AuditReport:
-    """Run the named checks and collect a report.
+def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
+           config: SchemeConfig | None = None) -> AuditReport:
+    """The audit suite that ``liqshock verify`` prints.
 
-    Two-run checks read ``secondary`` as the dominating (comparison) or
-    shifted (translation) run; ``delta`` is the translation shift.
-    Failures are reported as data, never raised.
+    Three captured runs on one grid (call payoff, call + 0.1, zero
+    payoff) feed six checks: positivity of the call run, comparison of
+    each ordered pair, translation by 0.1 gamma, the M-matrix pattern and
+    the sup-norm bound.  The restriction maximum is taken over all three
+    runs.  Failures are reported as data, never raised.
     """
-    results = []
-    for name in checks:
-        if name in _TWO_RUN_CHECKS and secondary is None:
-            raise ValidationError(f"{name} audit needs a secondary run")
-        if name == "positivity":
-            results.append(audit_positivity(primary))
-        elif name == "comparison":
-            results.append(audit_comparison(secondary, primary))
-        elif name == "translation":
-            if delta is None:
-                raise ValidationError("translation audit needs delta")
-            results.append(audit_translation(primary, secondary, delta))
-        elif name == "m_matrix":
-            results.append(audit_m_matrix(primary))
-        elif name == "sup_bound":
-            results.append(audit_sup_bound(primary))
-        else:
-            raise ValidationError(f"unknown audit check {name!r}")
-    restriction_max = primary.diagnostics.restriction_max
-    if secondary is not None:
-        restriction_max = max(restriction_max,
-                              secondary.diagnostics.restriction_max)
-    return AuditReport(checks=results, restriction_max=restriction_max)
+    base, shifted, zero = [
+        solve_forward(params, grid, tg, config, payoff=payoff,
+                      capture_trajectory=True)
+        for payoff in (payoff_call, _lifted_call, payoff_zero)]
+    checks = [
+        audit_positivity(base),
+        replace(audit_comparison(shifted, base), name="comparison(h+0.1)"),
+        replace(audit_comparison(base, zero), name="comparison(call vs 0)"),
+        audit_translation(base, shifted, 0.1 * params.gamma),
+        audit_m_matrix(base),
+        audit_sup_bound(base),
+    ]
+    return AuditReport(checks=checks, restriction_max=max(
+        r.diagnostics.restriction_max for r in (base, shifted, zero)))

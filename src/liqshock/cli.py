@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import analysis
 from .config import RunConfig, parse_config
 from .errors import NumericalError, ValidationError
 from .mesh import HALF_MIN_SPACING, time_grid_from_space
-from .model import payoff_call, payoff_zero, to_prices
+from .model import to_prices
 from .schemes import NATURAL, SchemeConfig, initial_state, solve_forward
 
 _SCHEMES = {"linear": "imex_linear", "linearized": "imex_linearized"}
@@ -79,8 +78,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     params = cfg.model_params()
     grid = analysis._build_grid(params, cfg.grid, cfg.intervals, cfg.alpha)
     tg = _time_grid(cfg, grid)
-    result = solve_forward(params, grid, tg, _scheme_config(cfg),
-                           capture_trajectory=cfg.capture_trajectory)
+    result = solve_forward(params, grid, tg, _scheme_config(cfg))
     dc = result.dc
     first = initial_state(grid, params)
     p_T, q_T = to_prices(first.u, first.v, params.horizon, params, dc)
@@ -136,31 +134,8 @@ def cmd_extrapolate(cfg: RunConfig, levels: list[int]) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     params = cfg.model_params()
     grid = analysis._build_grid(params, cfg.grid, cfg.intervals, cfg.alpha)
-    tg = _time_grid(cfg, grid)
-    scheme_cfg = _scheme_config(cfg)
-    delta = 0.1 * params.gamma
-
-    def run(payoff):
-        return solve_forward(params, grid, tg, scheme_cfg, payoff=payoff,
-                             capture_trajectory=True)
-
-    base = run(payoff_call)
-    shifted = run(lambda s, k: payoff_call(s, k) + 0.1)
-    zero = run(payoff_zero)
-
-    checks = [
-        analysis.audit_positivity(base),
-        replace(analysis.audit_comparison(shifted, base),
-                name="comparison(h+0.1)"),
-        replace(analysis.audit_comparison(base, zero),
-                name="comparison(call vs 0)"),
-        analysis.audit_translation(base, shifted, delta),
-        analysis.audit_m_matrix(base),
-        analysis.audit_sup_bound(base),
-    ]
-    report = analysis.AuditReport(
-        checks=checks, restriction_max=max(r.diagnostics.restriction_max
-                                           for r in (base, shifted, zero)))
+    report = analysis.verify(params, grid, _time_grid(cfg, grid),
+                             _scheme_config(cfg))
     _write_lines(None, report.lines())
     return 0 if report.passed else 3
 

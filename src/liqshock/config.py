@@ -36,7 +36,6 @@ class RunConfig:
     dt: float | None = None            # required when tau_rule=explicit
     scheme: str = "linear"             # linear | linearized
     left_bc: str = "natural"           # natural | dirichlet
-    capture_trajectory: bool = False
     output_path: str | None = None
 
     def model_params(self) -> ModelParams:
@@ -75,9 +74,8 @@ DEFAULTS = RunConfig()
 _FLOAT_KEYS = {"sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
                "s_min", "s_max", "alpha", "dt"}
 _INT_KEYS = {"intervals"}
-_BOOL_KEYS = {"capture_trajectory"}
 _STR_KEYS = {"grid", "tau_rule", "scheme", "left_bc", "output_path"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
+_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
 
 def parse_config(text: str) -> RunConfig:
@@ -107,10 +105,6 @@ def parse_config(text: str) -> RunConfig:
                 values[key] = float(val)
             elif key in _INT_KEYS:
                 values[key] = int(val)
-            elif key in _BOOL_KEYS:
-                if val not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                values[key] = val == "true"
             else:
                 values[key] = val
         except ValueError as e:
@@ -125,12 +119,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _format_value(key: str, value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def emit_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(emit_config(c)) == c."""
     lines = []
@@ -138,5 +126,6 @@ def emit_config(cfg: RunConfig) -> str:
         value = getattr(cfg, f.name)
         if value is None:
             continue
-        lines.append(f"{f.name}={_format_value(f.name, value)}")
+        text = repr(value) if isinstance(value, float) else str(value)
+        lines.append(f"{f.name}={text}")
     return "\n".join(lines) + "\n"

@@ -90,16 +90,13 @@ class SchemeConfig:
     ``left_bc``/``right_bc`` accept either the string ``"natural"`` (march
     the node by the reduced reaction ODE) or a callable phi(tau) providing
     a Dirichlet value.  ``right_bc=None`` resolves at solve time to the
-    constant gamma * payoff(s_max).  ``sup_bounds`` optionally carries
-    a-priori sup-norm bounds (C_u, C_v) used for an extra diagnostic on
-    the reaction time-step restriction.
+    constant gamma * payoff(s_max).
     """
 
     scheme: str = "imex_linear"
     left_bc: BoundaryRule = NATURAL
     right_bc: BoundaryRule = None
     enforce_positivity_restriction: bool = False
-    sup_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.scheme not in ("imex_linear", "imex_linearized"):
@@ -134,7 +131,6 @@ class SolveDiagnostics:
     bound_margin_step: int = -1
     restriction_max: float = 0.0
     restriction_max_step: int = -1
-    apriori_restriction: float | None = None
 
     @property
     def restriction_ok(self) -> bool:
@@ -315,13 +311,6 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     state = initial_state(grid, params, payoff)
     trajectory = [state] if capture_trajectory else None
     diag = SolveDiagnostics()
-    if config.sup_bounds is not None:
-        cu, cv = config.sup_bounds
-        diag.apriori_restriction = tg.dt * max(dc.a, dc.c) * math.exp(
-            2.0 * cu + 2.0 * cv)
-        if diag.apriori_restriction > RESTRICTION_SLACK:
-            warnings.warn("a-priori reaction restriction dt*max(a,c)*"
-                          "e^(2Cu+2Cv) exceeds 1", RuntimeWarning)
     for j in range(tg.steps):
         try:
             ratio = restriction_ratio(state, dc, tg)

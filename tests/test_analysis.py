@@ -7,6 +7,7 @@ import pytest
 
 from liqshock import (
     NATURAL,
+    AuditReport,
     DerivedConstants,
     ModelParams,
     SchemeConfig,
@@ -17,7 +18,6 @@ from liqshock import (
     audit_sup_bound,
     audit_m_matrix,
     audit_positivity,
-    audit_run,
     audit_translation,
     convergence_study,
     convergence_tables,
@@ -32,6 +32,7 @@ from liqshock import (
     step,
     time_grid_from_space,
     uniform_grid,
+    verify,
 )
 from liqshock.analysis import _rows_from_values
 
@@ -94,13 +95,6 @@ class TestStudies:
     def test_levels_must_double(self, params):
         with pytest.raises(ValidationError):
             convergence_study(params, "imex_linear", "uniform", [30, 50])
-
-    def test_constant_probe(self, params):
-        rows = convergence_study(params, "imex_linear", "uniform",
-                                 [40, 80, 160], quantity=lambda res: 1.25)
-        assert [r.value for r in rows] == [1.25] * 3
-        assert rows[1].difference == 0.0
-        assert rows[2].ratio is None
 
     def test_small_ladder_monotone(self, params):
         rows = convergence_study(params, "imex_linear", "uniform",
@@ -271,19 +265,20 @@ class TestAudits:
         assert audit_m_matrix(base).passed
         assert audit_sup_bound(base).passed
 
-    def test_audit_run_dispatch(self, run_pair):
-        base, shifted = run_pair
-        report = audit_run(base, shifted,
-                           checks=("comparison", "translation", "m_matrix",
-                                   "sup_bound"), delta=0.1)
-        assert report.passed
-        assert report.restriction_ok
-        assert len(report.lines()) == 4
-
-    def test_audit_run_needs_secondary(self, run_pair):
-        base, _ = run_pair
-        with pytest.raises(ValidationError):
-            audit_run(base, checks=("comparison",))
+    def test_audit_run_dispatch(self, params):
+        # the verify recipe: six checks in CLI order, where only the known
+        # O(dt) positivity dip fails
+        grid = uniform_grid(0, 5, 48)
+        tg = time_grid_from_space(grid, params.horizon)
+        for scheme in ("imex_linear", "imex_linearized"):
+            report = verify(params, grid, tg, SchemeConfig(scheme=scheme))
+            assert [c.name for c in report.checks] == [
+                "positivity", "comparison(h+0.1)", "comparison(call vs 0)",
+                "translation", "m_matrix", "sup_bound"]
+            assert [c.passed for c in report.checks] == [False] + [True] * 5
+            assert not report.passed
+            assert report.restriction_ok
+            assert len(report.lines()) == 6
 
     def test_restriction_flagged_on_coarse_run(self, params):
         # dt * c = 2.5 violates the explicit-reaction restriction
@@ -291,7 +286,8 @@ class TestAudits:
         tg = TimeGrid(dt=1 / 4.8, steps=int(round(4.8)))
         with pytest.warns(RuntimeWarning):
             run = solve_forward(params, grid, tg, capture_trajectory=True)
-        report = audit_run(run, checks=("m_matrix",))
+        report = AuditReport(checks=[audit_m_matrix(run)],
+                             restriction_max=run.diagnostics.restriction_max)
         assert not report.restriction_ok
         assert report.restriction_max > 2.0
         assert any("restriction" in line for line in report.lines())
@@ -341,3 +337,7 @@ def test_at_the_money_interpolates(params):
     # strike sits exactly on node 12 for this ladder
     assert at_the_money(res) == res.final_state.u[12]
     assert at_the_money(res, "r1") == res.final_state.v[12]
+    # any other name is an error, not a silent R1
+    for quantity in ("r7", "R0", ""):
+        with pytest.raises(ValidationError):
+            at_the_money(res, quantity)

@@ -47,11 +47,6 @@ class TestParseConfig:
         cfg = parse_config("tau_rule=explicit\ndt=0.01\n")
         assert cfg.dt == 0.01
 
-    def test_bool_parsing(self):
-        assert parse_config("capture_trajectory=true\n").capture_trajectory
-        with pytest.raises(ConfigError):
-            parse_config("capture_trajectory=1\n")
-
 
 class TestRoundTrip:
     def test_emit_parse_identity_defaults(self):
@@ -76,7 +71,6 @@ class TestRoundTrip:
                 alpha=float(rng.uniform(0.5, 40.0)),
                 scheme=str(rng.choice(["linear", "linearized"])),
                 left_bc=str(rng.choice(["natural", "dirichlet"])),
-                capture_trajectory=bool(rng.integers(0, 2)),
             )
             assert parse_config(emit_config(cfg)) == cfg
 

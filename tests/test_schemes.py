@@ -358,11 +358,3 @@ class TestSolveForward:
             assert d.solves == 24
             assert d.bound_margin >= -1e-9
             assert d.restriction_ok
-
-    def test_sup_bounds_diagnostic(self, params):
-        grid = uniform_grid(0, 5, 10)
-        tg = TimeGrid(dt=0.01, steps=100)
-        res = solve_forward(params, grid, tg,
-                            SchemeConfig(sup_bounds=(0.1, 0.1)))
-        expected = 0.01 * 12.0 * math.exp(0.4)
-        assert res.diagnostics.apriori_restriction == pytest.approx(expected)

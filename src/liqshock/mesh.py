@@ -145,7 +145,7 @@ def time_grid_from_space(grid: SpatialGrid, horizon: float,
         candidate = grid.min_spacing() / 2.0
     else:
         candidate = float(rule)
-        if candidate <= 0:
+        if not candidate > 0:  # also rejects NaN
             raise ValidationError("explicit dt must be > 0")
         if candidate > horizon:
             raise ValidationError("explicit dt exceeds the horizon")

@@ -71,35 +71,36 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
     Returns the full vector y_0..y_N including the boundary values.  The
     schemes only produce strictly diagonally dominant rows, which keeps
     every pivot nonzero; a vanishing pivot raises SingularSystemError.
+    The sweep runs on Python floats, which round each operation exactly as
+    float64 scalars do but index and compute several times faster.
     """
     n = sys.n_interior
-    lo, di, up = sys.lower, sys.diag, sys.upper
+    lo, di, up = sys.lower.tolist(), sys.diag.tolist(), sys.upper.tolist()
+    left, right = float(sys.left_value), float(sys.right_value)
     # Fold the known boundary values into the first and last interior rows.
-    f = sys.rhs.copy()
-    f[0] += lo[0] * sys.left_value
-    f[-1] += up[-1] * sys.right_value
+    f = sys.rhs.tolist()
+    f[0] += lo[0] * left
+    f[-1] += up[-1] * right
 
     # Rows in assembled orientation: -A y_{i-1} + C y_i - B y_{i+1} = F.
-    cp = np.empty(n)
-    dp = np.empty(n)
     if di[0] == 0.0:
         raise SingularSystemError("zero pivot in row 0")
-    cp[0] = -up[0] / di[0]
-    dp[0] = f[0] / di[0]
+    cp = [-up[0] / di[0]]
+    dp = [f[0] / di[0]]
     for i in range(1, n):
         den = di[i] + lo[i] * cp[i - 1]
         if den == 0.0:
             raise SingularSystemError(f"zero pivot in row {i}")
-        cp[i] = -up[i] / den
-        dp[i] = (f[i] + lo[i] * dp[i - 1]) / den
+        cp.append(-up[i] / den)
+        dp.append((f[i] + lo[i] * dp[i - 1]) / den)
 
-    y = np.empty(n + 2)
-    y[0] = sys.left_value
-    y[-1] = sys.right_value
+    y = [0.0] * (n + 2)
+    y[0] = left
+    y[-1] = right
     y[n] = dp[-1]
     for i in range(n - 1, 0, -1):
         y[i] = dp[i - 1] - cp[i - 1] * y[i + 1]
-    return y
+    return np.array(y)
 
 
 def check_m_matrix(sys: TridiagonalSystem) -> MMatrixReport:

@@ -176,6 +176,14 @@ class TestCliErrors:
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 1
 
+    def test_nan_dt_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau_rule=explicit\ndt=nan\n")
+        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
         # the reaction restriction ratio overflows math.exp at step 5

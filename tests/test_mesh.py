@@ -115,3 +115,5 @@ class TestTimeGrid:
             time_grid_from_space(g, 1.0, rule=-0.1)
         with pytest.raises(ValidationError):
             time_grid_from_space(g, 1.0, rule=2.0)
+        with pytest.raises(ValidationError, match="explicit dt must be > 0"):
+            time_grid_from_space(g, 1.0, rule=float("nan"))

@@ -1,5 +1,10 @@
 """Direct 3-point solver and its monotonicity/stability diagnostics."""
 
+import os
+import subprocess
+import sys as _sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -28,6 +33,34 @@ def dense_solve(sys):
     f[-1] += sys.upper[-1] * sys.right_value
     y = np.linalg.solve(m, f)
     return np.concatenate(([sys.left_value], y, [sys.right_value]))
+
+
+def scalar_thomas(sys):
+    """Reference: the same Thomas sweep indexed as numpy float64 scalars.
+
+    ``solve`` runs these operations in the same order on Python floats, so
+    both must agree to the last bit.
+    """
+    n = sys.n_interior
+    lo, di, up = sys.lower, sys.diag, sys.upper
+    f = sys.rhs.copy()
+    f[0] += lo[0] * sys.left_value
+    f[-1] += up[-1] * sys.right_value
+    cp = np.empty(n)
+    dp = np.empty(n)
+    cp[0] = -up[0] / di[0]
+    dp[0] = f[0] / di[0]
+    for i in range(1, n):
+        den = di[i] + lo[i] * cp[i - 1]
+        cp[i] = -up[i] / den
+        dp[i] = (f[i] + lo[i] * dp[i - 1]) / den
+    y = np.empty(n + 2)
+    y[0] = sys.left_value
+    y[-1] = sys.right_value
+    y[n] = dp[-1]
+    for i in range(n - 1, 0, -1):
+        y[i] = dp[i - 1] - cp[i - 1] * y[i + 1]
+    return y
 
 
 def residuals(sys, y):
@@ -84,11 +117,26 @@ class TestSolve:
         assert y[0] == sys.left_value
         assert y[-1] == sys.right_value
 
+    def test_bit_identical_to_scalar_sweep(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 41):
+            sys = random_dominant(rng, n)
+            assert np.array_equal(solve(sys), scalar_thomas(sys))
+        sys = random_dominant(rng, 639)
+        assert sys.left_value != 0.0 and sys.right_value != 0.0
+        assert np.array_equal(solve(sys), scalar_thomas(sys))
+
     def test_singular_pivot(self):
         sys = TridiagonalSystem(lower=np.zeros(2), diag=np.zeros(2),
                                 upper=np.zeros(2), rhs=np.ones(2),
                                 left_value=0.0, right_value=0.0)
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError, match="row 0"):
+            solve(sys)
+        # den = 1 + 1 * (-1) = 0 at row 1; row 0 has a nonzero pivot
+        sys = TridiagonalSystem(lower=np.ones(2), diag=np.ones(2),
+                                upper=np.ones(2), rhs=np.ones(2),
+                                left_value=0.0, right_value=0.0)
+        with pytest.raises(SingularSystemError, match="row 1"):
             solve(sys)
 
     def test_length_mismatch(self):
@@ -96,6 +144,28 @@ class TestSolve:
             TridiagonalSystem(lower=np.ones(2), diag=np.ones(3),
                               upper=np.ones(3), rhs=np.ones(3),
                               left_value=0.0, right_value=0.0)
+
+
+def test_solve_imports_no_scipy():
+    # scipy's import time and memory would dominate a short run's set-up.
+    code = textwrap.dedent("""
+        import sys
+        from liqshock import (ModelParams, solve_forward,
+                              time_grid_from_space, uniform_grid)
+        params = ModelParams(sigma=0.3, mu=0.06, gamma=1.0, nu01=1.0,
+                             nu10=12.0, strike=2.0, horizon=1.0)
+        grid = uniform_grid(params.s_min, params.s_max, 40)
+        solve_forward(params, grid, time_grid_from_space(grid, params.horizon))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([_sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestMMatrix:

@@ -26,7 +26,6 @@ from .errors import (
     LiqshockError,
     NumericalError,
     OracleConvergenceError,
-    RestrictionViolationError,
     SingularSystemError,
     SolveFailure,
     ValidationError,

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import analysis
-from .config import RunConfig, parse_config
+from .config import CHOICES, RunConfig, parse_config
 from .errors import NumericalError, ValidationError
 from .mesh import HALF_MIN_SPACING, time_grid_from_space
 from .model import to_prices
@@ -49,18 +50,11 @@ def _load_config(args) -> RunConfig:
             raise ValidationError(f"cannot read {args.config}: {e}") from e
     else:
         cfg = RunConfig()
-    if args.scheme is not None:
-        cfg.scheme = args.scheme
-    if args.grid is not None:
-        cfg.grid = args.grid
-    if args.alpha is not None:
-        cfg.alpha = args.alpha
-    if args.intervals is not None:
-        cfg.intervals = args.intervals
-    if args.left_bc is not None:
-        cfg.left_bc = args.left_bc
-    if args.out is not None:
-        cfg.output_path = args.out
+    # every flag whose dest is a RunConfig field overrides the file
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(cfg, f.name, value)
     return cfg.validate()
 
 
@@ -151,13 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
                            ("verify", "run the audit suite")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="path to a key=value config file")
-        p.add_argument("--scheme", choices=("linear", "linearized"))
-        p.add_argument("--grid", choices=("uniform", "tavella"))
+        p.add_argument("--scheme", choices=CHOICES["scheme"])
+        p.add_argument("--grid", choices=CHOICES["grid"])
         p.add_argument("--alpha", type=float)
         p.add_argument("--I", dest="intervals", type=int)
-        p.add_argument("--left-bc", dest="left_bc",
-                       choices=("dirichlet", "natural"))
-        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--left-bc", dest="left_bc", choices=CHOICES["left_bc"])
+        p.add_argument("--out", dest="output_path", metavar="OUT",
+                       help="output path (default: stdout)")
         if name in ("converge", "extrapolate"):
             default = (_CONVERGE_LEVELS if name == "converge"
                        else _EXTRAPOLATE_LEVELS)

@@ -9,13 +9,23 @@ to the same RunConfig.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ValidationError
 from .mesh import HALF_MIN_SPACING
 from .model import ModelParams
 
-__all__ = ["RunConfig", "parse_config", "emit_config", "DEFAULTS"]
+__all__ = ["RunConfig", "parse_config", "emit_config"]
+
+# Allowed values of the word-valued keys, in the order validate reports
+# them.
+CHOICES = {
+    "grid": ("uniform", "tavella"),
+    "scheme": ("linear", "linearized"),
+    "left_bc": ("natural", "dirichlet"),
+    "tau_rule": (HALF_MIN_SPACING, "explicit"),
+}
 
 
 @dataclass
@@ -29,13 +39,13 @@ class RunConfig:
     horizon: float = 1.0
     s_min: float = 0.0
     s_max: float = 5.0
-    grid: str = "uniform"              # uniform | tavella
+    grid: str = "uniform"
     intervals: int = 240
     alpha: float = 15.0
-    tau_rule: str = HALF_MIN_SPACING   # half_min_spacing | explicit
+    tau_rule: str = HALF_MIN_SPACING
     dt: float | None = None            # required when tau_rule=explicit
-    scheme: str = "linear"             # linear | linearized
-    left_bc: str = "natural"           # natural | dirichlet
+    scheme: str = "linear"
+    left_bc: str = "natural"
     output_path: str | None = None
 
     def model_params(self) -> ModelParams:
@@ -45,21 +55,15 @@ class RunConfig:
                            s_max=self.s_max)
 
     def validate(self) -> "RunConfig":
-        errs = []
-        if self.grid not in ("uniform", "tavella"):
-            errs.append((0, "grid", "must be uniform or tavella"))
-        if self.scheme not in ("linear", "linearized"):
-            errs.append((0, "scheme", "must be linear or linearized"))
-        if self.left_bc not in ("natural", "dirichlet"):
-            errs.append((0, "left_bc", "must be natural or dirichlet"))
-        if self.tau_rule not in (HALF_MIN_SPACING, "explicit"):
-            errs.append((0, "tau_rule", "must be half_min_spacing or explicit"))
+        errs = [(0, key, "must be " + " or ".join(allowed))
+                for key, allowed in CHOICES.items()
+                if getattr(self, key) not in allowed]
         if self.tau_rule == "explicit" and self.dt is None:
             errs.append((0, "dt", "required when tau_rule=explicit"))
         if self.intervals < 2:
             errs.append((0, "intervals", "must be >= 2"))
-        if self.alpha <= 0:
-            errs.append((0, "alpha", "must be > 0"))
+        if not 0 < self.alpha < math.inf:  # also rejects NaN
+            errs.append((0, "alpha", "must be > 0 and finite"))
         if errs:
             raise ConfigError(errs)
         try:
@@ -69,12 +73,10 @@ class RunConfig:
         return self
 
 
-DEFAULTS = RunConfig()
-
 _FLOAT_KEYS = {"sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
                "s_min", "s_max", "alpha", "dt"}
 _INT_KEYS = {"intervals"}
-_STR_KEYS = {"grid", "tau_rule", "scheme", "left_bc", "output_path"}
+_STR_KEYS = {*CHOICES, "output_path"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
 

@@ -30,10 +30,6 @@ class SingularSystemError(NumericalError):
     """Zero pivot met while eliminating a tridiagonal system."""
 
 
-class RestrictionViolationError(NumericalError):
-    """The explicit-reaction time-step restriction is violated."""
-
-
 class OracleConvergenceError(NumericalError):
     """An iterative reference solver failed to converge."""
 

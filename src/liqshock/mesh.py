@@ -32,7 +32,6 @@ class SpatialGrid:
 
     nodes: np.ndarray
     kind: str = "uniform"
-    alpha: float | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -83,10 +82,6 @@ class TimeGrid:
         if self.steps < 0:
             raise ValidationError("steps must be >= 0")
 
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.steps
-
     def halved(self) -> "TimeGrid":
         """Same horizon with twice the steps (for temporal extrapolation)."""
         return TimeGrid(dt=self.dt / 2.0, steps=2 * self.steps)
@@ -113,8 +108,8 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     """
     if intervals < 2:
         raise ValidationError("need at least 2 intervals")
-    if alpha <= 0:
-        raise ValidationError("alpha must be > 0")
+    if not 0 < alpha < math.inf:  # also rejects NaN
+        raise ValidationError("alpha must be > 0 and finite")
     if not s_min < strike < s_max:
         raise ValidationError("requires s_min < strike < s_max")
     c1 = math.asinh((s_min - strike) / alpha)
@@ -123,7 +118,7 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     nodes = strike + alpha * np.sinh(c2 * xi + c1 * (1.0 - xi))
     nodes[0] = s_min
     nodes[-1] = s_max
-    return SpatialGrid(nodes, kind="tavella_randall", alpha=float(alpha))
+    return SpatialGrid(nodes, kind="tavella_randall")
 
 
 def _snap(candidate: float, horizon: float) -> TimeGrid:

@@ -90,12 +90,11 @@ class DerivedConstants:
     """Reaction-term constants and the coefficients feeding F0, F1.
 
     lambda1 carries the plus branch of the root formula and lambda2 the
-    minus branch, so lambda1 > lambda2 > 0.  ``coef_c1``/``coef_c2`` are
-    the normalized exponential weights c1, c2 (they already include the
-    e^(-lam T) factors).  ``sigma`` and ``horizon`` are carried along so
-    the steppers and F0/F1 evaluation need no second look at the inputs;
-    in particular F0/F1 are computed from exponents lam*(t-T) <= 0 instead
-    of cancellation-prone exp(+lam t) * exp(-lam T) products.
+    minus branch, so lambda1 > lambda2 > 0.  ``sigma`` and ``horizon`` are
+    carried along so the steppers and F0/F1 evaluation need no second look
+    at the inputs; in particular F0/F1 are computed from exponents
+    lam*(t-T) <= 0 instead of cancellation-prone exp(+lam t) * exp(-lam T)
+    products.
     """
 
     d0: float
@@ -104,8 +103,6 @@ class DerivedConstants:
     c: float
     lambda1: float
     lambda2: float
-    coef_c1: float
-    coef_c2: float
     sigma: float
     horizon: float
 
@@ -131,12 +128,8 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     lam2 = (d0 * params.nu10) / lam1 if d0 > 0.0 else 0.5 * (trace - math.sqrt(disc))
     if lam1 == lam2:
         raise ValidationError("degenerate root pair: lambda1 == lambda2")
-    T = params.horizon
-    coef_c1 = (lam2 - d0) / (lam2 - lam1) * math.exp(-lam1 * T)
-    coef_c2 = (lam1 - d0) / (lam1 - lam2) * math.exp(-lam2 * T)
     return DerivedConstants(d0=d0, a=a, b=b, c=c, lambda1=lam1, lambda2=lam2,
-                            coef_c1=coef_c1, coef_c2=coef_c2,
-                            sigma=params.sigma, horizon=T)
+                            sigma=params.sigma, horizon=params.horizon)
 
 
 def evaluate_f(dc: DerivedConstants, t: float) -> tuple[float, float]:

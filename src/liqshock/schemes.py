@@ -27,12 +27,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (
-    LiqshockError,
-    RestrictionViolationError,
-    SolveFailure,
-    ValidationError,
-)
+from .errors import LiqshockError, SolveFailure, ValidationError
 from .mesh import SpatialGrid, TimeGrid
 from .model import DerivedConstants, ModelParams, derive_constants, payoff_call
 from .tridiag import TridiagonalSystem, check_m_matrix, solve, stability_bound
@@ -41,7 +36,6 @@ __all__ = [
     "NATURAL",
     "GridState",
     "SchemeConfig",
-    "VRecovery",
     "SolveDiagnostics",
     "SolveResult",
     "initial_state",
@@ -85,7 +79,7 @@ class GridState:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection, boundary rules, and runtime safeguards.
+    """Scheme selection and boundary rules.
 
     ``left_bc``/``right_bc`` accept either the string ``"natural"`` (march
     the node by the reduced reaction ODE) or a callable phi(tau) providing
@@ -96,7 +90,6 @@ class SchemeConfig:
     scheme: str = "imex_linear"
     left_bc: BoundaryRule = NATURAL
     right_bc: BoundaryRule = None
-    enforce_positivity_restriction: bool = False
 
     def __post_init__(self):
         if self.scheme not in ("imex_linear", "imex_linearized"):
@@ -105,18 +98,6 @@ class SchemeConfig:
             if bc is None or bc == NATURAL or callable(bc):
                 continue
             raise ValidationError(f"{side}_bc must be 'natural' or a callable")
-
-
-@dataclass(frozen=True)
-class VRecovery:
-    """Coefficients of the eliminated V-rows: K V_new = G - E U_new."""
-
-    k_hat: np.ndarray
-    e_hat: np.ndarray
-    g: np.ndarray
-
-    def recover(self, u_new: np.ndarray) -> np.ndarray:
-        return (self.g - self.e_hat * u_new) / self.k_hat
 
 
 @dataclass
@@ -244,8 +225,8 @@ def assemble_scheme1(state: GridState, grid: SpatialGrid, tg: TimeGrid,
 
 
 def assemble_scheme2(state: GridState, grid: SpatialGrid, tg: TimeGrid,
-                     dc: DerivedConstants,
-                     config: SchemeConfig) -> tuple[TridiagonalSystem, VRecovery]:
+                     dc: DerivedConstants, config: SchemeConfig
+                     ) -> tuple[TridiagonalSystem, tuple[np.ndarray, ...]]:
     """Linearized rows with the V-block eliminated.
 
     With w = a e^(U-V) and z = c e^(V-U) at level j, the coupled rows are
@@ -255,7 +236,8 @@ def assemble_scheme2(state: GridState, grid: SpatialGrid, tg: TimeGrid,
         (1/dt + z) V_new - z U_new = V/dt - z (1 - V + U) + c,
 
     so eliminating V adds w*z/(1/dt + z) > -w to the U diagonal (net gain
-    in domination) and the V relation doubles as the recovery formula.
+    in domination) and the V relation doubles as the recovery formula
+    V_new = (G - E U_new) / K, whose (K, E, G) are returned with the rows.
     """
     a_lo, b_up = _interior_coefficients(grid, dc.sigma)
     u, v = state.u, state.v
@@ -270,7 +252,7 @@ def assemble_scheme2(state: GridState, grid: SpatialGrid, tg: TimeGrid,
     diag = 1.0 / dt + a_lo + b_up + wi - wi * z[1:-1] / k_hat[1:-1]
     rhs = f_hat + wi / k_hat[1:-1] * g[1:-1]
     return (_system(a_lo, diag, b_up, rhs, state, dc, tg, config),
-            VRecovery(k_hat=k_hat, e_hat=e_hat, g=g))
+            (k_hat, e_hat, g))
 
 
 def step(state: GridState, grid: SpatialGrid, tg: TimeGrid,
@@ -288,9 +270,9 @@ def step(state: GridState, grid: SpatialGrid, tg: TimeGrid,
         u_new = solve(sys)
         v_new = state.v - tg.dt * dc.c * (np.exp(state.v - state.u) - 1.0)
     else:
-        sys, recovery = assemble_scheme2(state, grid, tg, dc, config)
+        sys, (k_hat, e_hat, g) = assemble_scheme2(state, grid, tg, dc, config)
         u_new = solve(sys)
-        v_new = recovery.recover(u_new)
+        v_new = (g - e_hat * u_new) / k_hat
     return GridState(state.step_index + 1, u_new, v_new), sys
 
 
@@ -301,10 +283,9 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
 
     Returns the final state together with per-run diagnostics (worst
     M-matrix margin, worst sup-norm bound margin, worst reaction-step
-    restriction ratio).  A restriction ratio above 1 warns, or raises when
-    ``enforce_positivity_restriction`` is set.  Numerical failures,
-    overflow included, are re-raised as SolveFailure carrying the failing
-    step index.
+    restriction ratio).  A restriction ratio above 1 warns.  Numerical
+    failures, overflow included, are re-raised as SolveFailure carrying the
+    failing step index.
     """
     config = resolve_config(config or SchemeConfig(), params, payoff)
     dc = derive_constants(params)
@@ -318,10 +299,6 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                 diag.restriction_max = ratio
                 diag.restriction_max_step = j
             if ratio > RESTRICTION_SLACK:
-                if config.enforce_positivity_restriction:
-                    raise RestrictionViolationError(
-                        f"reaction step restriction violated: ratio "
-                        f"{ratio:.6g} > 1")
                 warnings.warn("reaction time-step restriction violated; "
                               "positivity of the march is no longer "
                               "guaranteed", RuntimeWarning, stacklevel=2)

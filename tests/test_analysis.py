@@ -165,8 +165,7 @@ class TestImplicitOracle:
     def test_linear_regime_matches_scheme1(self, params, monkeypatch):
         # with the reaction switched off both reduce to implicit diffusion
         dc0 = DerivedConstants(d0=0.0, a=0.0, b=0.0, c=0.0, lambda1=1.0,
-                               lambda2=0.5, coef_c1=0.0, coef_c2=0.0,
-                               sigma=0.3, horizon=1.0)
+                               lambda2=0.5, sigma=0.3, horizon=1.0)
         grid = uniform_grid(0, 5, 16)
         tg = TimeGrid(dt=0.05, steps=3)
         cfg = SchemeConfig(left_bc=lambda tau: 0.0, right_bc=lambda tau: 3.0)

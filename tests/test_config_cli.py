@@ -6,6 +6,9 @@ import pytest
 from liqshock import ConfigError, RunConfig, emit_config, parse_config
 from liqshock.cli import main
 
+FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
+              "s_min", "s_max", "alpha", "dt")
+
 
 class TestParseConfig:
     def test_minimal_with_defaults(self):
@@ -40,6 +43,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config("sigma=0.3\nsigma=0.4\n")
         assert "duplicate" in str(exc.value)
+
+    @pytest.mark.parametrize("key,message", [
+        ("grid", "must be uniform or tavella"),
+        ("scheme", "must be linear or linearized"),
+        ("left_bc", "must be natural or dirichlet"),
+        ("tau_rule", "must be half_min_spacing or explicit"),
+    ])
+    def test_bad_word_value_lists_allowed(self, key, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"sigma=0.3\n{key}=bogus\n")
+        assert exc.value.entries == [(2, key, message)]
 
     def test_explicit_tau_requires_dt(self):
         with pytest.raises(ConfigError):
@@ -176,12 +190,17 @@ class TestCliErrors:
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 1
 
-    def test_nan_dt_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_nonfinite_float_is_config_error(self, tmp_path, capsys, key,
+                                             value):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau_rule=explicit\ndt=nan\n")
+        rule = "tau_rule=explicit\n" if key == "dt" else ""
+        cfg.write_text(f"{rule}{key}={value}\n")
         assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert key in err
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

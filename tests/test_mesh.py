@@ -1,5 +1,7 @@
 """Grid construction and the time-step coupling rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,9 @@ class TestTavellaRandallGrid:
             assert np.all(np.diff(g.nodes) > 0)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValidationError):
-            tavella_randall_grid(0, 5, 2, 0.0, 10)
+        for alpha in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="alpha"):
+                tavella_randall_grid(0, 5, 2, alpha, 10)
 
 
 class TestTimeGrid:

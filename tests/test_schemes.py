@@ -11,7 +11,6 @@ from liqshock import (
     DerivedConstants,
     GridState,
     ModelParams,
-    RestrictionViolationError,
     SchemeConfig,
     SolveFailure,
     TimeGrid,
@@ -44,7 +43,7 @@ def dc(params):
 def reaction_only_dc(sigma=0.0, a=1.0, b=1.02, c=12.0):
     """Constants assembled directly, for degenerate test modes."""
     return DerivedConstants(d0=b - a, a=a, b=b, c=c, lambda1=1.0, lambda2=0.5,
-                            coef_c1=0.0, coef_c2=0.0, sigma=sigma, horizon=1.0)
+                            sigma=sigma, horizon=1.0)
 
 
 class TestInitialState:
@@ -139,9 +138,9 @@ class TestAssembleScheme2:
         tg = TimeGrid(dt=0.1, steps=10)
         cfg = resolve_config(SchemeConfig(scheme="imex_linearized"), params)
         st = GridState(0, np.zeros(7), np.zeros(7))
-        sys, rec = assemble_scheme2(st, grid, tg, dc, cfg)
-        np.testing.assert_allclose(rec.k_hat, 22.0, rtol=1e-14)
-        np.testing.assert_allclose(rec.e_hat, -12.0, rtol=1e-14)
+        sys, (k_hat, e_hat, _) = assemble_scheme2(st, grid, tg, dc, cfg)
+        np.testing.assert_allclose(k_hat, 22.0, rtol=1e-14)
+        np.testing.assert_allclose(e_hat, -12.0, rtol=1e-14)
         coupling = 12.0 / 22.0  # w z / k_hat with w = 1, z = 12
         a_lo = sys.lower
         b_up = sys.upper
@@ -165,10 +164,10 @@ class TestStepScheme2:
         tg = TimeGrid(dt=0.02, steps=50)
         cfg = resolve_config(SchemeConfig(scheme="imex_linearized"), params)
         st = initial_state(grid, params)
-        sys, rec = assemble_scheme2(st, grid, tg, dc, cfg)
+        _, (k_hat, e_hat, g) = assemble_scheme2(st, grid, tg, dc, cfg)
         nxt, _ = step(st, grid, tg, dc, cfg)
-        lhs = rec.e_hat * nxt.u + rec.k_hat * nxt.v
-        np.testing.assert_allclose(lhs, rec.g, rtol=1e-12)
+        lhs = e_hat * nxt.u + k_hat * nxt.v
+        np.testing.assert_allclose(lhs, g, rtol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_reaction_only_v_relation(self, params):
@@ -269,22 +268,6 @@ class TestRestriction:
             res = solve_forward(params, grid, tg)
         assert res.diagnostics.restriction_max == pytest.approx(0.5 * 12.0)
         assert res.diagnostics.restriction_max_step == 0
-
-    def test_enforced_raises(self, params):
-        grid = uniform_grid(0, 5, 10)
-        tg = TimeGrid(dt=0.5, steps=2)
-        cfg = SchemeConfig(enforce_positivity_restriction=True)
-        with pytest.raises(SolveFailure) as exc:
-            solve_forward(params, grid, tg, cfg)
-        assert isinstance(exc.value.__cause__, RestrictionViolationError)
-
-    def test_solve_forward_wraps_with_step_index(self, params):
-        grid = uniform_grid(0, 5, 10)
-        tg = TimeGrid(dt=0.5, steps=2)
-        cfg = SchemeConfig(enforce_positivity_restriction=True)
-        with pytest.raises(SolveFailure) as exc:
-            solve_forward(params, grid, tg, cfg)
-        assert exc.value.step_index == 0
 
     # Parameter sets from the acceptance criterion-9 box on which the
     # restriction ratio's math.exp overflows at the given step.

@@ -56,7 +56,6 @@ from .schemes import (
     assemble_scheme1,
     assemble_scheme2,
     initial_state,
-    resolve_config,
     restriction_ratio,
     solve_forward,
     step,

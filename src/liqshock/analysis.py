@@ -40,7 +40,6 @@ from .schemes import (
     SolveResult,
     _interior_coefficients,
     initial_state,
-    resolve_config,
     solve_forward,
 )
 
@@ -67,6 +66,12 @@ __all__ = [
 POSITIVITY_TOL = -1e-10
 COMPARISON_TOL = -1e-12
 TRANSLATION_TOL = 1e-12
+SUP_BOUND_TOL = -1e-9
+
+# Newton stopping rule of the implicit oracle: residual max norm and
+# iteration cap per time level.
+ORACLE_TOL = 1e-12
+ORACLE_MAX_ITER = 100
 
 
 # --------------------------------------------------------------------------
@@ -248,39 +253,38 @@ def ode_oracle(params: ModelParams, h_star: float,
 
 
 def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
-                    config: SchemeConfig | None = None, payoff=payoff_call,
-                    tol: float = 1e-12, max_iter: int = 100) -> GridState:
+                    config: SchemeConfig | None = None, payoff=payoff_call
+                    ) -> GridState:
     """Solve the fully implicit scheme exactly, level by level.
 
     Each time level solves the coupled nonlinear system (implicit
     diffusion, implicit reaction in both unknowns, and - unlike the
     production steppers - an implicit version of the natural boundary
-    rule) by damped Newton iteration down to ``tol`` in the residual max
-    norm.  The Newton corrections are obtained from a dense solve, so
-    the oracle shares no code path with the production elimination.
+    rule) by damped Newton iteration down to ``ORACLE_TOL`` in the
+    residual max norm.  The Newton corrections are obtained from a dense
+    solve, so the oracle shares no code path with the production
+    elimination.
     Intended for small instances as the reference the linearized stepper
     approximates.
     """
     if grid.intervals > 64 or tg.steps > 128:
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
-    config = resolve_config(config or SchemeConfig(), params, payoff)
+    config = config or SchemeConfig()
     dc = derive_constants(params)
     a_lo, b_up = _interior_coefficients(grid, dc.sigma)
     dt = tg.dt
     n = grid.intervals + 1
     left_natural = config.left_bc == NATURAL
     right_natural = config.right_bc == NATURAL
-    free = np.ones(n, dtype=bool)
-    free[0] = left_natural
-    free[-1] = right_natural
     state = initial_state(grid, params, payoff)
     for _ in range(tg.steps):
         u_old, v_old = state.u, state.v
         tau_next = (state.step_index + 1) * dt
+        # an edge without a rule keeps its level-j value
         un = u_old.copy()
-        if not left_natural:
+        if callable(config.left_bc):
             un[0] = float(config.left_bc(tau_next))
-        if not right_natural:
+        if callable(config.right_bc):
             un[-1] = float(config.right_bc(tau_next))
         vn = v_old.copy()
 
@@ -301,8 +305,8 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
 
         ru, rv, e, zz = residual(un, vn)
         res = max(np.abs(ru).max(), np.abs(rv).max())
-        converged = res < tol
-        for _ in range(max_iter):
+        converged = res < ORACLE_TOL
+        for _ in range(ORACLE_MAX_ITER):
             if converged:
                 break
             jvv = 1.0 / dt + zz
@@ -329,11 +333,11 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                 v_try = vn + step * dv
                 ru_t, rv_t, e_t, zz_t = residual(u_try, v_try)
                 res_t = max(np.abs(ru_t).max(), np.abs(rv_t).max())
-                if res_t < res or res_t < tol:
+                if res_t < res or res_t < ORACLE_TOL:
                     break
                 step *= 0.5
             un, vn, ru, rv, e, zz, res = u_try, v_try, ru_t, rv_t, e_t, zz_t, res_t
-            converged = res < tol
+            converged = res < ORACLE_TOL
         if not converged:
             raise OracleConvergenceError(
                 f"implicit step stalled at residual {res:.3e}")
@@ -392,7 +396,7 @@ def _require_matching(a: SolveResult, b: SolveResult):
         raise ValidationError("runs must share the grid and time partition")
 
 
-def audit_positivity(run: SolveResult, tol: float = POSITIVITY_TOL) -> CheckResult:
+def audit_positivity(run: SolveResult) -> CheckResult:
     """Worst transformed price (p or q) over the whole space-time grid."""
     _require_trajectory(run, "positivity")
     T = run.params.horizon
@@ -406,11 +410,10 @@ def audit_positivity(run: SolveResult, tol: float = POSITIVITY_TOL) -> CheckResu
             if m < worst:
                 worst = m
                 where = (state.step_index, int(arr.argmin()))
-    return CheckResult("positivity", worst >= tol, worst, where)
+    return CheckResult("positivity", worst >= POSITIVITY_TOL, worst, where)
 
 
-def audit_comparison(upper: SolveResult, lower: SolveResult,
-                     tol: float = COMPARISON_TOL) -> CheckResult:
+def audit_comparison(upper: SolveResult, lower: SolveResult) -> CheckResult:
     """Discrete comparison: the run with larger data stays above pointwise."""
     _require_trajectory(upper, "comparison")
     _require_trajectory(lower, "comparison")
@@ -424,11 +427,11 @@ def audit_comparison(upper: SolveResult, lower: SolveResult,
             if m < worst:
                 worst = m
                 where = (hi.step_index, int(gap.argmin()))
-    return CheckResult("comparison", worst >= tol, worst, where)
+    return CheckResult("comparison", worst >= COMPARISON_TOL, worst, where)
 
 
-def audit_translation(base: SolveResult, shifted: SolveResult, delta: float,
-                      tol: float = TRANSLATION_TOL) -> CheckResult:
+def audit_translation(base: SolveResult, shifted: SolveResult,
+                      delta: float) -> CheckResult:
     """Shifting data by delta must shift the solution by exactly delta."""
     _require_trajectory(base, "translation")
     _require_trajectory(shifted, "translation")
@@ -442,7 +445,7 @@ def audit_translation(base: SolveResult, shifted: SolveResult, delta: float,
             if m > worst:
                 worst = m
                 where = (b.step_index, int(err.argmax()))
-    return CheckResult("translation", worst <= tol, worst, where)
+    return CheckResult("translation", worst <= TRANSLATION_TOL, worst, where)
 
 
 def audit_m_matrix(run: SolveResult) -> CheckResult:
@@ -450,9 +453,9 @@ def audit_m_matrix(run: SolveResult) -> CheckResult:
     return CheckResult("m_matrix", d.m_matrix_ok, d.min_d, (d.min_d_step,))
 
 
-def audit_sup_bound(run: SolveResult, tol: float = -1e-9) -> CheckResult:
+def audit_sup_bound(run: SolveResult) -> CheckResult:
     d = run.diagnostics
-    return CheckResult("sup_bound", d.bound_margin >= tol,
+    return CheckResult("sup_bound", d.bound_margin >= SUP_BOUND_TOL,
                        d.bound_margin, (d.bound_margin_step,))
 
 

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from . import analysis
 from .config import CHOICES, RunConfig, parse_config
-from .errors import NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError
 from .mesh import HALF_MIN_SPACING, time_grid_from_space
 from .model import to_prices
 from .schemes import NATURAL, SchemeConfig, initial_state, solve_forward
@@ -21,6 +20,18 @@ _SCHEMES = {"linear": "imex_linear", "linearized": "imex_linearized"}
 
 _CONVERGE_LEVELS = "30,60,120,240,480,960"
 _EXTRAPOLATE_LEVELS = "40,80,160,320,640"
+
+# Flags of every command; each overrides the RunConfig field its dest
+# names.
+_FLAGS = (
+    ("--scheme", dict(dest="scheme", choices=CHOICES["scheme"])),
+    ("--grid", dict(dest="grid", choices=CHOICES["grid"])),
+    ("--alpha", dict(dest="alpha", type=float)),
+    ("--I", dict(dest="intervals", type=int)),
+    ("--left-bc", dict(dest="left_bc", choices=CHOICES["left_bc"])),
+    ("--out", dict(dest="output_path", metavar="OUT",
+                   help="output path (default: stdout)")),
+)
 
 
 def _fmt(value) -> str:
@@ -50,12 +61,17 @@ def _load_config(args) -> RunConfig:
             raise ValidationError(f"cannot read {args.config}: {e}") from e
     else:
         cfg = RunConfig()
-    # every flag whose dest is a RunConfig field overrides the file
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    return cfg.validate()
+    set_by = {kwargs["dest"]: flag for flag, kwargs in _FLAGS
+              if getattr(args, kwargs["dest"]) is not None}
+    for dest in set_by:
+        setattr(cfg, dest, getattr(args, dest))
+    try:
+        return cfg.validate()
+    except ConfigError as e:
+        # the file is already valid, so each entry is a flag's
+        raise ValidationError("; ".join(
+            f"{set_by.get(key, key)}: {msg}" for _, key, msg in e.entries)
+        ) from e
 
 
 def _scheme_config(cfg: RunConfig) -> SchemeConfig:
@@ -64,7 +80,7 @@ def _scheme_config(cfg: RunConfig) -> SchemeConfig:
 
 
 def _time_grid(cfg: RunConfig, grid):
-    rule = HALF_MIN_SPACING if cfg.tau_rule == HALF_MIN_SPACING else cfg.dt
+    rule = HALF_MIN_SPACING if cfg.dt is None else cfg.dt
     return time_grid_from_space(grid, cfg.horizon, rule)
 
 
@@ -145,13 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            ("verify", "run the audit suite")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="path to a key=value config file")
-        p.add_argument("--scheme", choices=CHOICES["scheme"])
-        p.add_argument("--grid", choices=CHOICES["grid"])
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--I", dest="intervals", type=int)
-        p.add_argument("--left-bc", dest="left_bc", choices=CHOICES["left_bc"])
-        p.add_argument("--out", dest="output_path", metavar="OUT",
-                       help="output path (default: stdout)")
+        for flag, kwargs in _FLAGS:
+            p.add_argument(flag, **kwargs)
         if name in ("converge", "extrapolate"):
             default = (_CONVERGE_LEVELS if name == "converge"
                        else _EXTRAPOLATE_LEVELS)

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, ValidationError
-from .mesh import HALF_MIN_SPACING
-from .model import ModelParams
+from .errors import ConfigError
+from .model import ModelParams, _param_problems
 
 __all__ = ["RunConfig", "parse_config", "emit_config"]
 
@@ -24,7 +23,6 @@ CHOICES = {
     "grid": ("uniform", "tavella"),
     "scheme": ("linear", "linearized"),
     "left_bc": ("natural", "dirichlet"),
-    "tau_rule": (HALF_MIN_SPACING, "explicit"),
 }
 
 
@@ -42,8 +40,7 @@ class RunConfig:
     grid: str = "uniform"
     intervals: int = 240
     alpha: float = 15.0
-    tau_rule: str = HALF_MIN_SPACING
-    dt: float | None = None            # required when tau_rule=explicit
+    dt: float | None = None            # unset: min spacing / 2
     scheme: str = "linear"
     left_bc: str = "natural"
     output_path: str | None = None
@@ -58,18 +55,15 @@ class RunConfig:
         errs = [(0, key, "must be " + " or ".join(allowed))
                 for key, allowed in CHOICES.items()
                 if getattr(self, key) not in allowed]
-        if self.tau_rule == "explicit" and self.dt is None:
-            errs.append((0, "dt", "required when tau_rule=explicit"))
         if self.intervals < 2:
             errs.append((0, "intervals", "must be >= 2"))
-        if not 0 < self.alpha < math.inf:  # also rejects NaN
-            errs.append((0, "alpha", "must be > 0 and finite"))
+        for key in ("alpha", "dt"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value < math.inf:  # also NaN
+                errs.append((0, key, "must be > 0 and finite"))
+        errs += [(0, key, msg) for key, msg in _param_problems(self).items()]
         if errs:
             raise ConfigError(errs)
-        try:
-            self.model_params()
-        except ValidationError as e:
-            raise ConfigError([(0, "model", str(e))]) from e
         return self
 
 

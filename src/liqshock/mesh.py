@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class SpatialGrid:
     """Strictly increasing price nodes S_0 .. S_I."""
 
     nodes: np.ndarray
-    kind: str = "uniform"
+    uniform: bool = field(init=False)  # nodes are linspace of their ends
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -41,6 +41,8 @@ class SpatialGrid:
             raise ValidationError("grid needs at least 3 nodes")
         if not np.all(np.diff(nodes) > 0):
             raise ValidationError("grid nodes must be strictly increasing")
+        object.__setattr__(self, "uniform", np.array_equal(
+            nodes, np.linspace(nodes[0], nodes[-1], nodes.size)))
 
     @property
     def intervals(self) -> int:
@@ -58,7 +60,7 @@ class SpatialGrid:
         return np.diff(self.nodes)
 
     def min_spacing(self) -> float:
-        if self.kind == "uniform":
+        if self.uniform:
             # exact value, immune to linspace roundoff
             return (self.s_max - self.s_min) / self.intervals
         return float(self.spacings().min())
@@ -93,7 +95,7 @@ def uniform_grid(s_min: float, s_max: float, intervals: int) -> SpatialGrid:
         raise ValidationError("need at least 2 intervals")
     if not s_min < s_max:
         raise ValidationError("s_min must be < s_max")
-    return SpatialGrid(np.linspace(s_min, s_max, intervals + 1), kind="uniform")
+    return SpatialGrid(np.linspace(s_min, s_max, intervals + 1))
 
 
 def tavella_randall_grid(s_min: float, s_max: float, strike: float,
@@ -118,12 +120,7 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     nodes = strike + alpha * np.sinh(c2 * xi + c1 * (1.0 - xi))
     nodes[0] = s_min
     nodes[-1] = s_max
-    return SpatialGrid(nodes, kind="tavella_randall")
-
-
-def _snap(candidate: float, horizon: float) -> TimeGrid:
-    steps = max(1, math.ceil(horizon / candidate * (1.0 - _SNAP_RTOL)))
-    return TimeGrid(dt=horizon / steps, steps=steps)
+    return SpatialGrid(nodes)
 
 
 def time_grid_from_space(grid: SpatialGrid, horizon: float,
@@ -144,4 +141,5 @@ def time_grid_from_space(grid: SpatialGrid, horizon: float,
             raise ValidationError("explicit dt must be > 0")
         if candidate > horizon:
             raise ValidationError("explicit dt exceeds the horizon")
-    return _snap(candidate, horizon)
+    steps = max(1, math.ceil(horizon / candidate * (1.0 - _SNAP_RTOL)))
+    return TimeGrid(dt=horizon / steps, steps=steps)

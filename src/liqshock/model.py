@@ -22,7 +22,7 @@ p = R0 + ln(F0)/gamma and q = R1 + ln(F1)/gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,24 +65,25 @@ class ModelParams:
     s_max: float = 5.0
 
     def __post_init__(self):
-        checks = [
-            (self.sigma > 0, "sigma must be > 0"),
-            (self.gamma > 0, "gamma must be > 0"),
-            (self.nu01 > 0, "nu01 must be > 0"),
-            (self.nu10 > 0, "nu10 must be > 0"),
-            (self.strike > 0, "strike must be > 0"),
-            (self.horizon > 0, "horizon must be > 0"),
-            (self.s_min >= 0, "s_min must be >= 0"),
-            (self.s_min < self.strike < self.s_max,
-             "domain must satisfy s_min < strike < s_max"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ValidationError(msg)
-        for name in ("sigma", "mu", "gamma", "nu01", "nu10", "strike",
-                     "horizon", "s_min", "s_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        for key, msg in _param_problems(self).items():
+            raise ValidationError(msg if key == "model" else f"{key} {msg}")
+
+
+def _param_problems(p) -> dict[str, str]:
+    """First failed check per ModelParams field of ``p`` (key "model" for
+    the cross-key domain check), in the order ModelParams reports them."""
+    checks = [(key, getattr(p, key) > 0, "must be > 0") for key in
+              ("sigma", "gamma", "nu01", "nu10", "strike", "horizon")]
+    checks += [("s_min", p.s_min >= 0, "must be >= 0"),
+               ("model", p.s_min < p.strike < p.s_max,
+                "domain must satisfy s_min < strike < s_max")]
+    checks += [(f.name, math.isfinite(getattr(p, f.name)), "must be finite")
+               for f in fields(ModelParams)]
+    problems = {}
+    for key, ok, msg in checks:
+        if not ok:
+            problems.setdefault(key, msg)
+    return problems
 
 
 @dataclass(frozen=True)

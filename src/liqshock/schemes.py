@@ -12,17 +12,17 @@ Two one-step marches advance (U, V) from time level j to j+1:
   tridiagonal system with strengthened diagonal domination, and V is
   recovered from the one-point relation afterwards.
 
-Both steppers share the boundary treatment: the right edge carries a
-Dirichlet value, while the left edge (where the diffusion degenerates)
-either carries a Dirichlet value or follows the reduced reaction ODE
-one explicit Euler step at a time.
+Both steppers share the boundary treatment: the right edge holds its
+level-0 payoff value unless given a Dirichlet value, while the left edge
+(where the diffusion degenerates) either carries a Dirichlet value or
+follows the reduced reaction ODE one explicit Euler step at a time.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "SolveDiagnostics",
     "SolveResult",
     "initial_state",
-    "resolve_config",
     "assemble_scheme1",
     "assemble_scheme2",
     "step",
@@ -83,8 +82,8 @@ class SchemeConfig:
 
     ``left_bc``/``right_bc`` accept either the string ``"natural"`` (march
     the node by the reduced reaction ODE) or a callable phi(tau) providing
-    a Dirichlet value.  ``right_bc=None`` resolves at solve time to the
-    constant gamma * payoff(s_max).
+    a Dirichlet value.  ``None`` holds the edge at its current value, so
+    the default right edge keeps its level-0 value gamma * payoff(s_max).
     """
 
     scheme: str = "imex_linear"
@@ -140,15 +139,6 @@ def initial_state(grid: SpatialGrid, params: ModelParams,
     return GridState(step_index=0, u=u0, v=u0.copy())
 
 
-def resolve_config(config: SchemeConfig, params: ModelParams,
-                   payoff=payoff_call) -> SchemeConfig:
-    """Fill the default right boundary gamma * payoff(s_max)."""
-    if config.right_bc is not None:
-        return config
-    value = params.gamma * float(payoff(params.s_max, params.strike))
-    return replace(config, right_bc=lambda tau, _v=value: _v)
-
-
 def _interior_coefficients(grid: SpatialGrid, sigma: float):
     """Off-diagonal weights of the implicit second difference.
 
@@ -158,7 +148,7 @@ def _interior_coefficients(grid: SpatialGrid, sigma: float):
     principle needs).
     """
     s = grid.nodes
-    if grid.kind == "uniform":
+    if grid.uniform:
         ds = grid.min_spacing()
         a = 0.5 * sigma ** 2 * s[1:-1] ** 2 / ds ** 2
         return a, a.copy()
@@ -177,14 +167,13 @@ def _boundary_value(rule, node: int, state: GridState, dc: DerivedConstants,
                     tg: TimeGrid) -> float:
     """Boundary value of U at level j+1 on one edge.
 
-    A callable rule is a Dirichlet value evaluated at tau_{j+1}; the
-    natural rule advances the reduced ODE u' = b - a e^(u-v) one explicit
-    Euler step, which is the appropriate treatment at S = 0 where the
-    diffusion degenerates.
+    A callable rule is a Dirichlet value evaluated at tau_{j+1}; ``None``
+    keeps the level-j value; the natural rule advances the reduced ODE
+    u' = b - a e^(u-v) one explicit Euler step, which is the appropriate
+    treatment at S = 0 where the diffusion degenerates.
     """
     if rule is None:
-        raise ValidationError(
-            "boundary rule unresolved; call resolve_config or pass a callable")
+        return float(state.u[node])
     if rule == NATURAL:
         return _natural_update(float(state.u[node]), float(state.v[node]),
                                dc, tg.dt)
@@ -287,7 +276,7 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     failures, overflow included, are re-raised as SolveFailure carrying the
     failing step index.
     """
-    config = resolve_config(config or SchemeConfig(), params, payoff)
+    config = config or SchemeConfig()
     dc = derive_constants(params)
     state = initial_state(grid, params, payoff)
     trajectory = [state] if capture_trajectory else None

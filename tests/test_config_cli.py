@@ -1,5 +1,7 @@
 """Config parsing/emission round-trips and the command-line surface."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -48,18 +50,31 @@ class TestParseConfig:
         ("grid", "must be uniform or tavella"),
         ("scheme", "must be linear or linearized"),
         ("left_bc", "must be natural or dirichlet"),
-        ("tau_rule", "must be half_min_spacing or explicit"),
     ])
     def test_bad_word_value_lists_allowed(self, key, message):
         with pytest.raises(ConfigError) as exc:
             parse_config(f"sigma=0.3\n{key}=bogus\n")
         assert exc.value.entries == [(2, key, message)]
 
-    def test_explicit_tau_requires_dt(self):
-        with pytest.raises(ConfigError):
-            parse_config("tau_rule=explicit\n")
-        cfg = parse_config("tau_rule=explicit\ndt=0.01\n")
-        assert cfg.dt == 0.01
+    def test_dt_alone_sets_explicit_step(self):
+        assert parse_config("dt=0.01\n").dt == 0.01
+        assert parse_config("sigma=0.3\n").dt is None
+        with pytest.raises(ConfigError) as exc:
+            parse_config("tau_rule=explicit\ndt=0.01\n")
+        assert exc.value.entries == [(1, "tau_rule", "unknown key")]
+
+    @pytest.mark.parametrize("text,entries", [
+        ("sigma=0.3\nmu=nan\n", [(2, "mu", "must be finite")]),
+        ("gamma=-1\nnu10=0\n", [(1, "gamma", "must be > 0"),
+                                 (2, "nu10", "must be > 0")]),
+        ("sigma=nan\n", [(1, "sigma", "must be > 0")]),
+        ("strike=9\n", [(0, "model",
+                         "domain must satisfy s_min < strike < s_max")]),
+    ], ids=["mu-nan", "two-keys", "sigma-nan", "domain"])
+    def test_model_errors_name_key_and_line(self, text, entries):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.entries == entries
 
 
 class TestRoundTrip:
@@ -187,6 +202,20 @@ class TestCliErrors:
         cfg.write_text("sigma=-3\n")
         assert main(["solve", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--alpha", "nan"], "error: --alpha: must be > 0 and finite\n"),
+        (["--I", "1"], "error: --I: must be >= 2\n"),
+    ], ids=["alpha", "I"])
+    @pytest.mark.parametrize("with_file", [False, True],
+                             ids=["flags-only", "valid-file"])
+    def test_bad_flag_names_flag(self, tmp_path, capsys, argv, message,
+                                 with_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma=0.3\nintervals=48\n")
+        extra = ["--config", str(cfg)] if with_file else []
+        assert main(["solve", *argv, *extra]) == 1
+        assert capsys.readouterr().err == message
+
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 1
 
@@ -195,8 +224,7 @@ class TestCliErrors:
     def test_nonfinite_float_is_config_error(self, tmp_path, capsys, key,
                                              value):
         cfg = tmp_path / "run.cfg"
-        rule = "tau_rule=explicit\n" if key == "dt" else ""
-        cfg.write_text(f"{rule}{key}={value}\n")
+        cfg.write_text(f"{key}={value}\n")
         assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -212,6 +240,16 @@ class TestCliErrors:
         assert main(["solve", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
             "numerical failure: time step 5: math range error\n")
+
+    def test_dt_in_config_sets_the_step(self, tmp_path, capsys):
+        # the bytes `solve --I 10` wrote for tau_rule=explicit, dt=0.01
+        # before a set dt alone selected the explicit step
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt=0.01\n")
+        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e4b5abc2aee63be9d74059863b63adecb3318de6e620c9c0f8be446b475823bf")
 
     def test_config_file_drives_run(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from liqshock import (
+    ModelParams,
+    SpatialGrid,
     TimeGrid,
     ValidationError,
+    solve_forward,
     tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
@@ -27,6 +30,14 @@ class TestUniformGrid:
     def test_spacing(self):
         g = uniform_grid(0, 5, 30)
         assert g.min_spacing() == pytest.approx(1 / 6, abs=1e-16)
+
+    def test_uniform_is_derived_from_nodes(self):
+        assert uniform_grid(0, 5, 30).uniform
+        assert SpatialGrid(np.linspace(0, 5, 31)).uniform
+        g = SpatialGrid([0, 1, 3, 5])
+        assert not g.uniform
+        assert g.min_spacing() == 1.0
+        assert not tavella_randall_grid(0, 5, 2, 15, 30).uniform
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValidationError):
@@ -50,6 +61,17 @@ class TestTavellaRandallGrid:
         spacings = g.spacings()
         k = int(np.argmin(spacings))
         assert g.nodes[k] <= 2.0 <= g.nodes[k + 1]
+
+    def test_bare_nodes_solve_like_the_builder(self):
+        params = ModelParams(sigma=0.3, mu=0.06, gamma=1.0, nu01=1.0,
+                             nu10=12.0, strike=2.0, horizon=1.0)
+        built = tavella_randall_grid(0, 5, 2, 15, 120)
+        runs = [solve_forward(params, g, time_grid_from_space(g, 1.0))
+                for g in (built, SpatialGrid(built.nodes))]
+        np.testing.assert_array_equal(runs[0].final_state.u,
+                                      runs[1].final_state.u)
+        np.testing.assert_array_equal(runs[0].final_state.v,
+                                      runs[1].final_state.v)
 
     def test_large_alpha_tends_uniform(self):
         g = tavella_randall_grid(0, 5, 2, 1e8, 64)

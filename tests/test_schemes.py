@@ -20,7 +20,7 @@ from liqshock import (
     check_m_matrix,
     derive_constants,
     initial_state,
-    resolve_config,
+    payoff_call,
     restriction_ratio,
     solve_forward,
     step,
@@ -68,7 +68,7 @@ class TestAssembleScheme1:
     def test_diffusion_coefficient_value(self, params, dc):
         grid = uniform_grid(0, 5, 30)
         tg = TimeGrid(dt=1 / 12, steps=12)
-        cfg = resolve_config(SchemeConfig(), params)
+        cfg = SchemeConfig()
         sys = assemble_scheme1(initial_state(grid, params), grid, tg, dc, cfg)
         # node S=2 is interior row index 11
         assert sys.lower[11] == pytest.approx(6.48, rel=1e-13)
@@ -78,7 +78,7 @@ class TestAssembleScheme1:
     def test_reaction_load_when_equal(self, params, dc):
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.05, steps=20)
-        cfg = resolve_config(SchemeConfig(), params)
+        cfg = SchemeConfig()
         st = initial_state(grid, params)
         sys = assemble_scheme1(st, grid, tg, dc, cfg)
         # U = V makes the reaction part collapse to b - a = d0
@@ -88,7 +88,7 @@ class TestAssembleScheme1:
     def test_m_matrix_margin_is_inverse_dt(self, params, dc):
         grid = uniform_grid(0, 5, 24)
         tg = TimeGrid(dt=0.02, steps=50)
-        cfg = resolve_config(SchemeConfig(), params)
+        cfg = SchemeConfig()
         sys = assemble_scheme1(initial_state(grid, params), grid, tg, dc, cfg)
         rep = check_m_matrix(sys)
         assert rep.satisfied
@@ -111,7 +111,7 @@ class TestStepScheme1:
     def test_v_frozen_where_equal(self, params, dc):
         grid = uniform_grid(0, 5, 12)
         tg = TimeGrid(dt=0.01, steps=100)
-        cfg = resolve_config(SchemeConfig(), params)
+        cfg = SchemeConfig()
         st = initial_state(grid, params)
         nxt, _ = step(st, grid, tg, dc, cfg)
         np.testing.assert_array_equal(nxt.v, st.v)
@@ -120,13 +120,11 @@ class TestStepScheme1:
         grid = uniform_grid(0, 5, 40)
         tg = TimeGrid(dt=0.01, steps=100)
         delta = 0.7
-        base_cfg = resolve_config(SchemeConfig(), params)
-        shift_cfg = SchemeConfig(
-            right_bc=lambda tau: base_cfg.right_bc(tau) + delta)
+        cfg = SchemeConfig()
         st = initial_state(grid, params)
         shifted = GridState(0, st.u + delta, st.v + delta)
-        a, _ = step(st, grid, tg, dc, base_cfg)
-        b, _ = step(shifted, grid, tg, dc, shift_cfg)
+        a, _ = step(st, grid, tg, dc, cfg)
+        b, _ = step(shifted, grid, tg, dc, cfg)
         assert np.abs(b.u - a.u - delta).max() <= 1e-13
         assert np.abs(b.v - a.v - delta).max() <= 1e-13
 
@@ -136,7 +134,7 @@ class TestAssembleScheme2:
         dc = reaction_only_dc(sigma=0.3, a=1.0, b=1.02, c=12.0)
         grid = uniform_grid(0, 5, 6)
         tg = TimeGrid(dt=0.1, steps=10)
-        cfg = resolve_config(SchemeConfig(scheme="imex_linearized"), params)
+        cfg = SchemeConfig(scheme="imex_linearized")
         st = GridState(0, np.zeros(7), np.zeros(7))
         sys, (k_hat, e_hat, _) = assemble_scheme2(st, grid, tg, dc, cfg)
         np.testing.assert_allclose(k_hat, 22.0, rtol=1e-14)
@@ -149,7 +147,7 @@ class TestAssembleScheme2:
 
     def test_reduced_domination_any_dt(self, params, dc):
         grid = uniform_grid(0, 5, 16)
-        cfg = resolve_config(SchemeConfig(scheme="imex_linearized"), params)
+        cfg = SchemeConfig(scheme="imex_linearized")
         st = initial_state(grid, params)
         for dt in (1e-4, 0.05, 0.5, 5.0):
             sys, _ = assemble_scheme2(st, grid, TimeGrid(dt=dt, steps=1),
@@ -162,7 +160,7 @@ class TestStepScheme2:
     def test_recovery_identity(self, params, dc):
         grid = uniform_grid(0, 5, 20)
         tg = TimeGrid(dt=0.02, steps=50)
-        cfg = resolve_config(SchemeConfig(scheme="imex_linearized"), params)
+        cfg = SchemeConfig(scheme="imex_linearized")
         st = initial_state(grid, params)
         _, (k_hat, e_hat, g) = assemble_scheme2(st, grid, tg, dc, cfg)
         nxt, _ = step(st, grid, tg, dc, cfg)
@@ -188,21 +186,18 @@ class TestStepScheme2:
         grid = uniform_grid(0, 5, 40)
         tg = TimeGrid(dt=0.01, steps=100)
         delta = -0.4
-        base_cfg = resolve_config(SchemeConfig(scheme="imex_linearized"), params)
-        shift_cfg = SchemeConfig(
-            scheme="imex_linearized",
-            right_bc=lambda tau: base_cfg.right_bc(tau) + delta)
+        cfg = SchemeConfig(scheme="imex_linearized")
         st = initial_state(grid, params)
         shifted = GridState(0, st.u + delta, st.v + delta)
-        a, _ = step(st, grid, tg, dc, base_cfg)
-        b, _ = step(shifted, grid, tg, dc, shift_cfg)
+        a, _ = step(st, grid, tg, dc, cfg)
+        b, _ = step(shifted, grid, tg, dc, cfg)
         assert np.abs(b.u - a.u - delta).max() <= 1e-13
         assert np.abs(b.v - a.v - delta).max() <= 1e-13
 
     def test_one_step_agreement_with_scheme1(self, params, dc):
         # the two steppers differ by the linearization remainder O(dt^2)
         grid = uniform_grid(0, 5, 20)
-        cfg = resolve_config(SchemeConfig(), params)
+        cfg = SchemeConfig()
         st = initial_state(grid, params)
         gaps = []
         for dt in (1e-3, 1e-4):
@@ -220,14 +215,14 @@ class TestBoundaries:
     def test_dirichlet_left(self, params, dc):
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.1, steps=10)
-        cfg = resolve_config(SchemeConfig(left_bc=lambda tau: 0.0), params)
+        cfg = SchemeConfig(left_bc=lambda tau: 0.0)
         st = initial_state(grid, params)
         assert assemble_scheme1(st, grid, tg, dc, cfg).left_value == 0.0
 
     def test_natural_growth_when_equal(self, params, dc):
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.1, steps=10)
-        cfg = resolve_config(SchemeConfig(left_bc=NATURAL), params)
+        cfg = SchemeConfig(left_bc=NATURAL)
         st = initial_state(grid, params)
         out = assemble_scheme1(st, grid, tg, dc, cfg).left_value
         assert out == pytest.approx(st.u[0] + tg.dt * dc.d0, abs=1e-15)
@@ -236,21 +231,21 @@ class TestBoundaries:
         dc = reaction_only_dc(a=1.0, b=1.0, c=12.0)
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.1, steps=10)
-        cfg = resolve_config(SchemeConfig(left_bc=NATURAL), params)
+        cfg = SchemeConfig(left_bc=NATURAL)
         st = GridState(0, np.full(11, 0.3), np.full(11, 0.3))
         assert assemble_scheme1(st, grid, tg, dc, cfg).left_value == 0.3
 
-    def test_unresolved_right_bc_rejected(self, params, dc):
+    def test_default_right_bc_value(self, params, dc):
+        # an unset right edge holds its level-0 value gamma * h(s_max)
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.1, steps=10)
-        st = initial_state(grid, params)
-        with pytest.raises(ValidationError):
-            assemble_scheme1(st, grid, tg, dc, SchemeConfig())
-
-    def test_default_right_bc_value(self, params):
-        cfg = resolve_config(SchemeConfig(), params)
-        assert cfg.right_bc(0.0) == 3.0
-        assert cfg.right_bc(0.7) == 3.0
+        held = params.gamma * float(payoff_call(params.s_max, params.strike))
+        assert held == 3.0
+        for scheme in ("imex_linear", "imex_linearized"):
+            st = initial_state(grid, params)
+            for _ in range(3):
+                st, _ = step(st, grid, tg, dc, SchemeConfig(scheme=scheme))
+                assert st.u[-1] == held
 
 
 class TestRestriction:

@@ -16,6 +16,7 @@ that the linearized stepper approximates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -385,67 +386,55 @@ class AuditReport:
         return out
 
 
-def _require_trajectory(run: SolveResult, check: str):
-    if run.trajectory is None:
-        raise ValidationError(
-            f"{check} audit needs a run with capture_trajectory=True")
+def _scan(name: str, runs, arrays, passes, largest=False) -> CheckResult:
+    """First strict minimum of ``arrays(*states)`` over the zipped
+    trajectories of ``runs``, with its (level, node), graded by ``passes``.
 
-
-def _require_matching(a: SolveResult, b: SolveResult):
-    if a.grid.intervals != b.grid.intervals or a.tg.steps != b.tg.steps:
+    The runs must carry trajectories and share one grid and time
+    partition.  ``largest`` scans non-negative errors for the first strict
+    maximum above 0, so an exact match reports no location.
+    """
+    for run in runs:
+        if run.trajectory is None:
+            raise ValidationError(
+                f"{name} audit needs a run with capture_trajectory=True")
+    if any(r.grid.intervals != runs[0].grid.intervals
+           or r.tg.steps != runs[0].tg.steps for r in runs):
         raise ValidationError("runs must share the grid and time partition")
+    pick, better = ((np.argmax, operator.gt) if largest
+                    else (np.argmin, operator.lt))
+    worst = 0.0 if largest else math.inf
+    where = None
+    for states in zip(*(r.trajectory for r in runs)):
+        for arr in arrays(*states):
+            node = int(pick(arr))
+            if better(arr[node], worst):
+                worst, where = float(arr[node]), (states[0].step_index, node)
+    return CheckResult(name, passes(worst), worst, where)
 
 
 def audit_positivity(run: SolveResult) -> CheckResult:
     """Worst transformed price (p or q) over the whole space-time grid."""
-    _require_trajectory(run, "positivity")
-    T = run.params.horizon
-    dt = run.tg.dt
-    worst = math.inf
-    where = None
-    for state in run.trajectory:
-        t = T - state.step_index * dt
-        for arr in to_prices(state.u, state.v, t, run.params, run.dc):
-            m = float(arr.min())
-            if m < worst:
-                worst = m
-                where = (state.step_index, int(arr.argmin()))
-    return CheckResult("positivity", worst >= POSITIVITY_TOL, worst, where)
+    T, dt = run.params.horizon, run.tg.dt
+    return _scan("positivity", [run], lambda s: to_prices(
+        s.u, s.v, T - s.step_index * dt, run.params, run.dc),
+        lambda worst: worst >= POSITIVITY_TOL)
 
 
 def audit_comparison(upper: SolveResult, lower: SolveResult) -> CheckResult:
     """Discrete comparison: the run with larger data stays above pointwise."""
-    _require_trajectory(upper, "comparison")
-    _require_trajectory(lower, "comparison")
-    _require_matching(upper, lower)
-    worst = math.inf
-    where = None
-    for hi, lo in zip(upper.trajectory, lower.trajectory):
-        for arr_hi, arr_lo in ((hi.u, lo.u), (hi.v, lo.v)):
-            gap = arr_hi - arr_lo
-            m = float(gap.min())
-            if m < worst:
-                worst = m
-                where = (hi.step_index, int(gap.argmin()))
-    return CheckResult("comparison", worst >= COMPARISON_TOL, worst, where)
+    return _scan("comparison", [upper, lower],
+                 lambda hi, lo: (hi.u - lo.u, hi.v - lo.v),
+                 lambda worst: worst >= COMPARISON_TOL)
 
 
 def audit_translation(base: SolveResult, shifted: SolveResult,
                       delta: float) -> CheckResult:
     """Shifting data by delta must shift the solution by exactly delta."""
-    _require_trajectory(base, "translation")
-    _require_trajectory(shifted, "translation")
-    _require_matching(base, shifted)
-    worst = 0.0
-    where = None
-    for b, s in zip(base.trajectory, shifted.trajectory):
-        for arr_b, arr_s in ((b.u, s.u), (b.v, s.v)):
-            err = np.abs(arr_s - arr_b - delta)
-            m = float(err.max())
-            if m > worst:
-                worst = m
-                where = (b.step_index, int(err.argmax()))
-    return CheckResult("translation", worst <= TRANSLATION_TOL, worst, where)
+    return _scan("translation", [base, shifted],
+                 lambda b, s: (np.abs(s.u - b.u - delta),
+                               np.abs(s.v - b.v - delta)),
+                 lambda worst: worst <= TRANSLATION_TOL, largest=True)
 
 
 def audit_m_matrix(run: SolveResult) -> CheckResult:

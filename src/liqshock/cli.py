@@ -14,9 +14,7 @@ from .config import CHOICES, RunConfig, parse_config
 from .errors import ConfigError, NumericalError, ValidationError
 from .mesh import HALF_MIN_SPACING, time_grid_from_space
 from .model import to_prices
-from .schemes import NATURAL, SchemeConfig, initial_state, solve_forward
-
-_SCHEMES = {"linear": "imex_linear", "linearized": "imex_linearized"}
+from .schemes import SchemeConfig, initial_state, solve_forward
 
 _CONVERGE_LEVELS = "30,60,120,240,480,960"
 _EXTRAPOLATE_LEVELS = "40,80,160,320,640"
@@ -75,8 +73,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _scheme_config(cfg: RunConfig) -> SchemeConfig:
-    left = NATURAL if cfg.left_bc == "natural" else (lambda tau: 0.0)
-    return SchemeConfig(scheme=_SCHEMES[cfg.scheme], left_bc=left)
+    return SchemeConfig(CHOICES["scheme"][cfg.scheme],
+                        CHOICES["left_bc"][cfg.left_bc])
 
 
 def _time_grid(cfg: RunConfig, grid):

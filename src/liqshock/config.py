@@ -14,15 +14,16 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .model import ModelParams, _param_problems
+from .schemes import NATURAL, SCHEMES
 
 __all__ = ["RunConfig", "parse_config", "emit_config"]
 
 # Allowed values of the word-valued keys, in the order validate reports
-# them.
+# them; scheme and left_bc map each word to what it selects.
 CHOICES = {
     "grid": ("uniform", "tavella"),
-    "scheme": ("linear", "linearized"),
-    "left_bc": ("natural", "dirichlet"),
+    "scheme": {word: name for name, word in SCHEMES.items()},
+    "left_bc": {"natural": NATURAL, "dirichlet": lambda tau: 0.0},
 }
 
 
@@ -61,17 +62,17 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:  # also NaN
                 errs.append((0, key, "must be > 0 and finite"))
+        if self.dt is not None and self.horizon < self.dt < math.inf:
+            errs.append((0, "dt", "must not exceed the horizon"))
         errs += [(0, key, msg) for key, msg in _param_problems(self).items()]
         if errs:
             raise ConfigError(errs)
         return self
 
 
-_FLOAT_KEYS = {"sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
-               "s_min", "s_max", "alpha", "dt"}
-_INT_KEYS = {"intervals"}
-_STR_KEYS = {*CHOICES, "output_path"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+# Each key parses as its RunConfig annotation ("float | None" -> float).
+_PARSE = {f.name: {"float": float, "int": int, "str": str}[
+    f.type.split(" |")[0]] for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -89,7 +90,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _ALL_KEYS:
+        if key not in _PARSE:
             errors.append((lineno, key, "unknown key"))
             continue
         if key in seen:
@@ -97,12 +98,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         seen[key] = lineno
         try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            else:
-                values[key] = val
+            values[key] = _PARSE[key](val)
         except ValueError as e:
             errors.append((lineno, key, str(e)))
     if errors:

@@ -135,6 +135,8 @@ def time_grid_from_space(grid: SpatialGrid, horizon: float,
         raise ValidationError("horizon must be > 0")
     if rule == HALF_MIN_SPACING:
         candidate = grid.min_spacing() / 2.0
+    elif isinstance(rule, str):
+        raise ValidationError(f"unknown time step rule {rule!r}")
     else:
         candidate = float(rule)
         if not candidate > 0:  # also rejects NaN

@@ -54,6 +54,9 @@ BoundaryRule = Union[str, Callable[[float], float], None]
 # slack absorbs roundoff in a ratio that is exactly 1.
 RESTRICTION_SLACK = 1.0 + 1e-12
 
+# Library name of each scheme -> its word in config files and on the CLI.
+SCHEMES = {"imex_linear": "linear", "imex_linearized": "linearized"}
+
 
 @dataclass(frozen=True)
 class GridState:
@@ -91,7 +94,7 @@ class SchemeConfig:
     right_bc: BoundaryRule = None
 
     def __post_init__(self):
-        if self.scheme not in ("imex_linear", "imex_linearized"):
+        if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         for side, bc in (("left", self.left_bc), ("right", self.right_bc)):
             if bc is None or bc == NATURAL or callable(bc):
@@ -158,11 +161,6 @@ def _interior_coefficients(grid: SpatialGrid, sigma: float):
     return ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
 
 
-def _natural_update(u_node: float, v_node: float, dc: DerivedConstants,
-                    dt: float) -> float:
-    return u_node - dt * (dc.a * math.exp(u_node - v_node) - dc.b)
-
-
 def _boundary_value(rule, node: int, state: GridState, dc: DerivedConstants,
                     tg: TimeGrid) -> float:
     """Boundary value of U at level j+1 on one edge.
@@ -175,8 +173,8 @@ def _boundary_value(rule, node: int, state: GridState, dc: DerivedConstants,
     if rule is None:
         return float(state.u[node])
     if rule == NATURAL:
-        return _natural_update(float(state.u[node]), float(state.v[node]),
-                               dc, tg.dt)
+        u, v = float(state.u[node]), float(state.v[node])
+        return u - tg.dt * (dc.a * math.exp(u - v) - dc.b)
     tau_next = (state.step_index + 1) * tg.dt
     return float(rule(tau_next))
 
@@ -273,8 +271,8 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     Returns the final state together with per-run diagnostics (worst
     M-matrix margin, worst sup-norm bound margin, worst reaction-step
     restriction ratio).  A restriction ratio above 1 warns.  Numerical
-    failures, overflow included, are re-raised as SolveFailure carrying the
-    failing step index.
+    failures, overflow and lost strict domination included, are re-raised
+    as SolveFailure carrying the failing step index.
     """
     config = config or SchemeConfig()
     dc = derive_constants(params)
@@ -292,17 +290,18 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                               "positivity of the march is no longer "
                               "guaranteed", RuntimeWarning, stacklevel=2)
             state, sys = step(state, grid, tg, dc, config)
+            report = check_m_matrix(sys)
+            margin = stability_bound(sys) - float(np.abs(state.u).max())
         except (LiqshockError, OverflowError) as err:
             # math.exp (restriction ratio, natural edge) overflows on a
-            # large spread |U - V|; that, too, is a breakdown of this step.
+            # large spread |U - V|, and rows that lose strict domination
+            # have no sup-norm bound; both are breakdowns of this step.
             raise SolveFailure(j, str(err)) from err
-        report = check_m_matrix(sys)
         diag.solves += 1
         diag.m_matrix_ok = diag.m_matrix_ok and report.satisfied
         if report.min_d < diag.min_d:
             diag.min_d = report.min_d
             diag.min_d_step = j
-        margin = stability_bound(sys) - float(np.abs(state.u).max())
         if margin < diag.bound_margin:
             diag.bound_margin = margin
             diag.bound_margin_step = j

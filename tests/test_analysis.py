@@ -95,6 +95,10 @@ class TestStudies:
     def test_levels_must_double(self, params):
         with pytest.raises(ValidationError):
             convergence_study(params, "imex_linear", "uniform", [30, 50])
+        with pytest.raises(ValidationError, match="at least one level"):
+            convergence_study(params, "imex_linear", "uniform", [])
+        with pytest.raises(ValidationError, match="unknown grid kind"):
+            convergence_study(params, "imex_linear", "chebyshev", [30])
 
     def test_small_ladder_monotone(self, params):
         rows = convergence_study(params, "imex_linear", "uniform",
@@ -297,6 +301,18 @@ class TestAudits:
         run = solve_forward(params, grid, tg)
         with pytest.raises(ValidationError):
             audit_positivity(run)
+        # the pairwise audits also need both runs on one grid and partition
+        captured = solve_forward(params, grid, tg, capture_trajectory=True)
+        with pytest.raises(ValidationError, match="translation audit needs"):
+            audit_translation(captured, run, 0.0)
+        other = uniform_grid(0, 5, 96)
+        coarse = solve_forward(params, other,
+                               time_grid_from_space(other, params.horizon),
+                               capture_trajectory=True)
+        for audit in (audit_comparison,
+                      lambda a, b: audit_translation(a, b, 0.0)):
+            with pytest.raises(ValidationError, match="share the grid"):
+                audit(captured, coarse)
 
 
 class TestTranslationMatrix:

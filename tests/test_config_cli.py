@@ -63,6 +63,12 @@ class TestParseConfig:
             parse_config("tau_rule=explicit\ndt=0.01\n")
         assert exc.value.entries == [(1, "tau_rule", "unknown key")]
 
+    def test_dt_above_horizon_names_key(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("dt=2\n")
+        assert exc.value.entries == [(1, "dt", "must not exceed the horizon")]
+        assert parse_config("dt=2\nhorizon=2\n").dt == 2.0
+
     @pytest.mark.parametrize("text,entries", [
         ("sigma=0.3\nmu=nan\n", [(2, "mu", "must be finite")]),
         ("gamma=-1\nnu10=0\n", [(1, "gamma", "must be > 0"),
@@ -171,7 +177,8 @@ class TestCliTables:
         assert y == pytest.approx(2 * w - z, abs=1e-9)
 
     def test_bad_levels_rejected(self, tmp_path):
-        assert main(["converge", "--levels", "30,50"]) == 1
+        for levels in ("30,50", "", "3x"):
+            assert main(["converge", "--levels", levels]) == 1
 
 
 class TestCliVerify:
@@ -240,6 +247,25 @@ class TestCliErrors:
         assert main(["solve", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
             "numerical failure: time step 5: math range error\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme", ["linear", "linearized"])
+    def test_lost_domination_is_numerical_failure(self, tmp_path, capsys,
+                                                  scheme):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma=1e8\n")
+        assert main(["solve", "--I", "10", "--scheme", scheme,
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: time step 0: "
+            "strict diagonal domination required\n")
+
+    def test_dt_above_horizon_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt=2\n")
+        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config (line 1: dt: must not exceed the horizon)\n")
 
     def test_dt_in_config_sets_the_step(self, tmp_path, capsys):
         # the bytes `solve --I 10` wrote for tau_rule=explicit, dt=0.01

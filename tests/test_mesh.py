@@ -44,6 +44,10 @@ class TestUniformGrid:
             uniform_grid(0, 5, 1)
         with pytest.raises(ValidationError):
             uniform_grid(5, 5, 10)
+        with pytest.raises(ValidationError, match="at least 3 nodes"):
+            SpatialGrid([0.0, 1.0])
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            SpatialGrid([0.0, 2.0, 2.0, 3.0])
 
 
 class TestTavellaRandallGrid:
@@ -95,6 +99,11 @@ class TestTavellaRandallGrid:
             with pytest.raises(ValidationError, match="alpha"):
                 tavella_randall_grid(0, 5, 2, alpha, 10)
 
+    def test_rejects_strike_outside_domain(self):
+        for strike in (0.0, 5.0, 7.0):
+            with pytest.raises(ValidationError, match="s_min < strike"):
+                tavella_randall_grid(0, 5, strike, 15.0, 10)
+
 
 class TestTimeGrid:
     def test_half_spacing_divides(self):
@@ -134,6 +143,13 @@ class TestTimeGrid:
         tg = TimeGrid(dt=0.25, steps=4).halved()
         assert tg.steps == 8 and tg.dt == 0.125
 
+    def test_rejects_bad_partition(self):
+        for dt in (0.0, -0.1, math.inf):
+            with pytest.raises(ValidationError, match="dt must be positive"):
+                TimeGrid(dt=dt, steps=4)
+        with pytest.raises(ValidationError, match="steps must be >= 0"):
+            TimeGrid(dt=0.25, steps=-1)
+
     def test_rejects_bad_dt(self):
         g = uniform_grid(0, 5, 10)
         with pytest.raises(ValidationError):
@@ -142,3 +158,7 @@ class TestTimeGrid:
             time_grid_from_space(g, 1.0, rule=2.0)
         with pytest.raises(ValidationError, match="explicit dt must be > 0"):
             time_grid_from_space(g, 1.0, rule=float("nan"))
+        with pytest.raises(ValidationError, match="'explicit'"):
+            time_grid_from_space(g, 1.0, rule="explicit")
+        with pytest.raises(ValidationError, match="horizon must be > 0"):
+            time_grid_from_space(g, 0.0)

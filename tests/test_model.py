@@ -181,6 +181,11 @@ class TestToPrices:
         np.testing.assert_allclose(p1, p0 + delta, rtol=0, atol=1e-14)
         np.testing.assert_allclose(q1, q0 + delta, rtol=0, atol=1e-14)
 
+    def test_rejects_shape_mismatch(self, table_params):
+        dc = derive_constants(table_params)
+        with pytest.raises(ValidationError, match="share a shape"):
+            to_prices(np.zeros(3), np.zeros(4), 0.4, table_params, dc)
+
     def test_gamma_scaling(self):
         p2 = ModelParams(sigma=0.3, mu=0.06, gamma=2.0, nu01=1.0, nu10=12.0,
                          strike=2.0, horizon=1.0)

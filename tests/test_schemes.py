@@ -62,6 +62,10 @@ class TestInitialState:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             GridState(0, np.array([1.0, np.inf]), np.array([0.0, 0.0]))
+        with pytest.raises(ValidationError, match="equal length"):
+            GridState(0, np.zeros(3), np.zeros(4))
+        with pytest.raises(ValidationError, match="step_index"):
+            GridState(-1, np.zeros(3), np.zeros(3))
 
 
 class TestAssembleScheme1:
@@ -247,6 +251,12 @@ class TestBoundaries:
                 st, _ = step(st, grid, tg, dc, SchemeConfig(scheme=scheme))
                 assert st.u[-1] == held
 
+    def test_config_rejects_unknown_words(self):
+        with pytest.raises(ValidationError, match="unknown scheme 'linear'"):
+            SchemeConfig(scheme="linear")
+        with pytest.raises(ValidationError, match="left_bc must be"):
+            SchemeConfig(left_bc="dirichlet")
+
 
 class TestRestriction:
     def test_ratio_value(self, params, dc):
@@ -325,6 +335,19 @@ class TestSolveForward:
             # endpoint within a first-order error of the reduced ODE
             assert abs(res.final_state.u[0] - u_ref) <= 1e-4
             assert abs(res.final_state.v[0] - v_ref) <= 1e-4
+
+    # sigma = 1e8 swamps 1/dt in D = C - A - B, so the first rows lose
+    # strict domination and have no sup-norm bound.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
+    def test_lost_domination_is_solve_failure(self, params, scheme):
+        p = replace(params, sigma=1e8)
+        grid = uniform_grid(0, 5, 10)
+        tg = time_grid_from_space(grid, p.horizon)
+        with pytest.raises(SolveFailure, match="strict diagonal domination"
+                           ) as exc:
+            solve_forward(p, grid, tg, SchemeConfig(scheme=scheme))
+        assert exc.value.step_index == 0
 
     def test_diagnostics_clean_on_table_run(self, params):
         grid = uniform_grid(0, 5, 60)

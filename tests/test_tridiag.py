@@ -144,6 +144,13 @@ class TestSolve:
             TridiagonalSystem(lower=np.ones(2), diag=np.ones(3),
                               upper=np.ones(3), rhs=np.ones(3),
                               left_value=0.0, right_value=0.0)
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            TridiagonalSystem(lower=np.ones((2, 2)), diag=np.ones(4),
+                              upper=np.ones(4), rhs=np.ones(4),
+                              left_value=0.0, right_value=0.0)
+        with pytest.raises(ValidationError, match="at least one interior"):
+            TridiagonalSystem(lower=[], diag=[], upper=[], rhs=[],
+                              left_value=0.0, right_value=0.0)
 
 
 def test_solve_imports_no_scipy():

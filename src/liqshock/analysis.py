@@ -5,7 +5,7 @@ resolutions with the time step slaved to half the minimum spacing, probe
 the at-the-money value at issue time, and report successive differences,
 their ratios, and the implied convergence orders.  Extrapolation pairs a
 run at dt with a run at dt/2 on the same spatial grid and combines them
-as (2^p W - Z)/(2^p - 1), cancelling the leading O(dt^p) error term.
+as 2W - Z, cancelling the leading O(dt) error term.
 
 Two independent reference solvers back the verification suite: a
 classical fixed-step RK4 integrator for the spatially constant reduction
@@ -79,16 +79,13 @@ ORACLE_MAX_ITER = 100
 # Richardson extrapolation
 # --------------------------------------------------------------------------
 
-def richardson(z: float, w: float, p: int = 1) -> float:
+def richardson(z: float, w: float) -> float:
     """Combine a coarse value z (step dt) and fine value w (step dt/2).
 
-    Returns (2^p w - z) / (2^p - 1), which removes the O(dt^p) error term
-    when both runs share the spatial grid.
+    Returns 2w - z, which removes the O(dt) error term of the first-order
+    schemes when both runs share the spatial grid.
     """
-    if p < 1:
-        raise ValidationError("extrapolation order p must be >= 1")
-    factor = 2.0 ** p
-    return (factor * w - z) / (factor - 1.0)
+    return 2.0 * w - z
 
 
 # --------------------------------------------------------------------------
@@ -204,13 +201,13 @@ def extrapolated_study(params: ModelParams, scheme: str, grid_kind: str,
                        left_bc=NATURAL, on_result=None,
                        ) -> list[ExtrapolationRow]:
     """Per level: pair the slaved dt with dt/2 on the same spatial grid
-    and extrapolate the at-the-money R0 at order 1; tabulate the
-    extrapolated values."""
+    and extrapolate the at-the-money R0; tabulate the extrapolated
+    values."""
     pairs = [(at_the_money(coarse), at_the_money(fine))
              for coarse, fine in _ladder(params, scheme, grid_kind, levels,
                                          alpha, left_bc, on_result,
                                          halved=True)]
-    rows = _rows_from_values(levels, [richardson(z, w, 1) for z, w in pairs])
+    rows = _rows_from_values(levels, [richardson(z, w) for z, w in pairs])
     return [ExtrapolationRow(intervals=r.intervals, coarse_value=z,
                              fine_value=w, extrapolated=r.value,
                              difference=r.difference, ratio=r.ratio,
@@ -223,7 +220,7 @@ def extrapolated_study(params: ModelParams, scheme: str, grid_kind: str,
 # --------------------------------------------------------------------------
 
 def ode_oracle(params: ModelParams, h_star: float,
-               dt_ref: float | None = None) -> tuple[float, float]:
+               dt_ref: float) -> tuple[float, float]:
     """Integrate the spatially constant reduction with fixed-step RK4.
 
     u' = b - a e^(u-v), v' = c (1 - e^(v-u)), u(0) = v(0) = gamma*h_star.
@@ -232,8 +229,6 @@ def ode_oracle(params: ModelParams, h_star: float,
     """
     dc = derive_constants(params)
     T = params.horizon
-    if dt_ref is None:
-        dt_ref = 1e-5 * T
     if dt_ref <= 0:
         raise ValidationError("dt_ref must be > 0")
     n = max(1, math.ceil(T / dt_ref * (1.0 - 1e-12)))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import analysis
 from .config import CHOICES, RunConfig, parse_config
@@ -16,11 +17,8 @@ from .mesh import HALF_MIN_SPACING, time_grid_from_space
 from .model import to_prices
 from .schemes import SchemeConfig, initial_state, solve_forward
 
-_CONVERGE_LEVELS = "30,60,120,240,480,960"
-_EXTRAPOLATE_LEVELS = "40,80,160,320,640"
-
-# Flags of every command; each overrides the RunConfig field its dest
-# names.
+# Flags of the commands; each overrides the RunConfig field its dest
+# names.  Only solve and verify take --I: the ladders take --levels.
 _FLAGS = (
     ("--scheme", dict(dest="scheme", choices=CHOICES["scheme"])),
     ("--grid", dict(dest="grid", choices=CHOICES["grid"])),
@@ -60,7 +58,7 @@ def _load_config(args) -> RunConfig:
     else:
         cfg = RunConfig()
     set_by = {kwargs["dest"]: flag for flag, kwargs in _FLAGS
-              if getattr(args, kwargs["dest"]) is not None}
+              if getattr(args, kwargs["dest"], None) is not None}
     for dest in set_by:
         setattr(cfg, dest, getattr(args, dest))
     try:
@@ -77,15 +75,16 @@ def _scheme_config(cfg: RunConfig) -> SchemeConfig:
                         CHOICES["left_bc"][cfg.left_bc])
 
 
-def _time_grid(cfg: RunConfig, grid):
+def _one_grid(cfg: RunConfig):
+    """Params, spatial grid and time grid of a run on one grid (--I)."""
+    params = cfg.model_params()
+    grid = analysis._build_grid(params, cfg.grid, cfg.intervals, cfg.alpha)
     rule = HALF_MIN_SPACING if cfg.dt is None else cfg.dt
-    return time_grid_from_space(grid, cfg.horizon, rule)
+    return params, grid, time_grid_from_space(grid, cfg.horizon, rule)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    params = cfg.model_params()
-    grid = analysis._build_grid(params, cfg.grid, cfg.intervals, cfg.alpha)
-    tg = _time_grid(cfg, grid)
+    params, grid, tg = _one_grid(cfg)
     result = solve_forward(params, grid, tg, _scheme_config(cfg))
     dc = result.dc
     first = initial_state(grid, params)
@@ -102,12 +101,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def _parse_levels(text: str) -> list[int]:
     try:
-        levels = [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as e:
         raise ValidationError(f"bad levels list {text!r}: {e}") from e
-    if not levels:
-        raise ValidationError("empty levels list")
-    return levels
 
 
 def cmd_converge(cfg: RunConfig, levels: list[int]) -> int:
@@ -140,12 +136,20 @@ def cmd_extrapolate(cfg: RunConfig, levels: list[int]) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    params = cfg.model_params()
-    grid = analysis._build_grid(params, cfg.grid, cfg.intervals, cfg.alpha)
-    report = analysis.verify(params, grid, _time_grid(cfg, grid),
-                             _scheme_config(cfg))
-    _write_lines(None, report.lines())
+    report = analysis.verify(*_one_grid(cfg), _scheme_config(cfg))
+    _write_lines(cfg.output_path, report.lines())
     return 0 if report.passed else 3
+
+
+# name: (function, help, a ladder's default --levels or None for one grid)
+_COMMANDS = {
+    "solve": (cmd_solve, "write the price surface CSV", None),
+    "converge": (cmd_converge, "write a convergence table CSV",
+                 "30,60,120,240,480,960"),
+    "extrapolate": (cmd_extrapolate, "write an extrapolation table CSV",
+                    "40,80,160,320,640"),
+    "verify": (cmd_verify, "run the audit suite", None),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,20 +157,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="liqshock",
         description="IMEX solvers for option pricing under liquidity shocks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (("solve", "write the price surface CSV"),
-                           ("converge", "write a convergence table CSV"),
-                           ("extrapolate", "write an extrapolation table CSV"),
-                           ("verify", "run the audit suite")):
+    for name, (_, helptext, levels) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="path to a key=value config file")
         for flag, kwargs in _FLAGS:
-            p.add_argument(flag, **kwargs)
-        if name in ("converge", "extrapolate"):
-            default = (_CONVERGE_LEVELS if name == "converge"
-                       else _EXTRAPOLATE_LEVELS)
-            p.add_argument("--levels", default=default,
+            if flag != "--I" or levels is None:
+                p.add_argument(flag, **kwargs)
+        if levels is not None:
+            p.add_argument("--levels", default=levels,
                            help=f"comma list of interval counts "
-                                f"(default {default})")
+                                f"(default {levels})")
     return parser
 
 
@@ -176,21 +176,27 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    try:
-        cfg = _load_config(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "converge":
-            return cmd_converge(cfg, _parse_levels(args.levels))
-        if args.command == "extrapolate":
-            return cmd_extrapolate(cfg, _parse_levels(args.levels))
-        return cmd_verify(cfg)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 2
+    shown = set()
+
+    def show(message, *_):  # each distinct warning once, as one line
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    command, _, levels = _COMMANDS[args.command]
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            cfg = _load_config(args)
+            if levels is None:
+                return command(cfg)
+            return command(cfg, _parse_levels(args.levels))
+        except ValidationError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        except NumericalError as e:
+            print(f"numerical failure: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

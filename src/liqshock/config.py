@@ -47,10 +47,8 @@ class RunConfig:
     output_path: str | None = None
 
     def model_params(self) -> ModelParams:
-        return ModelParams(sigma=self.sigma, mu=self.mu, gamma=self.gamma,
-                           nu01=self.nu01, nu10=self.nu10, strike=self.strike,
-                           horizon=self.horizon, s_min=self.s_min,
-                           s_max=self.s_max)
+        return ModelParams(**{f.name: getattr(self, f.name)
+                              for f in fields(ModelParams)})
 
     def validate(self) -> "RunConfig":
         errs = [(0, key, "must be " + " or ".join(allowed))

@@ -48,21 +48,13 @@ class SpatialGrid:
     def intervals(self) -> int:
         return self.nodes.size - 1
 
-    @property
-    def s_min(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def s_max(self) -> float:
-        return float(self.nodes[-1])
-
     def spacings(self) -> np.ndarray:
         return np.diff(self.nodes)
 
     def min_spacing(self) -> float:
         if self.uniform:
             # exact value, immune to linspace roundoff
-            return (self.s_max - self.s_min) / self.intervals
+            return float(self.nodes[-1] - self.nodes[0]) / self.intervals
         return float(self.spacings().min())
 
 

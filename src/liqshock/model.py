@@ -71,7 +71,7 @@ class ModelParams:
 
 def _param_problems(p) -> dict[str, str]:
     """First failed check per ModelParams field of ``p`` (key "model" for
-    the cross-key domain check), in the order ModelParams reports them."""
+    the cross-key domain and finite-d0 checks), in the order reported."""
     checks = [(key, getattr(p, key) > 0, "must be > 0") for key in
               ("sigma", "gamma", "nu01", "nu10", "strike", "horizon")]
     checks += [("s_min", p.s_min >= 0, "must be >= 0"),
@@ -83,6 +83,13 @@ def _param_problems(p) -> dict[str, str]:
     for key, ok, msg in checks:
         if not ok:
             problems.setdefault(key, msg)
+    if "sigma" not in problems and "mu" not in problems:
+        try:
+            ok = math.isfinite(p.mu ** 2 / (2.0 * p.sigma ** 2))
+        except (ZeroDivisionError, OverflowError):
+            ok = False
+        if not ok:
+            problems.setdefault("model", "d0 = mu^2 / (2 sigma^2) must be finite")
     return problems
 
 

@@ -130,7 +130,6 @@ class SolveResult:
     params: ModelParams
     grid: SpatialGrid
     tg: TimeGrid
-    config: SchemeConfig
     dc: DerivedConstants
 
 
@@ -309,4 +308,4 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
             trajectory.append(state)
     return SolveResult(final_state=state, trajectory=trajectory,
                        diagnostics=diag, params=params, grid=grid, tg=tg,
-                       config=config, dc=dc)
+                       dc=dc)

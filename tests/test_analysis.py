@@ -10,6 +10,7 @@ from liqshock import (
     AuditReport,
     DerivedConstants,
     ModelParams,
+    OracleConvergenceError,
     SchemeConfig,
     TimeGrid,
     ValidationError,
@@ -53,25 +54,21 @@ def constant_payoff(s, k):
 
 class TestRichardson:
     def test_fixed_point(self):
-        assert richardson(0.7, 0.7, 1) == 0.7
+        assert richardson(0.7, 0.7) == 0.7
 
     def test_table_pair(self):
-        y = richardson(0.2451080, 0.2465578, 1)
+        y = richardson(0.2451080, 0.2465578)
         assert y == pytest.approx(0.2480076, abs=1e-10)
 
     def test_arithmetic(self):
-        assert richardson(1.0, 1.5, 1) == 2.0
+        assert richardson(1.0, 1.5) == 2.0
 
     def test_exact_on_affine_data(self):
         limit, slope = 0.42, 3.7
         for dt in (0.1, 0.01):
             z = limit + slope * dt
             w = limit + slope * dt / 2
-            assert richardson(z, w, 1) == pytest.approx(limit, abs=1e-14)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValidationError):
-            richardson(1.0, 1.0, 0)
+            assert richardson(z, w) == pytest.approx(limit, abs=1e-14)
 
 
 class TestRowMath:
@@ -125,7 +122,7 @@ class TestStudies:
                                   [40, 80, 160])
         for row in rows:
             assert row.extrapolated == pytest.approx(
-                richardson(row.coarse_value, row.fine_value, 1), abs=1e-15)
+                richardson(row.coarse_value, row.fine_value), abs=1e-15)
         assert rows[2].order is not None
         # extrapolated values settle much faster than the raw ones
         assert abs(rows[2].extrapolated - rows[1].extrapolated) < \
@@ -159,12 +156,23 @@ class TestOdeOracle:
         d2 = max(abs(vals[1][0] - vals[2][0]), abs(vals[1][1] - vals[2][1]))
         assert 12.0 <= d1 / d2 <= 28.0
 
+    def test_rejects_nonpositive_step(self, params):
+        with pytest.raises(ValidationError, match="dt_ref must be > 0"):
+            ode_oracle(params, 1.0, dt_ref=0)
+
 
 class TestImplicitOracle:
     def test_size_guard(self, params):
         grid = uniform_grid(0, 5, 128)
         with pytest.raises(ValidationError):
             implicit_oracle(params, grid, TimeGrid(dt=0.1, steps=10))
+
+    def test_stalled_newton_raises(self, params, monkeypatch):
+        import liqshock.analysis as analysis_mod
+        monkeypatch.setattr(analysis_mod, "ORACLE_MAX_ITER", 0)
+        grid = uniform_grid(0, 5, 8)
+        with pytest.raises(OracleConvergenceError, match="stalled"):
+            implicit_oracle(params, grid, TimeGrid(dt=0.1, steps=1))
 
     def test_linear_regime_matches_scheme1(self, params, monkeypatch):
         # with the reaction switched off both reduce to implicit diffusion

@@ -196,10 +196,22 @@ class TestCliVerify:
             assert statuses[name] == "PASS"
         assert code == 3
 
+    def test_out_writes_the_report(self, tmp_path, capsys):
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--I", "40", "--out", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines)
+
 
 class TestCliErrors:
     def test_unknown_flag(self, capsys):
         assert main(["solve", "--wat"]) == 1
+        # a ladder's sizes come from --levels, so it takes no --I
+        for command in ("converge", "extrapolate"):
+            assert main([command, "--I", "10"]) == 1
+            assert "unrecognized arguments: --I" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -225,6 +237,30 @@ class TestCliErrors:
 
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["solve", "--I", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}:")
+
+    def test_restriction_warning_is_one_line(self, capsys):
+        # dt*c = 0.25*12 breaks the reaction restriction on every step
+        assert main(["solve", "--I", "10"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: reaction time-step restriction violated; positivity "
+            "of the march is no longer guaranteed\n")
+
+    @pytest.mark.parametrize("text", ["sigma=1e-200\n", "mu=1e200\n",
+                                      "sigma=1e-160\n"],
+                             ids=["sigma-underflow", "mu-overflow", "d0-inf"])
+    def test_nonfinite_d0_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config (line 0: model: "
+            "d0 = mu^2 / (2 sigma^2) must be finite)\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)

@@ -42,6 +42,8 @@ class TestUniformGrid:
     def test_rejects_degenerate(self):
         with pytest.raises(ValidationError):
             uniform_grid(0, 5, 1)
+        with pytest.raises(ValidationError, match="at least 2 intervals"):
+            tavella_randall_grid(0, 5, 2, 15, 1)
         with pytest.raises(ValidationError):
             uniform_grid(5, 5, 10)
         with pytest.raises(ValidationError, match="at least 3 nodes"):

@@ -86,6 +86,16 @@ class TestDeriveConstants:
         with pytest.raises(ValidationError):
             ModelParams(sigma=0.3, mu=0.06, gamma=0.0, nu01=1.0, nu10=12.0,
                         strike=2.0, horizon=1.0)
+        # d0 = mu^2 / (2 sigma^2) divides by zero, overflows, or is inf
+        for sigma, mu in ((1e-200, 0.06), (0.3, 1e200), (1e-160, 0.06)):
+            with pytest.raises(ValidationError, match="d0 .* must be finite"):
+                ModelParams(sigma=sigma, mu=mu, gamma=1.0, nu01=1.0,
+                            nu10=12.0, strike=2.0, horizon=1.0)
+        # valid inputs whose root pair collapses in floating point
+        p = ModelParams(sigma=1.0, mu=2.0, gamma=1.0, nu01=1e-300, nu10=2.0,
+                        strike=2.0, horizon=1.0)
+        with pytest.raises(ValidationError, match="discriminant <= 0"):
+            derive_constants(p)
 
 
 class TestEvaluateF:

@@ -20,7 +20,7 @@ from .analysis import (
     richardson,
     verify,
 )
-from .config import RunConfig, emit_config, parse_config
+from .config import RunConfig, parse_config
 from .errors import (
     ConfigError,
     LiqshockError,

@@ -96,9 +96,9 @@ def richardson(z: float, w: float) -> float:
 class ConvergenceRow:
     intervals: int
     value: float
-    difference: float | None = None
-    ratio: float | None = None
-    order: float | None = None
+    difference: float | None
+    ratio: float | None
+    order: float | None
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,9 @@ class ExtrapolationRow:
     coarse_value: float
     fine_value: float
     extrapolated: float
-    difference: float | None = None
-    ratio: float | None = None
-    order: float | None = None
+    difference: float | None
+    ratio: float | None
+    order: float | None
 
 
 def at_the_money(result: SolveResult, quantity: str = "r0") -> float:
@@ -229,8 +229,8 @@ def ode_oracle(params: ModelParams, h_star: float,
     """
     dc = derive_constants(params)
     T = params.horizon
-    if dt_ref <= 0:
-        raise ValidationError("dt_ref must be > 0")
+    if not 0 < dt_ref < math.inf:  # also rejects NaN
+        raise ValidationError("dt_ref must be > 0 and finite")
     n = max(1, math.ceil(T / dt_ref * (1.0 - 1e-12)))
     dt = T / n
     u = v = params.gamma * h_star
@@ -350,7 +350,7 @@ class CheckResult:
     name: str
     passed: bool
     worst: float
-    location: tuple | None = None
+    location: tuple | None
 
 
 @dataclass(frozen=True)
@@ -449,7 +449,7 @@ def _lifted_call(s, k):
 
 
 def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
-           config: SchemeConfig | None = None) -> AuditReport:
+           config: SchemeConfig) -> AuditReport:
     """The audit suite that ``liqshock verify`` prints.
 
     Three captured runs on one grid (call payoff, call + 0.1, zero

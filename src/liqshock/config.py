@@ -3,8 +3,6 @@
 Blank lines and '#' comments are ignored, keys are case-sensitive, and
 unknown or duplicate keys are rejected with their line numbers.  Missing
 keys fall back to the documented defaults (the standard experiment set).
-``emit_config`` writes a canonical form that ``parse_config`` maps back
-to the same RunConfig.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from .errors import ConfigError
 from .model import ModelParams, _param_problems
 from .schemes import NATURAL, SCHEMES
 
-__all__ = ["RunConfig", "parse_config", "emit_config"]
+__all__ = ["RunConfig", "parse_config"]
 
 # Allowed values of the word-valued keys, in the order validate reports
 # them; scheme and left_bc map each word to what it selects.
@@ -107,15 +105,3 @@ def parse_config(text: str) -> RunConfig:
     except ConfigError as e:
         raise ConfigError([(seen.get(k, 0), k, m) for _, k, m in e.entries])
     return cfg
-
-
-def emit_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(emit_config(c)) == c."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f.name}={text}")
-    return "\n".join(lines) + "\n"

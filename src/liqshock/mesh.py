@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,14 @@ HALF_MIN_SPACING = "half_min_spacing"
 # horizon: node spacings computed in floating point miss exact division
 # by a few ulp, which must not bump the step count.
 _SNAP_RTOL = 1e-9
+
+
+def _is_count(n, least: int) -> bool:
+    """Whether n is a whole number (int or numpy integer) >= least."""
+    try:
+        return operator.index(n) >= least
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -60,12 +69,8 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of [0, T]: steps J and step size dt with J*dt = T.
-
-    steps=0 is allowed as a degenerate partition (a forward solve then
-    returns its initial state); grids built from a spacing rule always
-    carry at least one step.
-    """
+    """Uniform partition of [0, T]: steps J >= 1 and step size dt with
+    J*dt = T."""
 
     dt: float
     steps: int
@@ -73,8 +78,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValidationError("dt must be positive and finite")
-        if self.steps < 0:
-            raise ValidationError("steps must be >= 0")
+        if not _is_count(self.steps, 1):
+            raise ValidationError("steps must be a whole number >= 1")
 
     def halved(self) -> "TimeGrid":
         """Same horizon with twice the steps (for temporal extrapolation)."""
@@ -83,8 +88,8 @@ class TimeGrid:
 
 def uniform_grid(s_min: float, s_max: float, intervals: int) -> SpatialGrid:
     """Equally spaced grid with the given number of intervals (>= 2)."""
-    if intervals < 2:
-        raise ValidationError("need at least 2 intervals")
+    if not _is_count(intervals, 2):
+        raise ValidationError("need a whole number of at least 2 intervals")
     if not s_min < s_max:
         raise ValidationError("s_min must be < s_max")
     return SpatialGrid(np.linspace(s_min, s_max, intervals + 1))
@@ -100,8 +105,8 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     smallest where the argument of sinh crosses zero, i.e. at the strike.
     Large alpha flattens the stretch toward the uniform grid.
     """
-    if intervals < 2:
-        raise ValidationError("need at least 2 intervals")
+    if not _is_count(intervals, 2):
+        raise ValidationError("need a whole number of at least 2 intervals")
     if not 0 < alpha < math.inf:  # also rejects NaN
         raise ValidationError("alpha must be > 0 and finite")
     if not s_min < strike < s_max:

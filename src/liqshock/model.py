@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "ModelParams",
@@ -98,11 +98,11 @@ class DerivedConstants:
     """Reaction-term constants and the coefficients feeding F0, F1.
 
     lambda1 carries the plus branch of the root formula and lambda2 the
-    minus branch, so lambda1 > lambda2 > 0.  ``sigma`` and ``horizon`` are
-    carried along so the steppers and F0/F1 evaluation need no second look
-    at the inputs; in particular F0/F1 are computed from exponents
-    lam*(t-T) <= 0 instead of cancellation-prone exp(+lam t) * exp(-lam T)
-    products.
+    minus branch, so lambda1 > lambda2 >= 0, with lambda2 = 0 when mu = 0.
+    ``sigma`` and ``horizon`` are carried along so the steppers and F0/F1
+    evaluation need no second look at the inputs; in particular F0/F1 are
+    computed from exponents lam*(t-T) <= 0 instead of cancellation-prone
+    exp(+lam t) * exp(-lam T) products.
     """
 
     d0: float
@@ -120,7 +120,8 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
 
     lambda2 is obtained from the product identity lambda1*lambda2 = d0*nu10
     rather than the minus-branch formula; the two agree analytically but the
-    product form avoids cancellation when 4*d0*nu10 << (d0+nu01+nu10)^2.
+    product form avoids cancellation when 4*d0*nu10 << (d0+nu01+nu10)^2
+    and gives exactly 0 when d0 = 0.
     """
     d0 = params.mu ** 2 / (2.0 * params.sigma ** 2)
     a = params.nu01
@@ -133,7 +134,7 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
         # negative discriminant therefore signals corrupted inputs.
         raise ValidationError("degenerate root pair: discriminant <= 0")
     lam1 = 0.5 * (trace + math.sqrt(disc))
-    lam2 = (d0 * params.nu10) / lam1 if d0 > 0.0 else 0.5 * (trace - math.sqrt(disc))
+    lam2 = (d0 * params.nu10) / lam1
     if lam1 == lam2:
         raise ValidationError("degenerate root pair: lambda1 == lambda2")
     return DerivedConstants(d0=d0, a=a, b=b, c=c, lambda1=lam1, lambda2=lam2,
@@ -176,7 +177,8 @@ def to_prices(u, v, t: float, params: ModelParams,
     """Map transformed unknowns (u, v) at calendar time t to prices (p, q).
 
     p = u/gamma + ln(F0(t))/gamma and q = v/gamma + ln(F1(t))/gamma,
-    applied pointwise; u and v must share a shape.
+    applied pointwise; u and v must share a shape.  A price that is not
+    finite (a subnormal gamma overflows the division) is a NumericalError.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -186,4 +188,6 @@ def to_prices(u, v, t: float, params: ModelParams,
     g = params.gamma
     p = u / g + math.log(f0) / g
     q = v / g + math.log(f1) / g
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise NumericalError(f"non-finite prices at t={t}")
     return p, q

@@ -157,8 +157,9 @@ class TestOdeOracle:
         assert 12.0 <= d1 / d2 <= 28.0
 
     def test_rejects_nonpositive_step(self, params):
-        with pytest.raises(ValidationError, match="dt_ref must be > 0"):
-            ode_oracle(params, 1.0, dt_ref=0)
+        for dt_ref in (0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="dt_ref must be > 0"):
+                ode_oracle(params, 1.0, dt_ref=dt_ref)
 
 
 class TestImplicitOracle:

@@ -1,11 +1,12 @@
-"""Config parsing/emission round-trips and the command-line surface."""
+"""Config parsing and the command-line surface."""
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from liqshock import ConfigError, RunConfig, emit_config, parse_config
+from liqshock import ConfigError, RunConfig, parse_config
 from liqshock.cli import main
 
 FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
@@ -82,32 +83,34 @@ class TestParseConfig:
             parse_config(text)
         assert exc.value.entries == entries
 
-
-class TestRoundTrip:
-    def test_emit_parse_identity_defaults(self):
-        cfg = RunConfig()
-        assert parse_config(emit_config(cfg)) == cfg
-
-    def test_emit_parse_identity_fuzzed(self):
-        rng = np.random.default_rng(41)
-        for _ in range(40):
-            cfg = RunConfig(
-                sigma=float(rng.uniform(0.05, 1.0)),
-                mu=float(rng.uniform(-0.3, 0.3)),
-                gamma=float(rng.uniform(0.2, 5.0)),
-                nu01=float(rng.uniform(0.1, 10.0)),
-                nu10=float(rng.uniform(0.1, 20.0)),
-                strike=float(rng.uniform(1.0, 4.0)),
-                horizon=float(rng.uniform(0.2, 2.0)),
-                s_min=0.0,
-                s_max=float(rng.uniform(5.0, 20.0)),
-                grid=str(rng.choice(["uniform", "tavella"])),
-                intervals=int(rng.integers(2, 500)),
-                alpha=float(rng.uniform(0.5, 40.0)),
-                scheme=str(rng.choice(["linear", "linearized"])),
-                left_bc=str(rng.choice(["natural", "dirichlet"])),
-            )
-            assert parse_config(emit_config(cfg)) == cfg
+    def test_every_key_parses_by_its_annotation(self):
+        text = """
+sigma=0.25
+mu=-0.04
+gamma=2.5
+nu01=0.5
+nu10=7
+strike=3
+horizon=2
+s_min=0.5
+s_max=9
+grid=tavella
+intervals=77
+alpha=4.5
+dt=0.01
+scheme=linearized
+left_bc=dirichlet
+output_path=prices.csv
+"""
+        cfg = parse_config(text)
+        assert cfg == RunConfig(
+            sigma=0.25, mu=-0.04, gamma=2.5, nu01=0.5, nu10=7.0, strike=3.0,
+            horizon=2.0, s_min=0.5, s_max=9.0, grid="tavella", intervals=77,
+            alpha=4.5, dt=0.01, scheme="linearized", left_bc="dirichlet",
+            output_path="prices.csv")
+        # "7" is the float 7.0 for nu10 and "77" the int 77 for intervals
+        assert [type(getattr(cfg, f.name)) for f in fields(cfg)] == (
+            [float] * 9 + [str, int, float, float, str, str, str])
 
 
 class TestCliSolve:
@@ -283,6 +286,16 @@ class TestCliErrors:
         assert main(["solve", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
             "numerical failure: time step 5: math range error\n")
+
+    def test_nonfinite_prices_are_numerical_failure(self, tmp_path, capsys):
+        # the march is finite, but ln(F0)/gamma overflows in to_prices
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma=1e-310\n")
+        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "numerical failure: non-finite prices" in err
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["linear", "linearized"])

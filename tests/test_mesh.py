@@ -42,8 +42,12 @@ class TestUniformGrid:
     def test_rejects_degenerate(self):
         with pytest.raises(ValidationError):
             uniform_grid(0, 5, 1)
-        with pytest.raises(ValidationError, match="at least 2 intervals"):
-            tavella_randall_grid(0, 5, 2, 15, 1)
+        for intervals in (1, 10.5):
+            with pytest.raises(ValidationError, match="at least 2 intervals"):
+                tavella_randall_grid(0, 5, 2, 15, intervals)
+        with pytest.raises(ValidationError, match="whole number"):
+            uniform_grid(0, 5, 10.5)
+        assert uniform_grid(0, 5, np.int64(10)).intervals == 10
         with pytest.raises(ValidationError):
             uniform_grid(5, 5, 10)
         with pytest.raises(ValidationError, match="at least 3 nodes"):
@@ -149,8 +153,11 @@ class TestTimeGrid:
         for dt in (0.0, -0.1, math.inf):
             with pytest.raises(ValidationError, match="dt must be positive"):
                 TimeGrid(dt=dt, steps=4)
-        with pytest.raises(ValidationError, match="steps must be >= 0"):
-            TimeGrid(dt=0.25, steps=-1)
+        for steps in (-1, 0, 2.5):
+            with pytest.raises(ValidationError,
+                               match="steps must be a whole number >= 1"):
+                TimeGrid(dt=0.25, steps=steps)
+        assert TimeGrid(dt=0.25, steps=np.int64(4)).halved().steps == 8
 
     def test_rejects_bad_dt(self):
         g = uniform_grid(0, 5, 10)

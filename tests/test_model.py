@@ -5,12 +5,14 @@ at 50 significant digits and frozen here.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from liqshock import (
     ModelParams,
+    NumericalError,
     ValidationError,
     derive_constants,
     evaluate_f,
@@ -75,6 +77,14 @@ class TestDeriveConstants:
             assert dc.lambda1 + dc.lambda2 == pytest.approx(
                 dc.d0 + p.nu01 + p.nu10, rel=1e-12)
             assert dc.lambda1 > dc.lambda2 > 0
+
+    def test_drift_free_root_pair(self, table_params):
+        # mu = 0 gives d0 = 0, so lambda2 = 0 and lambda1 is the trace;
+        # lambda2 stays 0 when the trace squared overflows
+        dc = derive_constants(replace(table_params, mu=0.0))
+        assert (dc.lambda1, dc.lambda2) == (13.0, 0.0)
+        dc = derive_constants(replace(table_params, mu=0.0, nu01=1e160))
+        assert dc.lambda2 == 0.0
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValidationError):
@@ -195,6 +205,12 @@ class TestToPrices:
         dc = derive_constants(table_params)
         with pytest.raises(ValidationError, match="share a shape"):
             to_prices(np.zeros(3), np.zeros(4), 0.4, table_params, dc)
+
+    def test_nonfinite_prices_raise(self, table_params):
+        # ln(F0)/gamma overflows for a subnormal gamma
+        p = replace(table_params, gamma=1e-310)
+        with pytest.raises(NumericalError, match="non-finite prices"):
+            to_prices(np.zeros(3), np.zeros(3), 0.0, p, derive_constants(p))
 
     def test_gamma_scaling(self):
         p2 = ModelParams(sigma=0.3, mu=0.06, gamma=2.0, nu01=1.0, nu10=12.0,

@@ -300,14 +300,6 @@ class TestRestriction:
 
 
 class TestSolveForward:
-    def test_zero_steps_returns_initial(self, params):
-        grid = uniform_grid(0, 5, 10)
-        tg = TimeGrid(dt=0.1, steps=0)
-        res = solve_forward(params, grid, tg)
-        st = initial_state(grid, params)
-        np.testing.assert_array_equal(res.final_state.u, st.u)
-        np.testing.assert_array_equal(res.final_state.v, st.v)
-
     def test_trajectory_capture(self, params):
         grid = uniform_grid(0, 5, 12)
         tg = TimeGrid(dt=0.05, steps=20)

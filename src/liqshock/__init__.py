@@ -53,6 +53,7 @@ from .schemes import (
     SchemeConfig,
     SolveDiagnostics,
     SolveResult,
+    StepPlan,
     assemble_scheme1,
     assemble_scheme2,
     initial_state,

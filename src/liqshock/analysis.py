@@ -39,7 +39,7 @@ from .schemes import (
     GridState,
     SchemeConfig,
     SolveResult,
-    _interior_coefficients,
+    StepPlan,
     initial_state,
     solve_forward,
 )
@@ -265,9 +265,9 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     """
     if grid.intervals > 64 or tg.steps > 128:
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
-    config = config or SchemeConfig()
-    dc = derive_constants(params)
-    a_lo, b_up = _interior_coefficients(grid, dc.sigma)
+    plan = StepPlan(grid, tg, derive_constants(params),
+                    config or SchemeConfig())
+    config, dc, a_lo, b_up = plan.config, plan.dc, plan.lower, plan.upper
     dt = tg.dt
     n = grid.intervals + 1
     left_natural = config.left_bc == NATURAL

@@ -48,8 +48,9 @@ class SpatialGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValidationError("grid needs at least 3 nodes")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValidationError("grid nodes must be strictly increasing")
+        if not (np.isfinite(nodes).all() and np.all(np.diff(nodes) > 0)):
+            raise ValidationError(
+                "grid nodes must be finite and strictly increasing")
         object.__setattr__(self, "uniform", np.array_equal(
             nodes, np.linspace(nodes[0], nodes[-1], nodes.size)))
 
@@ -128,8 +129,8 @@ def time_grid_from_space(grid: SpatialGrid, horizon: float,
     is taken as an explicit candidate dt.  Either way the candidate is
     shrunk so an integer number of steps covers the horizon exactly.
     """
-    if horizon <= 0:
-        raise ValidationError("horizon must be > 0")
+    if not 0 < horizon < math.inf:  # also rejects NaN
+        raise ValidationError("horizon must be > 0 and finite")
     if rule == HALF_MIN_SPACING:
         candidate = grid.min_spacing() / 2.0
     elif isinstance(rule, str):

@@ -129,10 +129,10 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     c = params.nu10
     trace = d0 + params.nu01 + params.nu10
     disc = trace * trace - 4.0 * d0 * params.nu10
-    if disc <= 0.0:
-        # Algebraically impossible for positive intensities; a zero or
-        # negative discriminant therefore signals corrupted inputs.
-        raise ValidationError("degenerate root pair: discriminant <= 0")
+    if not 0.0 < disc < math.inf:
+        # Algebraically impossible for positive intensities: corrupted
+        # inputs, or a trace whose square overflows (or is NaN).
+        raise ValidationError("degenerate root pair: discriminant <= 0 or inf")
     lam1 = 0.5 * (trace + math.sqrt(disc))
     lam2 = (d0 * params.nu10) / lam1
     if lam1 == lam2:

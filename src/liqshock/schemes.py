@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -38,6 +38,7 @@ __all__ = [
     "SchemeConfig",
     "SolveDiagnostics",
     "SolveResult",
+    "StepPlan",
     "initial_state",
     "assemble_scheme1",
     "assemble_scheme2",
@@ -141,77 +142,75 @@ def initial_state(grid: SpatialGrid, params: ModelParams,
     return GridState(step_index=0, u=u0, v=u0.copy())
 
 
-def _interior_coefficients(grid: SpatialGrid, sigma: float):
-    """Off-diagonal weights of the implicit second difference.
+@dataclass(frozen=True)
+class StepPlan:
+    """Per-run inputs and the implicit-diffusion rows built once from them.
 
-    Uniform grids use the exact spacing (s_max - s_min)/I; non-uniform
-    grids use the standard 3-point formula on spacings h_i = S_i - S_{i-1},
-    which keeps both weights positive (the sign pattern the maximum
-    principle needs).
+    ``lower``/``upper`` hold the weights of the implicit second difference
+    and ``diag = 1/dt + lower + upper``, all read-only.  Uniform grids use
+    the exact spacing (s_max - s_min)/I, others the 3-point formula on
+    h_i = S_i - S_{i-1}, which keeps both weights positive.
     """
-    s = grid.nodes
-    if grid.uniform:
-        ds = grid.min_spacing()
-        a = 0.5 * sigma ** 2 * s[1:-1] ** 2 / ds ** 2
-        return a, a.copy()
-    h = grid.spacings()
-    hl, hr = h[:-1], h[1:]
-    ssq = sigma ** 2 * s[1:-1] ** 2
-    return ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
+
+    grid: SpatialGrid
+    tg: TimeGrid
+    dc: DerivedConstants
+    config: SchemeConfig
+    lower: np.ndarray = field(init=False)
+    upper: np.ndarray = field(init=False)
+    diag: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        s, sigma = self.grid.nodes, self.dc.sigma
+        if self.grid.uniform:
+            ds = self.grid.min_spacing()
+            lower = upper = 0.5 * sigma ** 2 * s[1:-1] ** 2 / ds ** 2
+        else:
+            hl, hr = np.diff(s[:-1]), np.diff(s[1:])
+            ssq = sigma ** 2 * s[1:-1] ** 2
+            lower, upper = ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
+        diag = 1.0 / self.tg.dt + lower + upper
+        for name, arr in (("lower", lower), ("upper", upper), ("diag", diag)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
-def _boundary_value(rule, node: int, state: GridState, dc: DerivedConstants,
-                    tg: TimeGrid) -> float:
-    """Boundary value of U at level j+1 on one edge.
+def _edges(state: GridState, plan: StepPlan) -> tuple[float, float]:
+    """Level-(j+1) values of U on the left and right edges: a callable rule
+    is a Dirichlet value at tau_{j+1}, ``None`` keeps the level-j value, and
+    the natural rule advances the reduced ODE u' = b - a e^(u-v) one
+    explicit Euler step (for S = 0, where the diffusion degenerates)."""
+    dt, dc = plan.tg.dt, plan.dc
 
-    A callable rule is a Dirichlet value evaluated at tau_{j+1}; ``None``
-    keeps the level-j value; the natural rule advances the reduced ODE
-    u' = b - a e^(u-v) one explicit Euler step, which is the appropriate
-    treatment at S = 0 where the diffusion degenerates.
-    """
-    if rule is None:
-        return float(state.u[node])
-    if rule == NATURAL:
-        u, v = float(state.u[node]), float(state.v[node])
-        return u - tg.dt * (dc.a * math.exp(u - v) - dc.b)
-    tau_next = (state.step_index + 1) * tg.dt
-    return float(rule(tau_next))
+    def edge(rule, node):
+        u = float(state.u[node])
+        if rule == NATURAL:
+            return u - dt * (dc.a * math.exp(u - float(state.v[node])) - dc.b)
+        return u if rule is None else float(rule((state.step_index + 1) * dt))
+
+    return edge(plan.config.left_bc, 0), edge(plan.config.right_bc, -1)
 
 
-def _system(lower, diag, upper, rhs, state: GridState, dc: DerivedConstants,
-            tg: TimeGrid, config: SchemeConfig) -> TridiagonalSystem:
-    """Interior rows closed by the level-(j+1) values of both edges."""
-    return TridiagonalSystem(
-        lower=lower, diag=diag, upper=upper, rhs=rhs,
-        left_value=_boundary_value(config.left_bc, 0, state, dc, tg),
-        right_value=_boundary_value(config.right_bc, -1, state, dc, tg),
-    )
-
-
-def restriction_ratio(state: GridState, dc: DerivedConstants,
-                      tg: TimeGrid) -> float:
+def restriction_ratio(state: GridState, plan: StepPlan) -> float:
     """Max of dt*c*e^(max(V-U)) and dt*a*e^(max(U-V)).
 
     Values above 1 void the sign conditions behind the discrete comparison
     principle for the explicit reaction update.
     """
-    spread_vu = float(np.max(state.v - state.u))
-    spread_uv = float(np.max(state.u - state.v))
-    return tg.dt * max(dc.c * math.exp(spread_vu), dc.a * math.exp(spread_uv))
+    vu, uv = float(np.max(state.v - state.u)), float(np.max(state.u - state.v))
+    dt, dc = plan.tg.dt, plan.dc
+    return dt * max(dc.c * math.exp(vu), dc.a * math.exp(uv))
 
 
-def assemble_scheme1(state: GridState, grid: SpatialGrid, tg: TimeGrid,
-                     dc: DerivedConstants, config: SchemeConfig) -> TridiagonalSystem:
+def assemble_scheme1(state: GridState, plan: StepPlan) -> TridiagonalSystem:
     """Linear IMEX rows: implicit diffusion, level-j reaction in the load."""
-    a_lo, b_up = _interior_coefficients(grid, dc.sigma)
-    u, v = state.u, state.v
-    diag = 1.0 / tg.dt + a_lo + b_up
-    rhs = u[1:-1] / tg.dt - dc.a * np.exp(u[1:-1] - v[1:-1]) + dc.b
-    return _system(a_lo, diag, b_up, rhs, state, dc, tg, config)
+    u, v, dc = state.u, state.v, plan.dc
+    rhs = u[1:-1] / plan.tg.dt - dc.a * np.exp(u[1:-1] - v[1:-1]) + dc.b
+    return TridiagonalSystem(plan.lower, plan.diag, plan.upper, rhs,
+                             *_edges(state, plan))
 
 
-def assemble_scheme2(state: GridState, grid: SpatialGrid, tg: TimeGrid,
-                     dc: DerivedConstants, config: SchemeConfig
+def assemble_scheme2(state: GridState, plan: StepPlan
                      ) -> tuple[TridiagonalSystem, tuple[np.ndarray, ...]]:
     """Linearized rows with the V-block eliminated.
 
@@ -225,38 +224,36 @@ def assemble_scheme2(state: GridState, grid: SpatialGrid, tg: TimeGrid,
     in domination) and the V relation doubles as the recovery formula
     V_new = (G - E U_new) / K, whose (K, E, G) are returned with the rows.
     """
-    a_lo, b_up = _interior_coefficients(grid, dc.sigma)
-    u, v = state.u, state.v
-    dt = tg.dt
+    u, v, dc, dt = state.u, state.v, plan.dc, plan.tg.dt
     w = dc.a * np.exp(u - v)
     z = dc.c * np.exp(v - u)
     k_hat = 1.0 / dt + z
-    e_hat = -z
     g = v / dt - z * (1.0 - v + u) + dc.c
     f_hat = u[1:-1] / dt - w[1:-1] * (1.0 + v[1:-1] - u[1:-1]) + dc.b
     wi = w[1:-1]
-    diag = 1.0 / dt + a_lo + b_up + wi - wi * z[1:-1] / k_hat[1:-1]
+    diag = plan.diag + wi - wi * z[1:-1] / k_hat[1:-1]
     rhs = f_hat + wi / k_hat[1:-1] * g[1:-1]
-    return (_system(a_lo, diag, b_up, rhs, state, dc, tg, config),
-            (k_hat, e_hat, g))
+    return (TridiagonalSystem(plan.lower, diag, plan.upper, rhs,
+                              *_edges(state, plan)),
+            (k_hat, -z, g))
 
 
-def step(state: GridState, grid: SpatialGrid, tg: TimeGrid,
-         dc: DerivedConstants,
-         config: SchemeConfig) -> tuple[GridState, TridiagonalSystem]:
-    """Advance one time level with ``config.scheme``.
+def step(state: GridState,
+         plan: StepPlan) -> tuple[GridState, TridiagonalSystem]:
+    """Advance one time level with ``plan.config.scheme``.
 
     Returns the new state and the tridiagonal system solved for its U.
     ``imex_linear`` advances V pointwise by the explicit rule;
     ``imex_linearized`` recovers V at every node, boundaries included,
     from the eliminated one-point relation.
     """
-    if config.scheme == "imex_linear":
-        sys = assemble_scheme1(state, grid, tg, dc, config)
+    if plan.config.scheme == "imex_linear":
+        sys = assemble_scheme1(state, plan)
         u_new = solve(sys)
-        v_new = state.v - tg.dt * dc.c * (np.exp(state.v - state.u) - 1.0)
+        v_new = state.v - plan.tg.dt * plan.dc.c * (
+            np.exp(state.v - state.u) - 1.0)
     else:
-        sys, (k_hat, e_hat, g) = assemble_scheme2(state, grid, tg, dc, config)
+        sys, (k_hat, e_hat, g) = assemble_scheme2(state, plan)
         u_new = solve(sys)
         v_new = (g - e_hat * u_new) / k_hat
     return GridState(state.step_index + 1, u_new, v_new), sys
@@ -273,14 +270,17 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     failures, overflow and lost strict domination included, are re-raised
     as SolveFailure carrying the failing step index.
     """
-    config = config or SchemeConfig()
     dc = derive_constants(params)
+    try:  # squaring the spacing of a huge uniform grid overflows
+        plan = StepPlan(grid, tg, dc, config or SchemeConfig())
+    except OverflowError as err:
+        raise SolveFailure(0, str(err)) from err
     state = initial_state(grid, params, payoff)
     trajectory = [state] if capture_trajectory else None
     diag = SolveDiagnostics()
     for j in range(tg.steps):
         try:
-            ratio = restriction_ratio(state, dc, tg)
+            ratio = restriction_ratio(state, plan)
             if ratio > diag.restriction_max:
                 diag.restriction_max = ratio
                 diag.restriction_max_step = j
@@ -288,7 +288,7 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                 warnings.warn("reaction time-step restriction violated; "
                               "positivity of the march is no longer "
                               "guaranteed", RuntimeWarning, stacklevel=2)
-            state, sys = step(state, grid, tg, dc, config)
+            state, sys = step(state, plan)
             report = check_m_matrix(sys)
             margin = stability_bound(sys) - float(np.abs(state.u).max())
         except (LiqshockError, OverflowError) as err:

@@ -74,7 +74,6 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
     The sweep runs on Python floats, which round each operation exactly as
     float64 scalars do but index and compute several times faster.
     """
-    n = sys.n_interior
     lo, di, up = sys.lower.tolist(), sys.diag.tolist(), sys.upper.tolist()
     left, right = float(sys.left_value), float(sys.right_value)
     # Fold the known boundary values into the first and last interior rows.
@@ -83,24 +82,23 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
     f[-1] += up[-1] * right
 
     # Rows in assembled orientation: -A y_{i-1} + C y_i - B y_{i+1} = F.
-    if di[0] == 0.0:
-        raise SingularSystemError("zero pivot in row 0")
-    cp = [-up[0] / di[0]]
-    dp = [f[0] / di[0]]
-    for i in range(1, n):
-        den = di[i] + lo[i] * cp[i - 1]
+    # Row 0 has no predecessor: x + lo * -0.0 is x to the bit for lo >= 0,
+    # so seeding c = d = -0.0 leaves its pivot di[0] and load f[0] exact.
+    cp, dp = [], []
+    c = d = -0.0
+    for row, (a, b, e, g) in enumerate(zip(lo, di, up, f)):
+        den = b + a * c
         if den == 0.0:
-            raise SingularSystemError(f"zero pivot in row {i}")
-        cp.append(-up[i] / den)
-        dp.append((f[i] + lo[i] * dp[i - 1]) / den)
+            raise SingularSystemError(f"zero pivot in row {row}")
+        c, d = -e / den, (g + a * d) / den
+        cp.append(c)
+        dp.append(d)
 
-    y = [0.0] * (n + 2)
-    y[0] = left
-    y[-1] = right
-    y[n] = dp[-1]
-    for i in range(n - 1, 0, -1):
-        y[i] = dp[i - 1] - cp[i - 1] * y[i + 1]
-    return np.array(y)
+    # The last row already carries y_N, so the sweep back starts from it.
+    y = [right, dp[-1]]
+    for c, d in zip(reversed(cp[:-1]), reversed(dp[:-1])):
+        y.append(d - c * y[-1])
+    return np.array([left] + y[::-1])
 
 
 def check_m_matrix(sys: TridiagonalSystem) -> MMatrixReport:

@@ -12,6 +12,7 @@ from liqshock import (
     ModelParams,
     OracleConvergenceError,
     SchemeConfig,
+    StepPlan,
     TimeGrid,
     ValidationError,
     at_the_money,
@@ -182,9 +183,10 @@ class TestImplicitOracle:
         grid = uniform_grid(0, 5, 16)
         tg = TimeGrid(dt=0.05, steps=3)
         cfg = SchemeConfig(left_bc=lambda tau: 0.0, right_bc=lambda tau: 3.0)
+        plan = StepPlan(grid, tg, dc0, cfg)
         state = initial_state(grid, params)
         for _ in range(tg.steps):
-            state, _ = step(state, grid, tg, dc0, cfg)
+            state, _ = step(state, plan)
 
         import liqshock.analysis as analysis_mod
         monkeypatch.setattr(analysis_mod, "derive_constants", lambda p: dc0)

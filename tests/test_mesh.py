@@ -54,6 +54,10 @@ class TestUniformGrid:
             SpatialGrid([0.0, 1.0])
         with pytest.raises(ValidationError, match="strictly increasing"):
             SpatialGrid([0.0, 2.0, 2.0, 3.0])
+        for nodes in ([0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0],
+                      [0.0, math.nan, 1.0]):
+            with pytest.raises(ValidationError, match="finite"):
+                SpatialGrid(nodes)
 
 
 class TestTavellaRandallGrid:
@@ -169,5 +173,6 @@ class TestTimeGrid:
             time_grid_from_space(g, 1.0, rule=float("nan"))
         with pytest.raises(ValidationError, match="'explicit'"):
             time_grid_from_space(g, 1.0, rule="explicit")
-        with pytest.raises(ValidationError, match="horizon must be > 0"):
-            time_grid_from_space(g, 0.0)
+        for horizon in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="horizon must be > 0"):
+                time_grid_from_space(g, horizon)

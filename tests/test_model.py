@@ -79,12 +79,9 @@ class TestDeriveConstants:
             assert dc.lambda1 > dc.lambda2 > 0
 
     def test_drift_free_root_pair(self, table_params):
-        # mu = 0 gives d0 = 0, so lambda2 = 0 and lambda1 is the trace;
-        # lambda2 stays 0 when the trace squared overflows
+        # mu = 0 gives d0 = 0, so lambda2 = 0 and lambda1 is the trace
         dc = derive_constants(replace(table_params, mu=0.0))
         assert (dc.lambda1, dc.lambda2) == (13.0, 0.0)
-        dc = derive_constants(replace(table_params, mu=0.0, nu01=1e160))
-        assert dc.lambda2 == 0.0
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValidationError):
@@ -103,6 +100,11 @@ class TestDeriveConstants:
                             nu10=12.0, strike=2.0, horizon=1.0)
         # valid inputs whose root pair collapses in floating point
         p = ModelParams(sigma=1.0, mu=2.0, gamma=1.0, nu01=1e-300, nu10=2.0,
+                        strike=2.0, horizon=1.0)
+        with pytest.raises(ValidationError, match="discriminant <= 0"):
+            derive_constants(p)
+        # the trace squared overflows, which would give lambda1 = inf
+        p = ModelParams(sigma=0.3, mu=0.0, gamma=1.0, nu01=1e160, nu10=12.0,
                         strike=2.0, horizon=1.0)
         with pytest.raises(ValidationError, match="discriminant <= 0"):
             derive_constants(p)

@@ -1,7 +1,7 @@
 """Stepper assembly, boundary rules, marching, and structural invariants."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from liqshock import (
     ModelParams,
     SchemeConfig,
     SolveFailure,
+    StepPlan,
     TimeGrid,
     ValidationError,
     assemble_scheme1,
@@ -24,6 +25,7 @@ from liqshock import (
     restriction_ratio,
     solve_forward,
     step,
+    tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
 )
@@ -68,12 +70,48 @@ class TestInitialState:
             GridState(-1, np.zeros(3), np.zeros(3))
 
 
+class TestStepPlan:
+    def test_rows_are_read_only_and_shared(self, params, dc):
+        grid = uniform_grid(0, 5, 12)
+        tg = TimeGrid(dt=0.05, steps=20)
+        for scheme in ("imex_linear", "imex_linearized"):
+            plan = StepPlan(grid, tg, dc, SchemeConfig(scheme=scheme))
+            for name in ("lower", "upper", "diag"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(plan, name)[0] = 1.0
+                with pytest.raises(FrozenInstanceError):
+                    setattr(plan, name, np.ones(11))
+            st, first = step(initial_state(grid, params), plan)
+            _, second = step(st, plan)
+            assert first.lower is plan.lower
+            assert second.lower is plan.lower
+
+    def test_three_point_weights_at_tavella_node(self, params, dc):
+        grid = tavella_randall_grid(0, 5, 2, 1.0, 12)
+        assert not grid.uniform
+        plan = StepPlan(grid, TimeGrid(dt=0.1, steps=10), dc, SchemeConfig())
+        s, i = grid.nodes, 6  # node i is interior row i - 1
+        hl, hr = s[i] - s[i - 1], s[i + 1] - s[i]
+        ssq = 0.3 ** 2 * s[i] ** 2
+        lower, upper = plan.lower[i - 1], plan.upper[i - 1]
+        assert lower == pytest.approx(ssq / (hl * (hl + hr)), rel=1e-14)
+        assert upper == pytest.approx(ssq / (hr * (hl + hr)), rel=1e-14)
+        assert plan.diag[i - 1] == pytest.approx(10.0 + lower + upper,
+                                                 rel=1e-14)
+        # the stencil of (1/2) sigma^2 S^2 d2/dS2 is exact on S and S^2
+        weights = np.array([lower, -(lower + upper), upper])
+        local = s[i - 1:i + 2]
+        assert weights @ local == pytest.approx(0.0, abs=1e-12)
+        assert weights @ local ** 2 == pytest.approx(ssq, rel=1e-12)
+
+
 class TestAssembleScheme1:
     def test_diffusion_coefficient_value(self, params, dc):
         grid = uniform_grid(0, 5, 30)
         tg = TimeGrid(dt=1 / 12, steps=12)
         cfg = SchemeConfig()
-        sys = assemble_scheme1(initial_state(grid, params), grid, tg, dc, cfg)
+        sys = assemble_scheme1(initial_state(grid, params),
+                               StepPlan(grid, tg, dc, cfg))
         # node S=2 is interior row index 11
         assert sys.lower[11] == pytest.approx(6.48, rel=1e-13)
         assert sys.upper[11] == pytest.approx(6.48, rel=1e-13)
@@ -84,7 +122,7 @@ class TestAssembleScheme1:
         tg = TimeGrid(dt=0.05, steps=20)
         cfg = SchemeConfig()
         st = initial_state(grid, params)
-        sys = assemble_scheme1(st, grid, tg, dc, cfg)
+        sys = assemble_scheme1(st, StepPlan(grid, tg, dc, cfg))
         # U = V makes the reaction part collapse to b - a = d0
         np.testing.assert_allclose(sys.rhs, st.u[1:-1] / tg.dt + dc.d0,
                                    rtol=1e-13)
@@ -93,7 +131,8 @@ class TestAssembleScheme1:
         grid = uniform_grid(0, 5, 24)
         tg = TimeGrid(dt=0.02, steps=50)
         cfg = SchemeConfig()
-        sys = assemble_scheme1(initial_state(grid, params), grid, tg, dc, cfg)
+        sys = assemble_scheme1(initial_state(grid, params),
+                               StepPlan(grid, tg, dc, cfg))
         rep = check_m_matrix(sys)
         assert rep.satisfied
         assert rep.min_d == pytest.approx(1.0 / tg.dt, rel=1e-12)
@@ -107,7 +146,7 @@ class TestStepScheme1:
         tg = TimeGrid(dt=0.1, steps=10)
         cfg = SchemeConfig(left_bc=NATURAL, right_bc=NATURAL)
         st = GridState(0, np.zeros(7), np.zeros(7))
-        nxt, _ = step(st, grid, tg, dc, cfg)
+        nxt, _ = step(st, StepPlan(grid, tg, dc, cfg))
         np.testing.assert_allclose(nxt.u, 0.002, rtol=1e-13)
         np.testing.assert_allclose(nxt.v, 0.0, atol=1e-16)
         assert nxt.step_index == 1
@@ -117,7 +156,7 @@ class TestStepScheme1:
         tg = TimeGrid(dt=0.01, steps=100)
         cfg = SchemeConfig()
         st = initial_state(grid, params)
-        nxt, _ = step(st, grid, tg, dc, cfg)
+        nxt, _ = step(st, StepPlan(grid, tg, dc, cfg))
         np.testing.assert_array_equal(nxt.v, st.v)
 
     def test_translation_invariance(self, params, dc):
@@ -127,8 +166,9 @@ class TestStepScheme1:
         cfg = SchemeConfig()
         st = initial_state(grid, params)
         shifted = GridState(0, st.u + delta, st.v + delta)
-        a, _ = step(st, grid, tg, dc, cfg)
-        b, _ = step(shifted, grid, tg, dc, cfg)
+        plan = StepPlan(grid, tg, dc, cfg)
+        a, _ = step(st, plan)
+        b, _ = step(shifted, plan)
         assert np.abs(b.u - a.u - delta).max() <= 1e-13
         assert np.abs(b.v - a.v - delta).max() <= 1e-13
 
@@ -140,7 +180,8 @@ class TestAssembleScheme2:
         tg = TimeGrid(dt=0.1, steps=10)
         cfg = SchemeConfig(scheme="imex_linearized")
         st = GridState(0, np.zeros(7), np.zeros(7))
-        sys, (k_hat, e_hat, _) = assemble_scheme2(st, grid, tg, dc, cfg)
+        sys, (k_hat, e_hat, _) = assemble_scheme2(
+            st, StepPlan(grid, tg, dc, cfg))
         np.testing.assert_allclose(k_hat, 22.0, rtol=1e-14)
         np.testing.assert_allclose(e_hat, -12.0, rtol=1e-14)
         coupling = 12.0 / 22.0  # w z / k_hat with w = 1, z = 12
@@ -154,8 +195,8 @@ class TestAssembleScheme2:
         cfg = SchemeConfig(scheme="imex_linearized")
         st = initial_state(grid, params)
         for dt in (1e-4, 0.05, 0.5, 5.0):
-            sys, _ = assemble_scheme2(st, grid, TimeGrid(dt=dt, steps=1),
-                                      dc, cfg)
+            sys, _ = assemble_scheme2(
+                st, StepPlan(grid, TimeGrid(dt=dt, steps=1), dc, cfg))
             assert check_m_matrix(sys).satisfied
             assert check_m_matrix(sys).min_d > 0
 
@@ -166,8 +207,9 @@ class TestStepScheme2:
         tg = TimeGrid(dt=0.02, steps=50)
         cfg = SchemeConfig(scheme="imex_linearized")
         st = initial_state(grid, params)
-        _, (k_hat, e_hat, g) = assemble_scheme2(st, grid, tg, dc, cfg)
-        nxt, _ = step(st, grid, tg, dc, cfg)
+        plan = StepPlan(grid, tg, dc, cfg)
+        _, (k_hat, e_hat, g) = assemble_scheme2(st, plan)
+        nxt, _ = step(st, plan)
         lhs = e_hat * nxt.u + k_hat * nxt.v
         np.testing.assert_allclose(lhs, g, rtol=1e-12)
 
@@ -180,7 +222,7 @@ class TestStepScheme2:
                            right_bc=NATURAL)
         h_star = 0.5
         st = GridState(0, np.full(7, h_star), np.full(7, h_star))
-        nxt, _ = step(st, grid, tg, dc, cfg)
+        nxt, _ = step(st, StepPlan(grid, tg, dc, cfg))
         # (1/dt + z) v1 = v0/dt - z (1 - 0) + c + z u1 with z = c here
         z = dc.c
         expected_v = (h_star / tg.dt - z + dc.c + z * nxt.u) / (1 / tg.dt + z)
@@ -193,8 +235,9 @@ class TestStepScheme2:
         cfg = SchemeConfig(scheme="imex_linearized")
         st = initial_state(grid, params)
         shifted = GridState(0, st.u + delta, st.v + delta)
-        a, _ = step(st, grid, tg, dc, cfg)
-        b, _ = step(shifted, grid, tg, dc, cfg)
+        plan = StepPlan(grid, tg, dc, cfg)
+        a, _ = step(st, plan)
+        b, _ = step(shifted, plan)
         assert np.abs(b.u - a.u - delta).max() <= 1e-13
         assert np.abs(b.v - a.v - delta).max() <= 1e-13
 
@@ -206,9 +249,9 @@ class TestStepScheme2:
         gaps = []
         for dt in (1e-3, 1e-4):
             tg = TimeGrid(dt=dt, steps=1)
-            s1, _ = step(st, grid, tg, dc, cfg)
-            s2, _ = step(st, grid, tg, dc,
-                         replace(cfg, scheme="imex_linearized"))
+            s1, _ = step(st, StepPlan(grid, tg, dc, cfg))
+            s2, _ = step(st, StepPlan(grid, tg, dc, replace(
+                cfg, scheme="imex_linearized")))
             gaps.append(max(np.abs(s1.u - s2.u).max(),
                             np.abs(s1.v - s2.v).max()))
         slope = math.log10(gaps[0] / gaps[1])
@@ -221,14 +264,15 @@ class TestBoundaries:
         tg = TimeGrid(dt=0.1, steps=10)
         cfg = SchemeConfig(left_bc=lambda tau: 0.0)
         st = initial_state(grid, params)
-        assert assemble_scheme1(st, grid, tg, dc, cfg).left_value == 0.0
+        plan = StepPlan(grid, tg, dc, cfg)
+        assert assemble_scheme1(st, plan).left_value == 0.0
 
     def test_natural_growth_when_equal(self, params, dc):
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.1, steps=10)
         cfg = SchemeConfig(left_bc=NATURAL)
         st = initial_state(grid, params)
-        out = assemble_scheme1(st, grid, tg, dc, cfg).left_value
+        out = assemble_scheme1(st, StepPlan(grid, tg, dc, cfg)).left_value
         assert out == pytest.approx(st.u[0] + tg.dt * dc.d0, abs=1e-15)
 
     def test_natural_fixed_point_when_a_equals_b(self, params):
@@ -237,7 +281,8 @@ class TestBoundaries:
         tg = TimeGrid(dt=0.1, steps=10)
         cfg = SchemeConfig(left_bc=NATURAL)
         st = GridState(0, np.full(11, 0.3), np.full(11, 0.3))
-        assert assemble_scheme1(st, grid, tg, dc, cfg).left_value == 0.3
+        plan = StepPlan(grid, tg, dc, cfg)
+        assert assemble_scheme1(st, plan).left_value == 0.3
 
     def test_default_right_bc_value(self, params, dc):
         # an unset right edge holds its level-0 value gamma * h(s_max)
@@ -246,9 +291,10 @@ class TestBoundaries:
         held = params.gamma * float(payoff_call(params.s_max, params.strike))
         assert held == 3.0
         for scheme in ("imex_linear", "imex_linearized"):
+            plan = StepPlan(grid, tg, dc, SchemeConfig(scheme=scheme))
             st = initial_state(grid, params)
             for _ in range(3):
-                st, _ = step(st, grid, tg, dc, SchemeConfig(scheme=scheme))
+                st, _ = step(st, plan)
                 assert st.u[-1] == held
 
     def test_config_rejects_unknown_words(self):
@@ -264,7 +310,8 @@ class TestRestriction:
         st = initial_state(grid, params)
         tg = TimeGrid(dt=0.1, steps=10)
         # U = V so both exponentials are 1
-        assert restriction_ratio(st, dc, tg) == pytest.approx(0.1 * 12.0)
+        plan = StepPlan(grid, tg, dc, SchemeConfig())
+        assert restriction_ratio(st, plan) == pytest.approx(0.1 * 12.0)
 
     def test_warns_by_default(self, params):
         grid = uniform_grid(0, 5, 10)
@@ -340,6 +387,16 @@ class TestSolveForward:
                            ) as exc:
             solve_forward(p, grid, tg, SchemeConfig(scheme=scheme))
         assert exc.value.step_index == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_spacing_is_solve_failure(self, params):
+        # squaring the spacing 1e199 of this uniform grid overflows
+        p = replace(params, s_max=1e200)
+        grid = uniform_grid(0, p.s_max, 10)
+        with pytest.raises(SolveFailure) as exc:
+            solve_forward(p, grid, TimeGrid(dt=0.1, steps=10))
+        assert exc.value.step_index == 0
+        assert isinstance(exc.value.__cause__, OverflowError)
 
     def test_diagnostics_clean_on_table_run(self, params):
         grid = uniform_grid(0, 5, 60)

@@ -46,6 +46,25 @@ VERIFY_LINES = {
     ],
 }
 
+VERIFY_TAVELLA_LINES = {
+    "linear": [
+        "[FAIL] positivity: worst -7.764e-05 at (level,node)=(4, 0)",
+        "[PASS] comparison(h+0.1): worst 1.000e-01 at (level,node)=(24, 111)",
+        "[PASS] comparison(call vs 0): worst 0.000e+00 at (level,node)=(0, 0)",
+        "[PASS] translation: worst 2.581e-15 at (level,node)=(24, 111)",
+        "[PASS] m_matrix: worst 4.900e+01 at (level,node)=(0,)",
+        "[PASS] sup_bound: worst 0.000e+00 at (level,node)=(0,)",
+    ],
+    "linearized": [
+        "[FAIL] positivity: worst -5.220e-06 at (level,node)=(4, 9)",
+        "[PASS] comparison(h+0.1): worst 1.000e-01 at (level,node)=(14, 119)",
+        "[PASS] comparison(call vs 0): worst -8.327e-17 at (level,node)=(47, 2)",
+        "[PASS] translation: worst 3.192e-15 at (level,node)=(38, 98)",
+        "[PASS] m_matrix: worst 4.980e+01 at (level,node)=(0,)",
+        "[PASS] sup_bound: worst 0.000e+00 at (level,node)=(0,)",
+    ],
+}
+
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
 def test_stdout_hash(command, capsys):
@@ -59,4 +78,11 @@ def test_verify_report(scheme, capsys):
     # positivity fails by the known O(dt) dip; the other five audits pass
     code = main(["verify", "--I", "120", "--scheme", scheme])
     assert capsys.readouterr().out.splitlines() == VERIFY_LINES[scheme]
+    assert code == 3
+
+
+@pytest.mark.parametrize("scheme", sorted(VERIFY_TAVELLA_LINES))
+def test_verify_report_tavella(scheme, capsys):
+    code = main(["verify", "--I", "120", "--grid", "tavella", "--scheme", scheme])
+    assert capsys.readouterr().out.splitlines() == VERIFY_TAVELLA_LINES[scheme]
     assert code == 3

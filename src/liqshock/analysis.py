@@ -269,9 +269,12 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                     config or SchemeConfig())
     config, dc, a_lo, b_up = plan.config, plan.dc, plan.lower, plan.upper
     dt = tg.dt
-    n = grid.intervals + 1
-    left_natural = config.left_bc == NATURAL
-    right_natural = config.right_bc == NATURAL
+    # Edges without the natural rule hold a set value: no residual there
+    # and an identity row in the Newton system.
+    fixed = [i for i, rule in ((0, config.left_bc), (-1, config.right_bc))
+             if rule != NATURAL]
+    lo, up = np.pad(a_lo, 1), np.pad(b_up, 1)  # zero at both edges
+    coupling = np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
     state = initial_state(grid, params, payoff)
     for _ in range(tg.steps):
         u_old, v_old = state.u, state.v
@@ -287,52 +290,38 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
         def residual(uu, vv):
             e = dc.a * np.exp(uu - vv)
             zz = dc.c * np.exp(vv - uu)
-            ru = np.zeros(n)
-            diffusion = (a_lo * uu[:-2] - (a_lo + b_up) * uu[1:-1]
-                         + b_up * uu[2:])
-            ru[1:-1] = (uu[1:-1] - u_old[1:-1]) / dt - diffusion + e[1:-1] - dc.b
-            # Natural edges follow the reduced reaction ODE, implicitly.
-            if left_natural:
-                ru[0] = (uu[0] - u_old[0]) / dt + e[0] - dc.b
-            if right_natural:
-                ru[-1] = (uu[-1] - u_old[-1]) / dt + e[-1] - dc.b
+            # Natural edges, without diffusion, follow the reduced
+            # reaction ODE, implicitly.
+            diffusion = np.pad(a_lo * uu[:-2] - (a_lo + b_up) * uu[1:-1]
+                               + b_up * uu[2:], 1)
+            ru = (uu - u_old) / dt - diffusion + e - dc.b
+            ru[fixed] = 0.0
             rv = (vv - v_old) / dt + zz - dc.c
-            return ru, rv, e, zz
+            return ru, rv, e, zz, max(np.abs(ru).max(), np.abs(rv).max())
 
-        ru, rv, e, zz = residual(un, vn)
-        res = max(np.abs(ru).max(), np.abs(rv).max())
+        ru, rv, e, zz, res = residual(un, vn)
         converged = res < ORACLE_TOL
         for _ in range(ORACLE_MAX_ITER):
             if converged:
                 break
             jvv = 1.0 / dt + zz
             # Schur complement in U after eliminating the diagonal V-block.
-            jac = np.zeros((n, n))
-            rhs = np.zeros(n)
-            reduced = 1.0 / dt + e - e * zz / jvv
-            for i in range(1, n - 1):
-                jac[i, i - 1] = -a_lo[i - 1]
-                jac[i, i] = reduced[i] + a_lo[i - 1] + b_up[i - 1]
-                jac[i, i + 1] = -b_up[i - 1]
-                rhs[i] = -ru[i] - e[i] * rv[i] / jvv[i]
-            for i, natural in ((0, left_natural), (n - 1, right_natural)):
-                if natural:
-                    jac[i, i] = reduced[i]
-                    rhs[i] = -ru[i] - e[i] * rv[i] / jvv[i]
-                else:
-                    jac[i, i] = 1.0
-            du = np.linalg.solve(jac, rhs)
+            main = 1.0 / dt + e - e * zz / jvv + lo + up
+            main[fixed] = 1.0
+            rhs = -ru - e * rv / jvv
+            rhs[fixed] = 0.0
+            du = np.linalg.solve(np.diag(main) - coupling, rhs)
             dv = (-rv + zz * du) / jvv
             step = 1.0
             for _ in range(40):
                 u_try = un + step * du
                 v_try = vn + step * dv
-                ru_t, rv_t, e_t, zz_t = residual(u_try, v_try)
-                res_t = max(np.abs(ru_t).max(), np.abs(rv_t).max())
-                if res_t < res or res_t < ORACLE_TOL:
+                trial = residual(u_try, v_try)
+                if trial[-1] < res or trial[-1] < ORACLE_TOL:
                     break
                 step *= 0.5
-            un, vn, ru, rv, e, zz, res = u_try, v_try, ru_t, rv_t, e_t, zz_t, res_t
+            un, vn = u_try, v_try
+            ru, rv, e, zz, res = trial
             converged = res < ORACLE_TOL
         if not converged:
             raise OracleConvergenceError(

@@ -1,5 +1,8 @@
 """Exception types shared across the solver library."""
 
+__all__ = ["LiqshockError", "ValidationError", "ConfigError", "NumericalError",
+           "SingularSystemError", "OracleConvergenceError", "SolveFailure"]
+
 
 class LiqshockError(Exception):
     """Base class for all library errors."""

@@ -27,12 +27,24 @@ HALF_MIN_SPACING = "half_min_spacing"
 _SNAP_RTOL = 1e-9
 
 
+# Largest intervals x steps of a run (so also the most intervals of a
+# grid), checked before anything is allocated.  A guard, not a setting.
+MAX_CELLS = 10**7
+
+
 def _is_count(n, least: int) -> bool:
     """Whether n is a whole number (int or numpy integer) >= least."""
     try:
         return operator.index(n) >= least
     except TypeError:
         return False
+
+
+def _check_intervals(intervals):
+    if not _is_count(intervals, 2):
+        raise ValidationError("need a whole number of at least 2 intervals")
+    if intervals > MAX_CELLS:
+        raise ValidationError(f"more than MAX_CELLS = {MAX_CELLS} intervals")
 
 
 @dataclass(frozen=True)
@@ -89,8 +101,7 @@ class TimeGrid:
 
 def uniform_grid(s_min: float, s_max: float, intervals: int) -> SpatialGrid:
     """Equally spaced grid with the given number of intervals (>= 2)."""
-    if not _is_count(intervals, 2):
-        raise ValidationError("need a whole number of at least 2 intervals")
+    _check_intervals(intervals)
     if not s_min < s_max:
         raise ValidationError("s_min must be < s_max")
     return SpatialGrid(np.linspace(s_min, s_max, intervals + 1))
@@ -106,8 +117,7 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     smallest where the argument of sinh crosses zero, i.e. at the strike.
     Large alpha flattens the stretch toward the uniform grid.
     """
-    if not _is_count(intervals, 2):
-        raise ValidationError("need a whole number of at least 2 intervals")
+    _check_intervals(intervals)
     if not 0 < alpha < math.inf:  # also rejects NaN
         raise ValidationError("alpha must be > 0 and finite")
     if not s_min < strike < s_max:
@@ -141,5 +151,9 @@ def time_grid_from_space(grid: SpatialGrid, horizon: float,
             raise ValidationError("explicit dt must be > 0")
         if candidate > horizon:
             raise ValidationError("explicit dt exceeds the horizon")
-    steps = max(1, math.ceil(horizon / candidate * (1.0 - _SNAP_RTOL)))
+    # capped, so that an infinite ratio never reaches ceil
+    ratio = min(horizon / candidate * (1.0 - _SNAP_RTOL), MAX_CELLS)
+    steps = max(1, math.ceil(ratio))
+    if grid.intervals * steps > MAX_CELLS:
+        raise ValidationError(f"intervals x steps > MAX_CELLS = {MAX_CELLS}")
     return TimeGrid(dt=horizon / steps, steps=steps)

@@ -79,6 +79,9 @@ def _param_problems(p) -> dict[str, str]:
                 "domain must satisfy s_min < strike < s_max")]
     checks += [(f.name, math.isfinite(getattr(p, f.name)), "must be finite")
                for f in fields(ModelParams)]
+    # the grid spacing gets squared (an infinite s_max fails above)
+    checks.append(("s_max", p.s_max * p.s_max < math.inf,
+                   "squared must be finite"))
     problems = {}
     for key, ok, msg in checks:
         if not ok:

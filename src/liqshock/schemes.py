@@ -271,15 +271,14 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     as SolveFailure carrying the failing step index.
     """
     dc = derive_constants(params)
-    try:  # squaring the spacing of a huge uniform grid overflows
-        plan = StepPlan(grid, tg, dc, config or SchemeConfig())
-    except OverflowError as err:
-        raise SolveFailure(0, str(err)) from err
     state = initial_state(grid, params, payoff)
     trajectory = [state] if capture_trajectory else None
     diag = SolveDiagnostics()
-    for j in range(tg.steps):
-        try:
+    j = 0
+    try:
+        # squaring the spacing of a huge uniform grid overflows here
+        plan = StepPlan(grid, tg, dc, config or SchemeConfig())
+        for j in range(tg.steps):
             ratio = restriction_ratio(state, plan)
             if ratio > diag.restriction_max:
                 diag.restriction_max = ratio
@@ -291,21 +290,21 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
             state, sys = step(state, plan)
             report = check_m_matrix(sys)
             margin = stability_bound(sys) - float(np.abs(state.u).max())
-        except (LiqshockError, OverflowError) as err:
-            # math.exp (restriction ratio, natural edge) overflows on a
-            # large spread |U - V|, and rows that lose strict domination
-            # have no sup-norm bound; both are breakdowns of this step.
-            raise SolveFailure(j, str(err)) from err
-        diag.solves += 1
-        diag.m_matrix_ok = diag.m_matrix_ok and report.satisfied
-        if report.min_d < diag.min_d:
-            diag.min_d = report.min_d
-            diag.min_d_step = j
-        if margin < diag.bound_margin:
-            diag.bound_margin = margin
-            diag.bound_margin_step = j
-        if capture_trajectory:
-            trajectory.append(state)
+            diag.solves += 1
+            diag.m_matrix_ok = diag.m_matrix_ok and report.satisfied
+            if report.min_d < diag.min_d:
+                diag.min_d = report.min_d
+                diag.min_d_step = j
+            if margin < diag.bound_margin:
+                diag.bound_margin = margin
+                diag.bound_margin_step = j
+            if capture_trajectory:
+                trajectory.append(state)
+    except (LiqshockError, OverflowError) as err:
+        # math.exp (restriction ratio, natural edge) overflows on a large
+        # spread |U - V|, and rows that lose strict domination have no
+        # sup-norm bound; both are breakdowns of step j.
+        raise SolveFailure(j, str(err)) from err
     return SolveResult(final_state=state, trajectory=trajectory,
                        diagnostics=diag, params=params, grid=grid, tg=tg,
                        dc=dc)

@@ -279,7 +279,7 @@ class TestAudits:
         assert audit_m_matrix(base).passed
         assert audit_sup_bound(base).passed
 
-    def test_audit_run_dispatch(self, params):
+    def test_verify_recipe(self, params):
         # the verify recipe: six checks in CLI order, where only the known
         # O(dt) positivity dip fails
         grid = uniform_grid(0, 5, 48)

@@ -44,10 +44,7 @@ VERIFY_LINES = {
         "[PASS] m_matrix: worst 4.880e+01 at (level,node)=(0,)",
         "[PASS] sup_bound: worst 0.000e+00 at (level,node)=(0,)",
     ],
-}
-
-VERIFY_TAVELLA_LINES = {
-    "linear": [
+    "linear --grid tavella": [
         "[FAIL] positivity: worst -7.764e-05 at (level,node)=(4, 0)",
         "[PASS] comparison(h+0.1): worst 1.000e-01 at (level,node)=(24, 111)",
         "[PASS] comparison(call vs 0): worst 0.000e+00 at (level,node)=(0, 0)",
@@ -55,7 +52,7 @@ VERIFY_TAVELLA_LINES = {
         "[PASS] m_matrix: worst 4.900e+01 at (level,node)=(0,)",
         "[PASS] sup_bound: worst 0.000e+00 at (level,node)=(0,)",
     ],
-    "linearized": [
+    "linearized --grid tavella": [
         "[FAIL] positivity: worst -5.220e-06 at (level,node)=(4, 9)",
         "[PASS] comparison(h+0.1): worst 1.000e-01 at (level,node)=(14, 119)",
         "[PASS] comparison(call vs 0): worst -8.327e-17 at (level,node)=(47, 2)",
@@ -73,16 +70,9 @@ def test_stdout_hash(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
 
 
-@pytest.mark.parametrize("scheme", sorted(VERIFY_LINES))
-def test_verify_report(scheme, capsys):
+@pytest.mark.parametrize("args", sorted(VERIFY_LINES))
+def test_verify_report(args, capsys):
     # positivity fails by the known O(dt) dip; the other five audits pass
-    code = main(["verify", "--I", "120", "--scheme", scheme])
-    assert capsys.readouterr().out.splitlines() == VERIFY_LINES[scheme]
-    assert code == 3
-
-
-@pytest.mark.parametrize("scheme", sorted(VERIFY_TAVELLA_LINES))
-def test_verify_report_tavella(scheme, capsys):
-    code = main(["verify", "--I", "120", "--grid", "tavella", "--scheme", scheme])
-    assert capsys.readouterr().out.splitlines() == VERIFY_TAVELLA_LINES[scheme]
+    code = main(["verify", "--I", "120", "--scheme", *args.split()])
+    assert capsys.readouterr().out.splitlines() == VERIFY_LINES[args]
     assert code == 3

@@ -309,6 +309,19 @@ class TestCliErrors:
             "numerical failure: time step 0: "
             "strict diagonal domination required\n")
 
+    def test_huge_s_max_is_config_error(self, tmp_path, capsys):
+        # the squared grid spacing would overflow in the first level
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma=0.3\ns_max=1e200\n")
+        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config (line 2: s_max: squared must be finite)\n")
+
+    def test_runaway_size_is_validation_error(self, capsys):
+        assert main(["solve", "--I", "100000000"]) == 1
+        assert capsys.readouterr().err == (
+            "error: more than MAX_CELLS = 10000000 intervals\n")
+
     def test_dt_above_horizon_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dt=2\n")

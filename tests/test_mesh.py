@@ -1,6 +1,7 @@
 """Grid construction and the time-step coupling rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from liqshock import (
     time_grid_from_space,
     uniform_grid,
 )
+from liqshock.mesh import MAX_CELLS
 
 # S_1 of the 2-interval stretched grid on [0,5], K=2, alpha=15,
 # computed with mpmath at 50 digits and frozen.
@@ -58,6 +60,18 @@ class TestUniformGrid:
                       [0.0, math.nan, 1.0]):
             with pytest.raises(ValidationError, match="finite"):
                 SpatialGrid(nodes)
+
+    def test_rejects_runaway_size_unallocated(self):
+        tracemalloc.start()
+        try:
+            for build in (lambda n: uniform_grid(0, 5, n),
+                          lambda n: tavella_randall_grid(0, 5, 2, 15, n)):
+                with pytest.raises(ValidationError, match="MAX_CELLS"):
+                    build(10 ** 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the grid alone would take 800 MB
 
 
 class TestTavellaRandallGrid:
@@ -176,3 +190,10 @@ class TestTimeGrid:
         for horizon in (0.0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="horizon must be > 0"):
                 time_grid_from_space(g, horizon)
+        # a runaway step count; 1 / 1e-320 is inf and must not reach ceil
+        g = uniform_grid(0, 1, 2)
+        for dt in (1e-9, 1e-320):
+            with pytest.raises(ValidationError, match="MAX_CELLS"):
+                time_grid_from_space(g, 1.0, dt)
+        tg = time_grid_from_space(g, 1.0, 2 / MAX_CELLS)  # at the cap
+        assert tg.steps == MAX_CELLS // 2

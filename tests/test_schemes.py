@@ -390,11 +390,11 @@ class TestSolveForward:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_spacing_is_solve_failure(self, params):
-        # squaring the spacing 1e199 of this uniform grid overflows
-        p = replace(params, s_max=1e200)
-        grid = uniform_grid(0, p.s_max, 10)
+        # squaring the spacing 1e199 of this hand-built uniform grid
+        # overflows; ModelParams rejects such an s_max, a grid cannot
+        grid = uniform_grid(0, 1e200, 10)
         with pytest.raises(SolveFailure) as exc:
-            solve_forward(p, grid, TimeGrid(dt=0.1, steps=10))
+            solve_forward(params, grid, TimeGrid(dt=0.1, steps=10))
         assert exc.value.step_index == 0
         assert isinstance(exc.value.__cause__, OverflowError)
 

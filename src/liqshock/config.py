@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .mesh import MAX_CELLS
 from .model import ModelParams, _param_problems
 from .schemes import NATURAL, SCHEMES
 
@@ -54,6 +55,8 @@ class RunConfig:
                 if getattr(self, key) not in allowed]
         if self.intervals < 2:
             errs.append((0, "intervals", "must be >= 2"))
+        elif self.intervals > MAX_CELLS:
+            errs.append((0, "intervals", f"must be <= {MAX_CELLS}"))
         for key in ("alpha", "dt"):
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:  # also NaN

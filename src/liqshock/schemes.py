@@ -20,6 +20,7 @@ follows the reduced reaction ODE one explicit Euler step at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,7 +31,8 @@ import numpy as np
 from .errors import LiqshockError, SolveFailure, ValidationError
 from .mesh import SpatialGrid, TimeGrid
 from .model import DerivedConstants, ModelParams, derive_constants, payoff_call
-from .tridiag import TridiagonalSystem, check_m_matrix, solve, stability_bound
+from .tridiag import (Elimination, TridiagonalSystem, check_m_matrix,
+                      eliminate, solve, stability_bound)
 
 __all__ = [
     "NATURAL",
@@ -149,7 +151,9 @@ class StepPlan:
     ``lower``/``upper`` hold the weights of the implicit second difference
     and ``diag = 1/dt + lower + upper``, all read-only.  Uniform grids use
     the exact spacing (s_max - s_min)/I, others the 3-point formula on
-    h_i = S_i - S_{i-1}, which keeps both weights positive.
+    h_i = S_i - S_{i-1}, which keeps both weights positive.  These are the
+    whole ``imex_linear`` rows, so ``elimination`` factors them once, on
+    first use, for every level of the run.
     """
 
     grid: SpatialGrid
@@ -173,6 +177,10 @@ class StepPlan:
         for name, arr in (("lower", lower), ("upper", upper), ("diag", diag)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def elimination(self) -> Elimination:
+        return eliminate(self.lower, self.diag, self.upper)
 
 
 def _edges(state: GridState, plan: StepPlan) -> tuple[float, float]:
@@ -243,13 +251,15 @@ def step(state: GridState,
     """Advance one time level with ``plan.config.scheme``.
 
     Returns the new state and the tridiagonal system solved for its U.
-    ``imex_linear`` advances V pointwise by the explicit rule;
-    ``imex_linearized`` recovers V at every node, boundaries included,
-    from the eliminated one-point relation.
+    ``imex_linear`` solves the plan's rows through ``plan.elimination``
+    and advances V pointwise by the explicit rule; ``imex_linearized``
+    solves rows whose diagonal changes with the level, then recovers V at
+    every node, boundaries included, from the eliminated one-point
+    relation.
     """
     if plan.config.scheme == "imex_linear":
         sys = assemble_scheme1(state, plan)
-        u_new = solve(sys)
+        u_new = solve(sys, plan.elimination)
         v_new = state.v - plan.tg.dt * plan.dc.c * (
             np.exp(state.v - state.u) - 1.0)
     else:
@@ -266,18 +276,23 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
 
     Returns the final state together with per-run diagnostics (worst
     M-matrix margin, worst sup-norm bound margin, worst reaction-step
-    restriction ratio).  A restriction ratio above 1 warns.  Numerical
-    failures, overflow and lost strict domination included, are re-raised
-    as SolveFailure carrying the failing step index.
+    restriction ratio).  The ``imex_linear`` rows are the same at every
+    level, so their M-matrix check runs once, on the first level's system;
+    the sup-norm bound depends on the load and is checked at every level.
+    A restriction ratio above 1 warns.  Numerical failures, overflow and
+    lost strict domination included, are re-raised as SolveFailure
+    carrying the failing step index.
     """
     dc = derive_constants(params)
     state = initial_state(grid, params, payoff)
     trajectory = [state] if capture_trajectory else None
     diag = SolveDiagnostics()
+    report = None
     j = 0
     try:
         # squaring the spacing of a huge uniform grid overflows here
         plan = StepPlan(grid, tg, dc, config or SchemeConfig())
+        fixed_rows = plan.config.scheme == "imex_linear"
         for j in range(tg.steps):
             ratio = restriction_ratio(state, plan)
             if ratio > diag.restriction_max:
@@ -288,7 +303,8 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                               "positivity of the march is no longer "
                               "guaranteed", RuntimeWarning, stacklevel=2)
             state, sys = step(state, plan)
-            report = check_m_matrix(sys)
+            if report is None or not fixed_rows:
+                report = check_m_matrix(sys)
             margin = stability_bound(sys) - float(np.abs(state.u).max())
             diag.solves += 1
             diag.m_matrix_ok = diag.m_matrix_ok and report.satisfied

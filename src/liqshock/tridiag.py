@@ -9,11 +9,17 @@ length N-1.  The boundary unknowns are eliminated into the first and last
 rows during the solve, so the stored rows are exactly the ones the
 monotonicity conditions (A_i > 0, B_i > 0, D_i = C_i - A_i - B_i >= 0)
 speak about.
+
+The direct solve comes in two parts: ``eliminate`` works out the pivots
+and multipliers of the rows, which do not depend on the load, and
+``solve`` substitutes one load through them.  Rows shared by many loads
+(the ``imex_linear`` rows of a whole run) are eliminated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +28,7 @@ from .errors import SingularSystemError, ValidationError
 __all__ = [
     "TridiagonalSystem",
     "MMatrixReport",
+    "eliminate",
     "solve",
     "check_m_matrix",
     "stability_bound",
@@ -65,40 +72,79 @@ class MMatrixReport:
     min_d: float
 
 
-def solve(sys: TridiagonalSystem) -> np.ndarray:
+class Elimination(NamedTuple):
+    """Forward-sweep factors of one set of rows, fixed whatever the load.
+
+    ``source`` is the ``diag`` array the factors came from; ``lower`` and
+    ``upper`` are the rows as Python floats, ``pivots`` the den_i and
+    ``mult`` the multipliers c_i of the sweep.
+    """
+
+    source: np.ndarray
+    lower: list[float]
+    upper: list[float]
+    pivots: list[float]
+    mult: list[float]
+
+
+def eliminate(lower: np.ndarray, diag: np.ndarray,
+              upper: np.ndarray) -> Elimination:
+    """Pivots den_i = C_i + A_i c_{i-1} and multipliers c_i = -B_i / den_i.
+
+    Row 0 has no predecessor: x + A * -0.0 is x to the bit for A >= 0, so
+    seeding c = -0.0 leaves its pivot C_0 exact.  A vanishing pivot raises
+    SingularSystemError naming its row.  The sweep runs on Python floats,
+    which round each operation exactly as float64 scalars do but index and
+    compute several times faster.
+    """
+    lo, di, up = lower.tolist(), diag.tolist(), upper.tolist()
+    c = -0.0
+    try:
+        mult = [c := -e / (b + a * c) for a, b, e in zip(lo, di, up)]
+    except ZeroDivisionError:
+        # the comprehension cannot say which row failed: walk up to it
+        c = -0.0
+        for row, (a, b, e) in enumerate(zip(lo, di, up)):
+            if b + a * c == 0.0:
+                raise SingularSystemError(f"zero pivot in row {row}") from None
+            c = -e / (b + a * c)
+    pivots = [b + a * c for a, b, c in zip(lo, di, [-0.0, *mult])]
+    return Elimination(diag, lo, up, pivots, mult)
+
+
+def solve(sys: TridiagonalSystem, elim: Elimination | None = None
+          ) -> np.ndarray:
     """Solve by forward elimination / back substitution (no pivoting).
 
     Returns the full vector y_0..y_N including the boundary values.  The
     schemes only produce strictly diagonally dominant rows, which keeps
     every pivot nonzero; a vanishing pivot raises SingularSystemError.
-    The sweep runs on Python floats, which round each operation exactly as
-    float64 scalars do but index and compute several times faster.
+
+    ``elim`` must be ``eliminate(sys.lower, sys.diag, sys.upper)``: rows
+    shared by many loads are then eliminated once and only substituted
+    here.  An elimination of another ``diag`` array raises ValidationError;
+    omitted, it is computed first.
     """
-    lo, di, up = sys.lower.tolist(), sys.diag.tolist(), sys.upper.tolist()
+    if elim is None:
+        elim = eliminate(sys.lower, sys.diag, sys.upper)
+    elif elim.source is not sys.diag:
+        raise ValidationError(
+            "elimination does not belong to this system's diag")
     left, right = float(sys.left_value), float(sys.right_value)
     # Fold the known boundary values into the first and last interior rows.
     f = sys.rhs.tolist()
-    f[0] += lo[0] * left
-    f[-1] += up[-1] * right
+    f[0] += elim.lower[0] * left
+    f[-1] += elim.upper[-1] * right
 
-    # Rows in assembled orientation: -A y_{i-1} + C y_i - B y_{i+1} = F.
-    # Row 0 has no predecessor: x + lo * -0.0 is x to the bit for lo >= 0,
-    # so seeding c = d = -0.0 leaves its pivot di[0] and load f[0] exact.
-    cp, dp = [], []
-    c = d = -0.0
-    for row, (a, b, e, g) in enumerate(zip(lo, di, up, f)):
-        den = b + a * c
-        if den == 0.0:
-            raise SingularSystemError(f"zero pivot in row {row}")
-        c, d = -e / den, (g + a * d) / den
-        cp.append(c)
-        dp.append(d)
-
+    # Rows in assembled orientation: -A y_{i-1} + C y_i - B y_{i+1} = F;
+    # seeding d = -0.0 leaves the load of row 0 exact, as c does its pivot.
+    d = -0.0
+    dp = [d := (g + a * d) / den
+          for a, den, g in zip(elim.lower, elim.pivots, f)]
     # The last row already carries y_N, so the sweep back starts from it.
-    y = [right, dp[-1]]
-    for c, d in zip(reversed(cp[:-1]), reversed(dp[:-1])):
-        y.append(d - c * y[-1])
-    return np.array([left] + y[::-1])
+    y = dp[-1]
+    back = [y := d - c * y for c, d in zip(elim.mult[-2::-1], dp[-2::-1])]
+    return np.array([left, *back[::-1], dp[-1], right])
 
 
 def check_m_matrix(sys: TridiagonalSystem) -> MMatrixReport:

@@ -320,7 +320,14 @@ class TestCliErrors:
     def test_runaway_size_is_validation_error(self, capsys):
         assert main(["solve", "--I", "100000000"]) == 1
         assert capsys.readouterr().err == (
-            "error: more than MAX_CELLS = 10000000 intervals\n")
+            "error: --I: must be <= 10000000\n")
+
+    def test_runaway_size_in_config_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma=0.3\nintervals=100000000\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config (line 2: intervals: must be <= 10000000)\n")
 
     def test_dt_above_horizon_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from liqshock import schemes
 from liqshock import (
     NATURAL,
     DerivedConstants,
@@ -408,3 +409,33 @@ class TestSolveForward:
             assert d.solves == 24
             assert d.bound_margin >= -1e-9
             assert d.restriction_ok
+
+    # what checking the M-matrix conditions at every level records; the
+    # once-per-run imex_linear check must record the same
+    @pytest.mark.parametrize("scheme,min_d", [
+        ("imex_linear", 23.999999999999993),
+        ("imex_linearized", 24.66666666666665)])
+    def test_diagnostics_pinned(self, params, scheme, min_d):
+        grid = uniform_grid(0, 5, 60)
+        tg = TimeGrid(dt=1 / 24, steps=24)
+        d = solve_forward(params, grid, tg,
+                          SchemeConfig(scheme=scheme)).diagnostics
+        assert (d.solves, d.min_d, d.min_d_step, d.bound_margin,
+                d.bound_margin_step) == (24, min_d, 0, 0.0, 0)
+
+    # imex_linear rows are fixed for the run, imex_linearized ones are not
+    @pytest.mark.parametrize("scheme,calls", [("imex_linear", 1),
+                                              ("imex_linearized", 24)])
+    def test_m_matrix_checks_per_run(self, params, monkeypatch, scheme,
+                                     calls):
+        seen = []
+
+        def counted(sys):
+            seen.append(sys)
+            return check_m_matrix(sys)
+
+        monkeypatch.setattr(schemes, "check_m_matrix", counted)
+        grid = uniform_grid(0, 5, 60)
+        solve_forward(params, grid, TimeGrid(dt=1 / 24, steps=24),
+                      SchemeConfig(scheme=scheme))
+        assert len(seen) == calls

@@ -13,6 +13,7 @@ from liqshock import (
     TridiagonalSystem,
     ValidationError,
     check_m_matrix,
+    eliminate,
     solve,
     stability_bound,
 )
@@ -126,18 +127,43 @@ class TestSolve:
         assert sys.left_value != 0.0 and sys.right_value != 0.0
         assert np.array_equal(solve(sys), scalar_thomas(sys))
 
+    def test_one_elimination_serves_many_loads(self):
+        rng = np.random.default_rng(43)
+        for n in [*range(1, 41), 639]:
+            rows = random_dominant(rng, n)
+            elim = eliminate(rows.lower, rows.diag, rows.upper)
+            for left, right in ((0.0, 0.0), (-0.0, 1e300),
+                                (rng.normal(), rng.normal())):
+                for rhs in (np.zeros(n), rng.normal(size=n),
+                            rng.uniform(-1e150, 1e150, n)):
+                    sys = TridiagonalSystem(rows.lower, rows.diag, rows.upper,
+                                            rhs, left, right)
+                    assert np.array_equal(solve(sys, elim), scalar_thomas(sys))
+
+    def test_foreign_elimination_rejected(self):
+        rng = np.random.default_rng(47)
+        sys = random_dominant(rng, 5)
+        for diag in (sys.diag.copy(), random_dominant(rng, 5).diag):
+            # equal values in another array count as foreign too
+            with pytest.raises(ValidationError, match="elimination"):
+                solve(sys, eliminate(sys.lower, diag, sys.upper))
+
     def test_singular_pivot(self):
         sys = TridiagonalSystem(lower=np.zeros(2), diag=np.zeros(2),
                                 upper=np.zeros(2), rhs=np.ones(2),
                                 left_value=0.0, right_value=0.0)
         with pytest.raises(SingularSystemError, match="row 0"):
             solve(sys)
+        with pytest.raises(SingularSystemError, match="row 0"):
+            eliminate(sys.lower, sys.diag, sys.upper)
         # den = 1 + 1 * (-1) = 0 at row 1; row 0 has a nonzero pivot
         sys = TridiagonalSystem(lower=np.ones(2), diag=np.ones(2),
                                 upper=np.ones(2), rhs=np.ones(2),
                                 left_value=0.0, right_value=0.0)
         with pytest.raises(SingularSystemError, match="row 1"):
             solve(sys)
+        with pytest.raises(SingularSystemError, match="row 1"):
+            eliminate(sys.lower, sys.diag, sys.upper)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):

@@ -27,6 +27,7 @@ from .mesh import (
     HALF_MIN_SPACING,
     SpatialGrid,
     TimeGrid,
+    _check_intervals,
     tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
@@ -133,10 +134,12 @@ def _build_grid(params: ModelParams, grid_kind: str, intervals: int,
 
 
 def _validate_levels(levels: Sequence[int]):
+    """Check a whole ladder before any level runs."""
     if len(levels) < 1:
         raise ValidationError("need at least one level")
-    for prev, cur in zip(levels, levels[1:]):
-        if cur != 2 * prev:
+    for k, lvl in enumerate(levels):
+        _check_intervals(lvl)
+        if k and lvl != 2 * levels[k - 1]:
             raise ValidationError("levels must double at each step")
 
 
@@ -267,7 +270,8 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
     plan = StepPlan(grid, tg, derive_constants(params),
                     config or SchemeConfig())
-    config, dc, a_lo, b_up = plan.config, plan.dc, plan.lower, plan.upper
+    config, dc = plan.config, plan.dc
+    a_lo, b_up = plan.rows.lower, plan.rows.upper
     dt = tg.dt
     # Edges without the natural rule hold a set value: no residual there
     # and an identity row in the Newton system.

@@ -101,9 +101,11 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def _parse_levels(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as e:
-        raise ValidationError(f"bad levels list {text!r}: {e}") from e
+        levels = [int(tok) for tok in text.split(",") if tok.strip()]
+        analysis._validate_levels(levels)
+    except ValueError as e:  # ValidationError included
+        raise ValidationError(f"--levels: {e}") from e
+    return levels
 
 
 def cmd_converge(cfg: RunConfig, levels: list[int]) -> int:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .mesh import MAX_CELLS
+from .mesh import MAX_CELLS, _step_count
 from .model import ModelParams, _param_problems
 from .schemes import NATURAL, SCHEMES
 
@@ -57,6 +57,12 @@ class RunConfig:
             errs.append((0, "intervals", "must be >= 2"))
         elif self.intervals > MAX_CELLS:
             errs.append((0, "intervals", f"must be <= {MAX_CELLS}"))
+        elif (self.dt is not None and 0 < self.dt <= self.horizon < math.inf
+              and self.intervals * _step_count(self.horizon, self.dt)
+              > MAX_CELLS):
+            # a set dt fixes the step count whatever the grid
+            errs.append((0, "dt",
+                         f"intervals x steps > MAX_CELLS = {MAX_CELLS}"))
         for key in ("alpha", "dt"):
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:  # also NaN

@@ -131,6 +131,13 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     return SpatialGrid(nodes)
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """Fewest steps of at most ``dt`` (to the snap tolerance) that cover the
+    horizon, capped at MAX_CELLS."""
+    # capped, so that an infinite ratio never reaches ceil
+    return max(1, math.ceil(min(horizon / dt * (1.0 - _SNAP_RTOL), MAX_CELLS)))
+
+
 def time_grid_from_space(grid: SpatialGrid, horizon: float,
                          rule: str | float = HALF_MIN_SPACING) -> TimeGrid:
     """Build the time partition coupled to the spatial resolution.
@@ -151,9 +158,7 @@ def time_grid_from_space(grid: SpatialGrid, horizon: float,
             raise ValidationError("explicit dt must be > 0")
         if candidate > horizon:
             raise ValidationError("explicit dt exceeds the horizon")
-    # capped, so that an infinite ratio never reaches ceil
-    ratio = min(horizon / candidate * (1.0 - _SNAP_RTOL), MAX_CELLS)
-    steps = max(1, math.ceil(ratio))
+    steps = _step_count(horizon, candidate)
     if grid.intervals * steps > MAX_CELLS:
         raise ValidationError(f"intervals x steps > MAX_CELLS = {MAX_CELLS}")
     return TimeGrid(dt=horizon / steps, steps=steps)

@@ -20,7 +20,6 @@ follows the reduced reaction ODE one explicit Euler step at a time.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,8 +30,8 @@ import numpy as np
 from .errors import LiqshockError, SolveFailure, ValidationError
 from .mesh import SpatialGrid, TimeGrid
 from .model import DerivedConstants, ModelParams, derive_constants, payoff_call
-from .tridiag import (Elimination, TridiagonalSystem, check_m_matrix,
-                      eliminate, solve, stability_bound)
+from .tridiag import (TridiagonalRows, TridiagonalSystem, check_m_matrix,
+                      solve, stability_bound)
 
 __all__ = [
     "NATURAL",
@@ -148,21 +147,19 @@ def initial_state(grid: SpatialGrid, params: ModelParams,
 class StepPlan:
     """Per-run inputs and the implicit-diffusion rows built once from them.
 
-    ``lower``/``upper`` hold the weights of the implicit second difference
-    and ``diag = 1/dt + lower + upper``, all read-only.  Uniform grids use
+    ``rows.lower``/``rows.upper`` hold the weights of the implicit second
+    difference and ``rows.diag = 1/dt + lower + upper``.  Uniform grids use
     the exact spacing (s_max - s_min)/I, others the 3-point formula on
     h_i = S_i - S_{i-1}, which keeps both weights positive.  These are the
-    whole ``imex_linear`` rows, so ``elimination`` factors them once, on
-    first use, for every level of the run.
+    whole ``imex_linear`` rows, so every level of such a run shares them,
+    and with them one elimination and one domination.
     """
 
     grid: SpatialGrid
     tg: TimeGrid
     dc: DerivedConstants
     config: SchemeConfig
-    lower: np.ndarray = field(init=False)
-    upper: np.ndarray = field(init=False)
-    diag: np.ndarray = field(init=False)
+    rows: TridiagonalRows = field(init=False)
 
     def __post_init__(self):
         s, sigma = self.grid.nodes, self.dc.sigma
@@ -173,14 +170,8 @@ class StepPlan:
             hl, hr = np.diff(s[:-1]), np.diff(s[1:])
             ssq = sigma ** 2 * s[1:-1] ** 2
             lower, upper = ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
-        diag = 1.0 / self.tg.dt + lower + upper
-        for name, arr in (("lower", lower), ("upper", upper), ("diag", diag)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @functools.cached_property
-    def elimination(self) -> Elimination:
-        return eliminate(self.lower, self.diag, self.upper)
+        object.__setattr__(self, "rows", TridiagonalRows(
+            lower, 1.0 / self.tg.dt + lower + upper, upper))
 
 
 def _edges(state: GridState, plan: StepPlan) -> tuple[float, float]:
@@ -214,8 +205,7 @@ def assemble_scheme1(state: GridState, plan: StepPlan) -> TridiagonalSystem:
     """Linear IMEX rows: implicit diffusion, level-j reaction in the load."""
     u, v, dc = state.u, state.v, plan.dc
     rhs = u[1:-1] / plan.tg.dt - dc.a * np.exp(u[1:-1] - v[1:-1]) + dc.b
-    return TridiagonalSystem(plan.lower, plan.diag, plan.upper, rhs,
-                             *_edges(state, plan))
+    return TridiagonalSystem(plan.rows, rhs, *_edges(state, plan))
 
 
 def assemble_scheme2(state: GridState, plan: StepPlan
@@ -238,11 +228,11 @@ def assemble_scheme2(state: GridState, plan: StepPlan
     k_hat = 1.0 / dt + z
     g = v / dt - z * (1.0 - v + u) + dc.c
     f_hat = u[1:-1] / dt - w[1:-1] * (1.0 + v[1:-1] - u[1:-1]) + dc.b
-    wi = w[1:-1]
-    diag = plan.diag + wi - wi * z[1:-1] / k_hat[1:-1]
+    wi, rows = w[1:-1], plan.rows
+    diag = rows.diag + wi - wi * z[1:-1] / k_hat[1:-1]
     rhs = f_hat + wi / k_hat[1:-1] * g[1:-1]
-    return (TridiagonalSystem(plan.lower, diag, plan.upper, rhs,
-                              *_edges(state, plan)),
+    return (TridiagonalSystem(TridiagonalRows(rows.lower, diag, rows.upper),
+                              rhs, *_edges(state, plan)),
             (k_hat, -z, g))
 
 
@@ -251,15 +241,14 @@ def step(state: GridState,
     """Advance one time level with ``plan.config.scheme``.
 
     Returns the new state and the tridiagonal system solved for its U.
-    ``imex_linear`` solves the plan's rows through ``plan.elimination``
-    and advances V pointwise by the explicit rule; ``imex_linearized``
-    solves rows whose diagonal changes with the level, then recovers V at
-    every node, boundaries included, from the eliminated one-point
-    relation.
+    ``imex_linear`` solves the plan's rows and advances V pointwise by the
+    explicit rule; ``imex_linearized`` solves rows whose diagonal changes
+    with the level, then recovers V at every node, boundaries included,
+    from the eliminated one-point relation.
     """
     if plan.config.scheme == "imex_linear":
         sys = assemble_scheme1(state, plan)
-        u_new = solve(sys, plan.elimination)
+        u_new = solve(sys)
         v_new = state.v - plan.tg.dt * plan.dc.c * (
             np.exp(state.v - state.u) - 1.0)
     else:
@@ -276,9 +265,10 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
 
     Returns the final state together with per-run diagnostics (worst
     M-matrix margin, worst sup-norm bound margin, worst reaction-step
-    restriction ratio).  The ``imex_linear`` rows are the same at every
-    level, so their M-matrix check runs once, on the first level's system;
-    the sup-norm bound depends on the load and is checked at every level.
+    restriction ratio).  The M-matrix check runs once per distinct row set
+    (once per run for ``imex_linear``, whose rows are the same at every
+    level); the sup-norm bound depends on the load and is checked at every
+    level.
     A restriction ratio above 1 warns.  Numerical failures, overflow and
     lost strict domination included, are re-raised as SolveFailure
     carrying the failing step index.
@@ -287,12 +277,11 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     state = initial_state(grid, params, payoff)
     trajectory = [state] if capture_trajectory else None
     diag = SolveDiagnostics()
-    report = None
+    checked = None
     j = 0
     try:
         # squaring the spacing of a huge uniform grid overflows here
         plan = StepPlan(grid, tg, dc, config or SchemeConfig())
-        fixed_rows = plan.config.scheme == "imex_linear"
         for j in range(tg.steps):
             ratio = restriction_ratio(state, plan)
             if ratio > diag.restriction_max:
@@ -303,8 +292,8 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                               "positivity of the march is no longer "
                               "guaranteed", RuntimeWarning, stacklevel=2)
             state, sys = step(state, plan)
-            if report is None or not fixed_rows:
-                report = check_m_matrix(sys)
+            if sys.rows is not checked:
+                checked, report = sys.rows, check_m_matrix(sys)
             margin = stability_bound(sys) - float(np.abs(state.u).max())
             diag.solves += 1
             diag.m_matrix_ok = diag.m_matrix_ok and report.satisfied

@@ -6,7 +6,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from liqshock import ConfigError, RunConfig, parse_config
+from liqshock import (ConfigError, RunConfig, ValidationError, parse_config,
+                      time_grid_from_space, uniform_grid)
 from liqshock.cli import main
 
 FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
@@ -69,6 +70,19 @@ class TestParseConfig:
             parse_config("dt=2\n")
         assert exc.value.entries == [(1, "dt", "must not exceed the horizon")]
         assert parse_config("dt=2\nhorizon=2\n").dt == 2.0
+
+    def test_runaway_steps_name_dt(self):
+        # the step count of time_grid_from_space: 10 x 10**6 cells fit,
+        # 11 x 10**6 do not
+        assert time_grid_from_space(uniform_grid(0, 5, 10), 1.0,
+                                    1e-6).steps == 10**6
+        assert parse_config("dt=1e-6\nintervals=10\n").dt == 1e-6
+        with pytest.raises(ValidationError, match="MAX_CELLS"):
+            time_grid_from_space(uniform_grid(0, 5, 11), 1.0, 1e-6)
+        with pytest.raises(ConfigError) as exc:
+            parse_config("dt=1e-6\nintervals=11\n")
+        assert exc.value.entries == [
+            (1, "dt", "intervals x steps > MAX_CELLS = 10000000")]
 
     @pytest.mark.parametrize("text,entries", [
         ("sigma=0.3\nmu=nan\n", [(2, "mu", "must be finite")]),
@@ -182,6 +196,17 @@ class TestCliTables:
     def test_bad_levels_rejected(self, tmp_path):
         for levels in ("30,50", "", "3x"):
             assert main(["converge", "--levels", levels]) == 1
+
+    @pytest.mark.parametrize("command,levels,message", [
+        ("converge", "1,2", "need a whole number of at least 2 intervals"),
+        ("extrapolate", "100000000",
+         "more than MAX_CELLS = 10000000 intervals"),
+        ("extrapolate", "3,5", "levels must double at each step"),
+    ])
+    def test_bad_levels_name_the_flag(self, capsys, command, levels,
+                                      message):
+        assert main([command, "--levels", levels]) == 1
+        assert capsys.readouterr().err == f"error: --levels: {message}\n"
 
 
 class TestCliVerify:
@@ -335,6 +360,15 @@ class TestCliErrors:
         assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             "error: invalid config (line 1: dt: must not exceed the horizon)\n")
+
+    def test_runaway_steps_in_config_name_dt(self, tmp_path, capsys):
+        # a set dt fixes the step count, so the file alone is checkable
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt=1e-9\n")
+        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config (line 1: dt: "
+            "intervals x steps > MAX_CELLS = 10000000)\n")
 
     def test_dt_in_config_sets_the_step(self, tmp_path, capsys):
         # the bytes `solve --I 10` wrote for tau_rule=explicit, dt=0.01

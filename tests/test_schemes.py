@@ -1,5 +1,6 @@
 """Stepper assembly, boundary rules, marching, and structural invariants."""
 
+import functools
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -16,6 +17,7 @@ from liqshock import (
     SolveFailure,
     StepPlan,
     TimeGrid,
+    TridiagonalRows,
     ValidationError,
     assemble_scheme1,
     assemble_scheme2,
@@ -77,15 +79,21 @@ class TestStepPlan:
         tg = TimeGrid(dt=0.05, steps=20)
         for scheme in ("imex_linear", "imex_linearized"):
             plan = StepPlan(grid, tg, dc, SchemeConfig(scheme=scheme))
+            with pytest.raises(FrozenInstanceError):
+                plan.rows = plan.rows
             for name in ("lower", "upper", "diag"):
                 with pytest.raises(ValueError, match="read-only"):
-                    getattr(plan, name)[0] = 1.0
+                    getattr(plan.rows, name)[0] = 1.0
                 with pytest.raises(FrozenInstanceError):
-                    setattr(plan, name, np.ones(11))
+                    setattr(plan.rows, name, np.ones(11))
             st, first = step(initial_state(grid, params), plan)
             _, second = step(st, plan)
-            assert first.lower is plan.lower
-            assert second.lower is plan.lower
+            for sys in (first, second):
+                assert sys.rows.lower is plan.rows.lower
+                assert sys.rows.upper is plan.rows.upper
+                # the linear rows are the plan's; the linearized diagonal
+                # changes with the level
+                assert (sys.rows is plan.rows) == (scheme == "imex_linear")
 
     def test_three_point_weights_at_tavella_node(self, params, dc):
         grid = tavella_randall_grid(0, 5, 2, 1.0, 12)
@@ -94,11 +102,11 @@ class TestStepPlan:
         s, i = grid.nodes, 6  # node i is interior row i - 1
         hl, hr = s[i] - s[i - 1], s[i + 1] - s[i]
         ssq = 0.3 ** 2 * s[i] ** 2
-        lower, upper = plan.lower[i - 1], plan.upper[i - 1]
+        lower, upper = plan.rows.lower[i - 1], plan.rows.upper[i - 1]
         assert lower == pytest.approx(ssq / (hl * (hl + hr)), rel=1e-14)
         assert upper == pytest.approx(ssq / (hr * (hl + hr)), rel=1e-14)
-        assert plan.diag[i - 1] == pytest.approx(10.0 + lower + upper,
-                                                 rel=1e-14)
+        assert plan.rows.diag[i - 1] == pytest.approx(10.0 + lower + upper,
+                                                      rel=1e-14)
         # the stencil of (1/2) sigma^2 S^2 d2/dS2 is exact on S and S^2
         weights = np.array([lower, -(lower + upper), upper])
         local = s[i - 1:i + 2]
@@ -114,9 +122,9 @@ class TestAssembleScheme1:
         sys = assemble_scheme1(initial_state(grid, params),
                                StepPlan(grid, tg, dc, cfg))
         # node S=2 is interior row index 11
-        assert sys.lower[11] == pytest.approx(6.48, rel=1e-13)
-        assert sys.upper[11] == pytest.approx(6.48, rel=1e-13)
-        assert sys.diag[11] == pytest.approx(12.0 + 2 * 6.48, rel=1e-13)
+        assert sys.rows.lower[11] == pytest.approx(6.48, rel=1e-13)
+        assert sys.rows.upper[11] == pytest.approx(6.48, rel=1e-13)
+        assert sys.rows.diag[11] == pytest.approx(12.0 + 2 * 6.48, rel=1e-13)
 
     def test_reaction_load_when_equal(self, params, dc):
         grid = uniform_grid(0, 5, 10)
@@ -186,10 +194,10 @@ class TestAssembleScheme2:
         np.testing.assert_allclose(k_hat, 22.0, rtol=1e-14)
         np.testing.assert_allclose(e_hat, -12.0, rtol=1e-14)
         coupling = 12.0 / 22.0  # w z / k_hat with w = 1, z = 12
-        a_lo = sys.lower
-        b_up = sys.upper
+        a_lo = sys.rows.lower
+        b_up = sys.rows.upper
         np.testing.assert_allclose(
-            sys.diag, 10.0 + a_lo + b_up + 1.0 - coupling, rtol=1e-13)
+            sys.rows.diag, 10.0 + a_lo + b_up + 1.0 - coupling, rtol=1e-13)
 
     def test_reduced_domination_any_dt(self, params, dc):
         grid = uniform_grid(0, 5, 16)
@@ -439,3 +447,24 @@ class TestSolveForward:
         solve_forward(params, grid, TimeGrid(dt=1 / 24, steps=24),
                       SchemeConfig(scheme=scheme))
         assert len(seen) == calls
+
+    # what depends on the rows alone is worked out once per row set
+    @pytest.mark.parametrize("scheme,per_run", [("imex_linear", 1),
+                                                ("imex_linearized", 24)])
+    def test_row_factors_once_per_row_set(self, params, monkeypatch, scheme,
+                                          per_run):
+        counts = dict.fromkeys(("elimination", "domination"), 0)
+        for name in counts:
+            compute = getattr(TridiagonalRows, name).func
+
+            def counted(rows, compute=compute, name=name):
+                counts[name] += 1
+                return compute(rows)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(TridiagonalRows, name)
+            monkeypatch.setattr(TridiagonalRows, name, prop)
+        grid = uniform_grid(0, 5, 60)
+        solve_forward(params, grid, TimeGrid(dt=1 / 24, steps=24),
+                      SchemeConfig(scheme=scheme))
+        assert counts == {"elimination": per_run, "domination": per_run}

@@ -10,28 +10,34 @@ import pytest
 
 from liqshock import (
     SingularSystemError,
+    TridiagonalRows,
     TridiagonalSystem,
     ValidationError,
     check_m_matrix,
-    eliminate,
     solve,
     stability_bound,
 )
 
 
+def system(lower, diag, upper, rhs, left_value, right_value):
+    return TridiagonalSystem(TridiagonalRows(lower, diag, upper), rhs,
+                             left_value, right_value)
+
+
 def dense_solve(sys):
     """Independent oracle: assemble the full matrix and use LAPACK."""
     n = sys.n_interior
+    rows = sys.rows
     m = np.zeros((n, n))
     f = sys.rhs.copy()
     for i in range(n):
-        m[i, i] = sys.diag[i]
+        m[i, i] = rows.diag[i]
         if i > 0:
-            m[i, i - 1] = -sys.lower[i]
+            m[i, i - 1] = -rows.lower[i]
         if i < n - 1:
-            m[i, i + 1] = -sys.upper[i]
-    f[0] += sys.lower[0] * sys.left_value
-    f[-1] += sys.upper[-1] * sys.right_value
+            m[i, i + 1] = -rows.upper[i]
+    f[0] += rows.lower[0] * sys.left_value
+    f[-1] += rows.upper[-1] * sys.right_value
     y = np.linalg.solve(m, f)
     return np.concatenate(([sys.left_value], y, [sys.right_value]))
 
@@ -43,7 +49,7 @@ def scalar_thomas(sys):
     both must agree to the last bit.
     """
     n = sys.n_interior
-    lo, di, up = sys.lower, sys.diag, sys.upper
+    lo, di, up = sys.rows.lower, sys.rows.diag, sys.rows.upper
     f = sys.rhs.copy()
     f[0] += lo[0] * sys.left_value
     f[-1] += up[-1] * sys.right_value
@@ -66,7 +72,8 @@ def scalar_thomas(sys):
 
 def residuals(sys, y):
     """Row residuals A y_{i-1} - C y_i + B y_{i+1} + F."""
-    return (sys.lower * y[:-2] - sys.diag * y[1:-1] + sys.upper * y[2:]
+    rows = sys.rows
+    return (rows.lower * y[:-2] - rows.diag * y[1:-1] + rows.upper * y[2:]
             + sys.rhs)
 
 
@@ -75,23 +82,23 @@ def random_dominant(rng, n):
     upper = rng.uniform(0.1, 3.0, n)
     diag = lower + upper + rng.uniform(0.05, 2.0, n)
     rhs = rng.normal(size=n)
-    return TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs,
-                             left_value=rng.normal(), right_value=rng.normal())
+    return system(lower=lower, diag=diag, upper=upper, rhs=rhs,
+                  left_value=rng.normal(), right_value=rng.normal())
 
 
 class TestSolve:
     def test_identity_diagonal(self):
         f = np.array([1.5, -2.0, 0.25])
-        sys = TridiagonalSystem(lower=np.zeros(3), diag=np.ones(3),
-                                upper=np.zeros(3), rhs=f,
-                                left_value=0.0, right_value=0.0)
+        sys = system(lower=np.zeros(3), diag=np.ones(3),
+                     upper=np.zeros(3), rhs=f,
+                     left_value=0.0, right_value=0.0)
         np.testing.assert_allclose(solve(sys), [0, 1.5, -2.0, 0.25, 0])
 
     def test_symmetric_second_difference(self):
         # rows -y_{i-1} + 2 y_i - y_{i+1} = (1, 0, 1) with zero ends
-        sys = TridiagonalSystem(lower=np.ones(3), diag=np.full(3, 2.0),
-                                upper=np.ones(3), rhs=np.array([1.0, 0.0, 1.0]),
-                                left_value=0.0, right_value=0.0)
+        sys = system(lower=np.ones(3), diag=np.full(3, 2.0),
+                     upper=np.ones(3), rhs=np.array([1.0, 0.0, 1.0]),
+                     left_value=0.0, right_value=0.0)
         np.testing.assert_allclose(solve(sys), [0, 1, 1, 1, 0], atol=1e-14)
 
     def test_matches_dense_oracle(self):
@@ -130,53 +137,47 @@ class TestSolve:
     def test_one_elimination_serves_many_loads(self):
         rng = np.random.default_rng(43)
         for n in [*range(1, 41), 639]:
-            rows = random_dominant(rng, n)
-            elim = eliminate(rows.lower, rows.diag, rows.upper)
+            rows = random_dominant(rng, n).rows
             for left, right in ((0.0, 0.0), (-0.0, 1e300),
                                 (rng.normal(), rng.normal())):
                 for rhs in (np.zeros(n), rng.normal(size=n),
                             rng.uniform(-1e150, 1e150, n)):
-                    sys = TridiagonalSystem(rows.lower, rows.diag, rows.upper,
-                                            rhs, left, right)
-                    assert np.array_equal(solve(sys, elim), scalar_thomas(sys))
-
-    def test_foreign_elimination_rejected(self):
-        rng = np.random.default_rng(47)
-        sys = random_dominant(rng, 5)
-        for diag in (sys.diag.copy(), random_dominant(rng, 5).diag):
-            # equal values in another array count as foreign too
-            with pytest.raises(ValidationError, match="elimination"):
-                solve(sys, eliminate(sys.lower, diag, sys.upper))
+                    sys = TridiagonalSystem(rows, rhs, left, right)
+                    assert np.array_equal(solve(sys), scalar_thomas(sys))
 
     def test_singular_pivot(self):
-        sys = TridiagonalSystem(lower=np.zeros(2), diag=np.zeros(2),
-                                upper=np.zeros(2), rhs=np.ones(2),
-                                left_value=0.0, right_value=0.0)
+        sys = system(lower=np.zeros(2), diag=np.zeros(2),
+                     upper=np.zeros(2), rhs=np.ones(2),
+                     left_value=0.0, right_value=0.0)
         with pytest.raises(SingularSystemError, match="row 0"):
             solve(sys)
         with pytest.raises(SingularSystemError, match="row 0"):
-            eliminate(sys.lower, sys.diag, sys.upper)
+            sys.rows.elimination
         # den = 1 + 1 * (-1) = 0 at row 1; row 0 has a nonzero pivot
-        sys = TridiagonalSystem(lower=np.ones(2), diag=np.ones(2),
-                                upper=np.ones(2), rhs=np.ones(2),
-                                left_value=0.0, right_value=0.0)
+        sys = system(lower=np.ones(2), diag=np.ones(2),
+                     upper=np.ones(2), rhs=np.ones(2),
+                     left_value=0.0, right_value=0.0)
         with pytest.raises(SingularSystemError, match="row 1"):
             solve(sys)
         with pytest.raises(SingularSystemError, match="row 1"):
-            eliminate(sys.lower, sys.diag, sys.upper)
+            sys.rows.elimination
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            TridiagonalSystem(lower=np.ones(2), diag=np.ones(3),
-                              upper=np.ones(3), rhs=np.ones(3),
-                              left_value=0.0, right_value=0.0)
+            system(lower=np.ones(2), diag=np.ones(3),
+                   upper=np.ones(3), rhs=np.ones(3),
+                   left_value=0.0, right_value=0.0)
         with pytest.raises(ValidationError, match="one-dimensional"):
-            TridiagonalSystem(lower=np.ones((2, 2)), diag=np.ones(4),
-                              upper=np.ones(4), rhs=np.ones(4),
-                              left_value=0.0, right_value=0.0)
+            system(lower=np.ones((2, 2)), diag=np.ones(4),
+                   upper=np.ones(4), rhs=np.ones(4),
+                   left_value=0.0, right_value=0.0)
         with pytest.raises(ValidationError, match="at least one interior"):
-            TridiagonalSystem(lower=[], diag=[], upper=[], rhs=[],
-                              left_value=0.0, right_value=0.0)
+            system(lower=[], diag=[], upper=[], rhs=[],
+                   left_value=0.0, right_value=0.0)
+        rows = TridiagonalRows(np.ones(3), np.full(3, 3.0), np.ones(3))
+        for rhs in (np.ones(2), np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ValidationError, match="one entry per row"):
+                TridiagonalSystem(rows, rhs, 0.0, 0.0)
 
 
 def test_solve_imports_no_scipy():
@@ -203,25 +204,32 @@ def test_solve_imports_no_scipy():
 
 class TestMMatrix:
     def test_satisfied(self):
-        sys = TridiagonalSystem(lower=np.ones(4), diag=np.full(4, 2.5),
-                                upper=np.ones(4), rhs=np.zeros(4),
-                                left_value=0.0, right_value=0.0)
+        sys = system(lower=np.ones(4), diag=np.full(4, 2.5),
+                     upper=np.ones(4), rhs=np.zeros(4),
+                     left_value=0.0, right_value=0.0)
         rep = check_m_matrix(sys)
         assert rep.satisfied
         assert rep.min_d == pytest.approx(0.5)
 
     def test_violated(self):
-        sys = TridiagonalSystem(lower=np.ones(4), diag=np.full(4, 1.5),
-                                upper=np.ones(4), rhs=np.zeros(4),
-                                left_value=0.0, right_value=0.0)
+        sys = system(lower=np.ones(4), diag=np.full(4, 1.5),
+                     upper=np.ones(4), rhs=np.zeros(4),
+                     left_value=0.0, right_value=0.0)
         rep = check_m_matrix(sys)
         assert not rep.satisfied
         assert rep.min_d == pytest.approx(-0.5)
 
+    def test_negative_diagonal_fails(self):
+        # D = |C| - |A| - |B| = 3 >= 0 here, so only C > 0 catches it
+        sys = system(lower=np.ones(3), diag=np.full(3, -5.0),
+                     upper=np.ones(3), rhs=np.zeros(3),
+                     left_value=0.0, right_value=0.0)
+        assert not check_m_matrix(sys).satisfied
+
     def test_nonpositive_offdiagonal_fails(self):
-        sys = TridiagonalSystem(lower=np.zeros(3), diag=np.ones(3),
-                                upper=np.ones(3), rhs=np.zeros(3),
-                                left_value=0.0, right_value=0.0)
+        sys = system(lower=np.zeros(3), diag=np.ones(3),
+                     upper=np.ones(3), rhs=np.zeros(3),
+                     left_value=0.0, right_value=0.0)
         assert not check_m_matrix(sys).satisfied
 
     def test_positivity_under_conditions(self):
@@ -233,26 +241,26 @@ class TestMMatrix:
             upper = rng.uniform(0.05, 2.0, n)
             diag = lower + upper + rng.uniform(0.0, 1.0, n)
             rhs = rng.uniform(0.0, 3.0, n)
-            sys = TridiagonalSystem(lower=lower, diag=diag, upper=upper,
-                                    rhs=rhs, left_value=rng.uniform(0, 2),
-                                    right_value=rng.uniform(0, 2))
+            sys = system(lower=lower, diag=diag, upper=upper,
+                         rhs=rhs, left_value=rng.uniform(0, 2),
+                         right_value=rng.uniform(0, 2))
             assert check_m_matrix(sys).satisfied
             assert solve(sys).min() >= -1e-13
 
 
 class TestStabilityBound:
     def test_identity_example(self):
-        sys = TridiagonalSystem(lower=np.zeros(2), diag=np.ones(2),
-                                upper=np.zeros(2), rhs=np.array([3.0, -4.0]),
-                                left_value=0.0, right_value=0.0)
+        sys = system(lower=np.zeros(2), diag=np.ones(2),
+                     upper=np.zeros(2), rhs=np.array([3.0, -4.0]),
+                     left_value=0.0, right_value=0.0)
         bound = stability_bound(sys)
         assert bound == 4.0
         assert np.abs(solve(sys)).max() == pytest.approx(4.0)
 
     def test_boundary_dominates(self):
-        sys = TridiagonalSystem(lower=np.zeros(2), diag=np.ones(2),
-                                upper=np.zeros(2), rhs=np.array([0.5, -1.0]),
-                                left_value=7.0, right_value=0.0)
+        sys = system(lower=np.zeros(2), diag=np.ones(2),
+                     upper=np.zeros(2), rhs=np.array([0.5, -1.0]),
+                     left_value=7.0, right_value=0.0)
         assert stability_bound(sys) == 7.0
 
     def test_bound_holds_fuzzed(self):
@@ -262,8 +270,8 @@ class TestStabilityBound:
             assert np.abs(solve(sys)).max() <= stability_bound(sys) * (1 + 1e-12)
 
     def test_requires_strict_domination(self):
-        sys = TridiagonalSystem(lower=np.ones(2), diag=np.full(2, 2.0),
-                                upper=np.ones(2), rhs=np.ones(2),
-                                left_value=0.0, right_value=0.0)
+        sys = system(lower=np.ones(2), diag=np.full(2, 2.0),
+                     upper=np.ones(2), rhs=np.ones(2),
+                     left_value=0.0, right_value=0.0)
         with pytest.raises(ValidationError):
             stability_bound(sys)

@@ -11,9 +11,9 @@ import sys
 import warnings
 
 from . import analysis
-from .config import CHOICES, RunConfig, parse_config
+from .config import CHOICES, RunConfig, _read_config
 from .errors import ConfigError, NumericalError, ValidationError
-from .mesh import HALF_MIN_SPACING, time_grid_from_space
+from .mesh import HALF_MIN_SPACING, _checked_steps, time_grid_from_space
 from .model import to_prices
 from .schemes import SchemeConfig, initial_state, solve_forward
 
@@ -48,26 +48,35 @@ def _write_lines(path: str | None, lines: list[str]):
         raise ValidationError(f"cannot write {path}: {e}") from e
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, one_grid: bool) -> RunConfig:
+    """The config file (or the defaults) with the flags applied, checked
+    as the command will use it."""
     if args.config is not None:
         try:
             with open(args.config) as fh:
-                cfg = parse_config(fh.read())
+                cfg, lines = _read_config(fh.read())
         except OSError as e:
             raise ValidationError(f"cannot read {args.config}: {e}") from e
     else:
-        cfg = RunConfig()
+        cfg, lines = RunConfig(), {}
     set_by = {kwargs["dest"]: flag for flag, kwargs in _FLAGS
               if getattr(args, kwargs["dest"], None) is not None}
     for dest in set_by:
         setattr(cfg, dest, getattr(args, dest))
     try:
-        return cfg.validate()
+        cfg.validate()
+        if one_grid and cfg.dt is not None:
+            # a set dt fixes the step count whatever the grid
+            _checked_steps(cfg.intervals, cfg.horizon, cfg.dt)
     except ConfigError as e:
         # the file is already valid, so each entry is a flag's
         raise ValidationError("; ".join(
             f"{set_by.get(key, key)}: {msg}" for _, key, msg in e.entries)
         ) from e
+    except ValidationError as e:
+        # too many steps: only the file sets dt, so name its line
+        raise ConfigError([(lines["dt"], "dt", str(e))]) from e
+    return cfg
 
 
 def _scheme_config(cfg: RunConfig) -> SchemeConfig:
@@ -99,20 +108,20 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _parse_levels(text: str) -> list[int]:
+def _study(study, cfg: RunConfig, levels: str):
+    """Run a ladder study on the comma list ``levels``.  The config is
+    valid by now, so what the study rejects is the ladder's sizes."""
+    sc = _scheme_config(cfg)
     try:
-        levels = [int(tok) for tok in text.split(",") if tok.strip()]
-        analysis._validate_levels(levels)
+        return study(cfg.model_params(), sc.scheme, cfg.grid,
+                     [int(tok) for tok in levels.split(",") if tok.strip()],
+                     alpha=cfg.alpha, left_bc=sc.left_bc)
     except ValueError as e:  # ValidationError included
         raise ValidationError(f"--levels: {e}") from e
-    return levels
 
 
-def cmd_converge(cfg: RunConfig, levels: list[int]) -> int:
-    sc = _scheme_config(cfg)
-    tables = analysis.convergence_tables(
-        cfg.model_params(), sc.scheme, cfg.grid, levels, alpha=cfg.alpha,
-        left_bc=sc.left_bc)
+def cmd_converge(cfg: RunConfig, levels: str) -> int:
+    tables = _study(analysis.convergence_tables, cfg, levels)
     lines = ["I,value_R0,diff_R0,ratio_R0,order_R0,"
              "value_R1,diff_R1,ratio_R1,order_R1"]
     for r0, r1 in zip(tables["r0"], tables["r1"]):
@@ -123,11 +132,8 @@ def cmd_converge(cfg: RunConfig, levels: list[int]) -> int:
     return 0
 
 
-def cmd_extrapolate(cfg: RunConfig, levels: list[int]) -> int:
-    sc = _scheme_config(cfg)
-    rows = analysis.extrapolated_study(
-        cfg.model_params(), sc.scheme, cfg.grid, levels, alpha=cfg.alpha,
-        left_bc=sc.left_bc)
+def cmd_extrapolate(cfg: RunConfig, levels: str) -> int:
+    rows = _study(analysis.extrapolated_study, cfg, levels)
     lines = ["I,Z,W,Y,diff_Y,ratio,order"]
     for r in rows:
         lines.append(",".join([str(r.intervals)] + [
@@ -189,10 +195,10 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = show
         try:
-            cfg = _load_config(args)
+            cfg = _load_config(args, one_grid=levels is None)
             if levels is None:
                 return command(cfg)
-            return command(cfg, _parse_levels(args.levels))
+            return command(cfg, args.levels)
         except ValidationError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1

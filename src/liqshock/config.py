@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .mesh import MAX_CELLS, _step_count
+from .mesh import MAX_CELLS
 from .model import ModelParams, _param_problems
 from .schemes import NATURAL, SCHEMES
 
@@ -57,12 +57,6 @@ class RunConfig:
             errs.append((0, "intervals", "must be >= 2"))
         elif self.intervals > MAX_CELLS:
             errs.append((0, "intervals", f"must be <= {MAX_CELLS}"))
-        elif (self.dt is not None and 0 < self.dt <= self.horizon < math.inf
-              and self.intervals * _step_count(self.horizon, self.dt)
-              > MAX_CELLS):
-            # a set dt fixes the step count whatever the grid
-            errs.append((0, "dt",
-                         f"intervals x steps > MAX_CELLS = {MAX_CELLS}"))
         for key in ("alpha", "dt"):
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:  # also NaN
@@ -80,8 +74,8 @@ _PARSE = {f.name: {"float": float, "int": int, "str": str}[
     f.type.split(" |")[0]] for f in fields(RunConfig)}
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse config text; collects every malformed line before raising."""
+def _read_config(text: str) -> tuple[RunConfig, dict[str, int]]:
+    """parse_config, also returning the line that set each key."""
     values = {}
     errors = []
     seen = {}
@@ -113,4 +107,9 @@ def parse_config(text: str) -> RunConfig:
         cfg.validate()
     except ConfigError as e:
         raise ConfigError([(seen.get(k, 0), k, m) for _, k, m in e.entries])
-    return cfg
+    return cfg, seen
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse config text; collects every malformed line before raising."""
+    return _read_config(text)[0]

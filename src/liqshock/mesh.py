@@ -131,11 +131,14 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     return SpatialGrid(nodes)
 
 
-def _step_count(horizon: float, dt: float) -> int:
+def _checked_steps(intervals: int, horizon: float, dt: float) -> int:
     """Fewest steps of at most ``dt`` (to the snap tolerance) that cover the
-    horizon, capped at MAX_CELLS."""
+    horizon; more than MAX_CELLS cells in all are rejected."""
     # capped, so that an infinite ratio never reaches ceil
-    return max(1, math.ceil(min(horizon / dt * (1.0 - _SNAP_RTOL), MAX_CELLS)))
+    steps = max(1, math.ceil(min(horizon / dt * (1 - _SNAP_RTOL), MAX_CELLS)))
+    if intervals * steps > MAX_CELLS:
+        raise ValidationError(f"intervals x steps > MAX_CELLS = {MAX_CELLS}")
+    return steps
 
 
 def time_grid_from_space(grid: SpatialGrid, horizon: float,
@@ -158,7 +161,5 @@ def time_grid_from_space(grid: SpatialGrid, horizon: float,
             raise ValidationError("explicit dt must be > 0")
         if candidate > horizon:
             raise ValidationError("explicit dt exceeds the horizon")
-    steps = _step_count(horizon, candidate)
-    if grid.intervals * steps > MAX_CELLS:
-        raise ValidationError(f"intervals x steps > MAX_CELLS = {MAX_CELLS}")
+    steps = _checked_steps(grid.intervals, horizon, candidate)
     return TimeGrid(dt=horizon / steps, steps=steps)

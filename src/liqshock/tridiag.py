@@ -40,8 +40,10 @@ __all__ = [
 class TridiagonalRows:
     """Interior rows A (``lower``), C (``diag``), B (``upper``).
 
-    The arrays are made read-only (a float array passed in is frozen, not
-    copied), so what is cached from them cannot go stale.
+    The arrays are kept read-only: one passed in is copied unless it is
+    already a read-only array owning its data (as the rows of another
+    TridiagonalRows are), so the caller's arrays stay writable and what is
+    cached from the rows cannot go stale through them.
     """
 
     lower: np.ndarray
@@ -53,7 +55,9 @@ class TridiagonalRows:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1:
                 raise ValidationError(f"{name} must be one-dimensional")
-            arr.setflags(write=False)
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = arr.copy()
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not 0 < self.lower.size == self.diag.size == self.upper.size:
             raise ValidationError("need at least one interior row, with "

@@ -8,7 +8,7 @@ import pytest
 
 from liqshock import (ConfigError, RunConfig, ValidationError, parse_config,
                       time_grid_from_space, uniform_grid)
-from liqshock.cli import main
+from liqshock.cli import _build_parser, _load_config, main
 
 FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
               "s_min", "s_max", "alpha", "dt")
@@ -71,18 +71,15 @@ class TestParseConfig:
         assert exc.value.entries == [(1, "dt", "must not exceed the horizon")]
         assert parse_config("dt=2\nhorizon=2\n").dt == 2.0
 
-    def test_runaway_steps_name_dt(self):
-        # the step count of time_grid_from_space: 10 x 10**6 cells fit,
-        # 11 x 10**6 do not
+    def test_runaway_steps_are_left_to_the_run(self):
+        # 10 x 10**6 cells fit, 11 x 10**6 do not; but the file alone
+        # cannot tell, as --I may replace intervals and a ladder ignores
+        # both keys
         assert time_grid_from_space(uniform_grid(0, 5, 10), 1.0,
                                     1e-6).steps == 10**6
-        assert parse_config("dt=1e-6\nintervals=10\n").dt == 1e-6
         with pytest.raises(ValidationError, match="MAX_CELLS"):
             time_grid_from_space(uniform_grid(0, 5, 11), 1.0, 1e-6)
-        with pytest.raises(ConfigError) as exc:
-            parse_config("dt=1e-6\nintervals=11\n")
-        assert exc.value.entries == [
-            (1, "dt", "intervals x steps > MAX_CELLS = 10000000")]
+        assert parse_config("dt=1e-6\nintervals=11\n").dt == 1e-6
 
     @pytest.mark.parametrize("text,entries", [
         ("sigma=0.3\nmu=nan\n", [(2, "mu", "must be finite")]),
@@ -202,6 +199,8 @@ class TestCliTables:
         ("extrapolate", "100000000",
          "more than MAX_CELLS = 10000000 intervals"),
         ("extrapolate", "3,5", "levels must double at each step"),
+        # 8000 x 3200 steps of half the spacing
+        ("converge", "8000", "intervals x steps > MAX_CELLS = 10000000"),
     ])
     def test_bad_levels_name_the_flag(self, capsys, command, levels,
                                       message):
@@ -361,14 +360,33 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             "error: invalid config (line 1: dt: must not exceed the horizon)\n")
 
-    def test_runaway_steps_in_config_name_dt(self, tmp_path, capsys):
-        # a set dt fixes the step count, so the file alone is checkable
+    @pytest.mark.parametrize("text,argv,line", [
+        ("dt=1e-9\n", ["--I", "10"], 1),
+        ("sigma=0.3\ndt=1e-6\n", ["--I", "11"], 2),
+        ("dt=1e-6\nintervals=11\n", [], 1),
+    ])
+    def test_runaway_steps_in_config_name_dt(self, tmp_path, capsys, text,
+                                             argv, line):
+        # a set dt fixes the step count whatever the grid
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("dt=1e-9\n")
-        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
+        cfg.write_text(text)
+        assert main(["solve", *argv, "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
-            "error: invalid config (line 1: dt: "
+            f"error: invalid config (line {line}: dt: "
             "intervals x steps > MAX_CELLS = 10000000)\n")
+
+    def test_dt_cells_counted_on_the_run_config(self, tmp_path):
+        # dt=2e-5 is 50000 steps: too many for the file's 240 intervals,
+        # not for --I 10, and a ladder takes no dt at all
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt=2e-5\n")
+        for command in ("solve", "verify"):
+            args = _build_parser().parse_args(
+                [command, "--I", "10", "--config", str(cfg)])
+            assert _load_config(args, one_grid=True).intervals == 10
+        for command in ("converge", "extrapolate"):
+            assert main([command, "--levels", "30", "--config", str(cfg),
+                         "--out", str(tmp_path / "table.csv")]) == 0
 
     def test_dt_in_config_sets_the_step(self, tmp_path, capsys):
         # the bytes `solve --I 10` wrote for tau_rule=explicit, dt=0.01

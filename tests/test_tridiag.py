@@ -145,6 +145,23 @@ class TestSolve:
                     sys = TridiagonalSystem(rows, rhs, left, right)
                     assert np.array_equal(solve(sys), scalar_thomas(sys))
 
+    def test_rows_leave_the_callers_arrays_alone(self):
+        lower, diag, upper = np.ones(3), np.full(3, 3.0), np.ones(3)
+        frozen = np.ones(6)[::2]
+        frozen.setflags(write=False)  # a read-only view of a writable base
+        rows = TridiagonalRows(lower, diag, frozen)
+        d, y = rows.domination.copy(), solve(TridiagonalSystem(
+            rows, np.ones(3), 0.0, 0.0))
+        lower[:] = diag[:] = frozen.base[:] = 7.0
+        assert np.array_equal(rows.domination, d)
+        assert np.array_equal(solve(TridiagonalSystem(
+            rows, np.ones(3), 0.0, 0.0)), y)
+        assert np.array_equal(rows.diag, np.full(3, 3.0))
+        for arr in (rows.lower, rows.diag, rows.upper):
+            assert not arr.flags.writeable
+        # a row set's own arrays are shared, not copied again
+        assert TridiagonalRows(rows.lower, diag, rows.upper).upper is rows.upper
+
     def test_singular_pivot(self):
         sys = system(lower=np.zeros(2), diag=np.zeros(2),
                      upper=np.zeros(2), rhs=np.ones(2),

@@ -27,7 +27,6 @@ from .mesh import (
     HALF_MIN_SPACING,
     SpatialGrid,
     TimeGrid,
-    _check_intervals,
     tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
@@ -115,12 +114,16 @@ class ExtrapolationRow:
 
 def at_the_money(result: SolveResult, quantity: str = "r0") -> float:
     """Linear interpolation of R0 ("r0") or R1 ("r1") at S = strike on
-    the final level."""
+    the final level; a strike off the grid is an error."""
     if quantity not in ("r0", "r1"):
         raise ValidationError(f"quantity must be 'r0' or 'r1': {quantity!r}")
+    nodes = result.grid.nodes
+    strike = result.params.strike
+    if not nodes[0] <= strike <= nodes[-1]:
+        raise ValidationError(f"strike {strike} outside the grid "
+                              f"[{nodes[0]}, {nodes[-1]}]")
     values = result.final_state.u if quantity == "r0" else result.final_state.v
-    return float(np.interp(result.params.strike, result.grid.nodes, values)
-                 ) / result.params.gamma
+    return float(np.interp(strike, nodes, values)) / result.params.gamma
 
 
 def _build_grid(params: ModelParams, grid_kind: str, intervals: int,
@@ -133,14 +136,17 @@ def _build_grid(params: ModelParams, grid_kind: str, intervals: int,
     raise ValidationError(f"unknown grid kind {grid_kind!r}")
 
 
-def _validate_levels(levels: Sequence[int]):
-    """Check a whole ladder before any level runs."""
+def _level_grids(params: ModelParams, grid_kind: str, levels: Sequence[int],
+                 alpha: float) -> list[tuple[SpatialGrid, TimeGrid]]:
+    """The spatial and (slaved) time grid of every level of a doubling
+    ladder, so that a bad level is refused before any level runs."""
     if len(levels) < 1:
         raise ValidationError("need at least one level")
-    for k, lvl in enumerate(levels):
-        _check_intervals(lvl)
-        if k and lvl != 2 * levels[k - 1]:
-            raise ValidationError("levels must double at each step")
+    if any(fine != 2 * coarse for coarse, fine in zip(levels, levels[1:])):
+        raise ValidationError("levels must double at each step")
+    grids = [_build_grid(params, grid_kind, lvl, alpha) for lvl in levels]
+    return [(g, time_grid_from_space(g, params.horizon, HALF_MIN_SPACING))
+            for g in grids]
 
 
 def _rows_from_values(levels, values) -> list[ConvergenceRow]:
@@ -162,11 +168,8 @@ def _ladder(params, scheme, grid_kind, levels, alpha, left_bc, on_result,
             halved=False):
     """Per level, yield the runs at the slaved dt and (with ``halved``)
     at dt/2 on the same spatial grid, each first passed to ``on_result``."""
-    _validate_levels(levels)
     config = SchemeConfig(scheme=scheme, left_bc=left_bc)
-    for lvl in levels:
-        grid = _build_grid(params, grid_kind, lvl, alpha)
-        tg = time_grid_from_space(grid, params.horizon, HALF_MIN_SPACING)
+    for grid, tg in _level_grids(params, grid_kind, levels, alpha):
         runs = [solve_forward(params, grid, t, config)
                 for t in ((tg, tg.halved()) if halved else (tg,))]
         if on_result is not None:

@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import astuple
 
 from . import analysis
 from .config import CHOICES, RunConfig, _read_config
 from .errors import ConfigError, NumericalError, ValidationError
-from .mesh import HALF_MIN_SPACING, _checked_steps, time_grid_from_space
+from .mesh import HALF_MIN_SPACING, time_grid_from_space
 from .model import to_prices
 from .schemes import SchemeConfig, initial_state, solve_forward
 
@@ -63,19 +64,15 @@ def _load_config(args, one_grid: bool) -> RunConfig:
               if getattr(args, kwargs["dest"], None) is not None}
     for dest in set_by:
         setattr(cfg, dest, getattr(args, dest))
-    try:
-        cfg.validate()
-        if one_grid and cfg.dt is not None:
-            # a set dt fixes the step count whatever the grid
-            _checked_steps(cfg.intervals, cfg.horizon, cfg.dt)
-    except ConfigError as e:
-        # the file is already valid, so each entry is a flag's
-        raise ValidationError("; ".join(
-            f"{set_by.get(key, key)}: {msg}" for _, key, msg in e.entries)
-        ) from e
-    except ValidationError as e:
-        # too many steps: only the file sets dt, so name its line
-        raise ConfigError([(lines["dt"], "dt", str(e))]) from e
+    problems = cfg.validate(one_grid)
+    # a bad flag is named only once the rest of the config holds
+    unflagged = [(lines.get(key, 0), key, msg) for key, msg in problems
+                 if key not in set_by]
+    if unflagged:
+        raise ConfigError(unflagged)
+    if problems:
+        raise ValidationError("; ".join(f"{set_by[key]}: {msg}"
+                                        for key, msg in problems))
     return cfg
 
 
@@ -92,6 +89,10 @@ def _one_grid(cfg: RunConfig):
     return params, grid, time_grid_from_space(grid, cfg.horizon, rule)
 
 
+def _write_csv(path: str | None, header: str, rows):
+    _write_lines(path, [header] + [",".join(map(_fmt, row)) for row in rows])
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     params, grid, tg = _one_grid(cfg)
     result = solve_forward(params, grid, tg, _scheme_config(cfg))
@@ -100,46 +101,39 @@ def cmd_solve(cfg: RunConfig) -> int:
     p_T, q_T = to_prices(first.u, first.v, params.horizon, params, dc)
     p_0, q_0 = to_prices(result.final_state.u, result.final_state.v, 0.0,
                          params, dc)
-    lines = ["S,p_at_t0,q_at_t0,p_at_T,q_at_T"]
-    for i, s in enumerate(grid.nodes):
-        lines.append(",".join(_fmt(x) for x in
-                              (s, p_0[i], q_0[i], p_T[i], q_T[i])))
-    _write_lines(cfg.output_path, lines)
+    _write_csv(cfg.output_path, "S,p_at_t0,q_at_t0,p_at_T,q_at_T",
+               zip(grid.nodes, p_0, q_0, p_T, q_T))
     return 0
 
 
 def _study(study, cfg: RunConfig, levels: str):
-    """Run a ladder study on the comma list ``levels``.  The config is
-    valid by now, so what the study rejects is the ladder's sizes."""
-    sc = _scheme_config(cfg)
+    """Run a ladder study on the comma list ``levels``.  Every level's
+    grids are built first, so a bad level names --levels; an error from
+    a run prints as it does for solve."""
+    params = cfg.model_params()
     try:
-        return study(cfg.model_params(), sc.scheme, cfg.grid,
-                     [int(tok) for tok in levels.split(",") if tok.strip()],
-                     alpha=cfg.alpha, left_bc=sc.left_bc)
+        sizes = [int(tok) for tok in levels.split(",") if tok.strip()]
+        analysis._level_grids(params, cfg.grid, sizes, cfg.alpha)
     except ValueError as e:  # ValidationError included
         raise ValidationError(f"--levels: {e}") from e
+    sc = _scheme_config(cfg)
+    return study(params, sc.scheme, cfg.grid, sizes, alpha=cfg.alpha,
+                 left_bc=sc.left_bc)
 
 
 def cmd_converge(cfg: RunConfig, levels: str) -> int:
     tables = _study(analysis.convergence_tables, cfg, levels)
-    lines = ["I,value_R0,diff_R0,ratio_R0,order_R0,"
-             "value_R1,diff_R1,ratio_R1,order_R1"]
-    for r0, r1 in zip(tables["r0"], tables["r1"]):
-        lines.append(",".join([str(r0.intervals)] + [
-            _fmt(x) for x in (r0.value, r0.difference, r0.ratio, r0.order,
-                              r1.value, r1.difference, r1.ratio, r1.order)]))
-    _write_lines(cfg.output_path, lines)
+    _write_csv(cfg.output_path, "I,value_R0,diff_R0,ratio_R0,order_R0,"
+               "value_R1,diff_R1,ratio_R1,order_R1",
+               [astuple(r0) + astuple(r1)[1:]
+                for r0, r1 in zip(tables["r0"], tables["r1"])])
     return 0
 
 
 def cmd_extrapolate(cfg: RunConfig, levels: str) -> int:
     rows = _study(analysis.extrapolated_study, cfg, levels)
-    lines = ["I,Z,W,Y,diff_Y,ratio,order"]
-    for r in rows:
-        lines.append(",".join([str(r.intervals)] + [
-            _fmt(x) for x in (r.coarse_value, r.fine_value, r.extrapolated,
-                              r.difference, r.ratio, r.order)]))
-    _write_lines(cfg.output_path, lines)
+    _write_csv(cfg.output_path, "I,Z,W,Y,diff_Y,ratio,order",
+               map(astuple, rows))
     return 0
 
 

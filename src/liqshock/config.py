@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
-from .mesh import MAX_CELLS
+from .errors import ConfigError, ValidationError
+from .mesh import MAX_CELLS, _checked_steps
 from .model import ModelParams, _param_problems
 from .schemes import NATURAL, SCHEMES
 
@@ -49,24 +49,30 @@ class RunConfig:
         return ModelParams(**{f.name: getattr(self, f.name)
                               for f in fields(ModelParams)})
 
-    def validate(self) -> "RunConfig":
-        errs = [(0, key, "must be " + " or ".join(allowed))
+    def validate(self, one_grid: bool) -> list[tuple[str, str]]:
+        """Every (key, problem) of this config, as a run on one grid
+        (``one_grid``, where a set dt fixes the step count) or as a
+        ladder will use it."""
+        errs = [(key, "must be " + " or ".join(allowed))
                 for key, allowed in CHOICES.items()
                 if getattr(self, key) not in allowed]
         if self.intervals < 2:
-            errs.append((0, "intervals", "must be >= 2"))
+            errs.append(("intervals", "must be >= 2"))
         elif self.intervals > MAX_CELLS:
-            errs.append((0, "intervals", f"must be <= {MAX_CELLS}"))
+            errs.append(("intervals", f"must be <= {MAX_CELLS}"))
         for key in ("alpha", "dt"):
             value = getattr(self, key)
             if value is not None and not 0 < value < math.inf:  # also NaN
-                errs.append((0, key, "must be > 0 and finite"))
+                errs.append((key, "must be > 0 and finite"))
         if self.dt is not None and self.horizon < self.dt < math.inf:
-            errs.append((0, "dt", "must not exceed the horizon"))
-        errs += [(0, key, msg) for key, msg in _param_problems(self).items()]
-        if errs:
-            raise ConfigError(errs)
-        return self
+            errs.append(("dt", "must not exceed the horizon"))
+        errs += _param_problems(self).items()
+        if one_grid and self.dt is not None and not errs:
+            try:
+                _checked_steps(self.intervals, self.horizon, self.dt)
+            except ValidationError as e:
+                errs.append(("dt", str(e)))
+        return errs
 
 
 # Each key parses as its RunConfig annotation ("float | None" -> float).
@@ -75,7 +81,8 @@ _PARSE = {f.name: {"float": float, "int": int, "str": str}[
 
 
 def _read_config(text: str) -> tuple[RunConfig, dict[str, int]]:
-    """parse_config, also returning the line that set each key."""
+    """Parse config text (syntax, types, unknown and duplicate keys only),
+    returning the config and the line that set each key."""
     values = {}
     errors = []
     seen = {}
@@ -102,14 +109,15 @@ def _read_config(text: str) -> tuple[RunConfig, dict[str, int]]:
             errors.append((lineno, key, str(e)))
     if errors:
         raise ConfigError(errors)
-    cfg = RunConfig(**values)
-    try:
-        cfg.validate()
-    except ConfigError as e:
-        raise ConfigError([(seen.get(k, 0), k, m) for _, k, m in e.entries])
-    return cfg, seen
+    return RunConfig(**values), seen
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; collects every malformed line before raising."""
-    return _read_config(text)[0]
+    """Parse and check config text; collects every problem before
+    raising.  The step count a set dt gives is left to the run."""
+    cfg, lines = _read_config(text)
+    problems = cfg.validate(one_grid=False)
+    if problems:
+        raise ConfigError([(lines.get(key, 0), key, msg)
+                           for key, msg in problems])
+    return cfg

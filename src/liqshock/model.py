@@ -189,8 +189,9 @@ def to_prices(u, v, t: float, params: ModelParams,
         raise ValidationError("u and v must share a shape")
     f0, f1 = evaluate_f(dc, t)
     g = params.gamma
-    p = u / g + math.log(f0) / g
-    q = v / g + math.log(f1) / g
+    with np.errstate(all="ignore"):  # reported once, just below
+        p = u / g + math.log(f0) / g
+        q = v / g + math.log(f1) / g
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise NumericalError(f"non-finite prices at t={t}")
     return p, q

@@ -90,13 +90,22 @@ class TestRowMath:
 
 
 class TestStudies:
-    def test_levels_must_double(self, params):
+    def test_levels_must_double(self, params, monkeypatch):
+        import liqshock.analysis as analysis_mod
+        runs = []
+        monkeypatch.setattr(analysis_mod, "solve_forward",
+                            lambda *args, **kw: runs.append(args))
         with pytest.raises(ValidationError):
             convergence_study(params, "imex_linear", "uniform", [30, 50])
         with pytest.raises(ValidationError, match="at least one level"):
             convergence_study(params, "imex_linear", "uniform", [])
         with pytest.raises(ValidationError, match="unknown grid kind"):
             convergence_study(params, "imex_linear", "chebyshev", [30])
+        # 8000 x 3200 cells are too many: refused before level 4000 runs
+        with pytest.raises(ValidationError,
+                           match="intervals x steps > MAX_CELLS"):
+            convergence_tables(params, "imex_linear", "uniform", [4000, 8000])
+        assert runs == []
 
     def test_small_ladder_monotone(self, params):
         rows = convergence_study(params, "imex_linear", "uniform",
@@ -367,3 +376,8 @@ def test_at_the_money_interpolates(params):
     for quantity in ("r7", "R0", ""):
         with pytest.raises(ValidationError):
             at_the_money(res, quantity)
+    # a strike off the grid is an error, not the value at its nearest end
+    off = uniform_grid(3, 5, 20)
+    res = solve_forward(params, off, time_grid_from_space(off, params.horizon))
+    with pytest.raises(ValidationError, match="outside the grid"):
+        at_the_money(res)

@@ -8,6 +8,7 @@ import pytest
 
 from liqshock import (ConfigError, RunConfig, ValidationError, parse_config,
                       time_grid_from_space, uniform_grid)
+from liqshock import analysis
 from liqshock.cli import _build_parser, _load_config, main
 
 FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
@@ -201,11 +202,16 @@ class TestCliTables:
         ("extrapolate", "3,5", "levels must double at each step"),
         # 8000 x 3200 steps of half the spacing
         ("converge", "8000", "intervals x steps > MAX_CELLS = 10000000"),
+        ("converge", "4000,8000", "intervals x steps > MAX_CELLS = 10000000"),
     ])
-    def test_bad_levels_name_the_flag(self, capsys, command, levels,
-                                      message):
+    def test_bad_levels_name_the_flag(self, capsys, monkeypatch, command,
+                                      levels, message):
+        runs = []
+        monkeypatch.setattr(analysis, "solve_forward",
+                            lambda *args, **kw: runs.append(args))
         assert main([command, "--levels", levels]) == 1
         assert capsys.readouterr().err == f"error: --levels: {message}\n"
+        assert runs == []  # refused before any level runs
 
 
 class TestCliVerify:
@@ -246,7 +252,30 @@ class TestCliErrors:
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma=-3\n")
-        assert main(["solve", "--config", str(cfg)]) == 1
+        # the file's problem is named alone, also beside a bad flag
+        for flags in ([], ["--I", "1"]):
+            assert main(["solve", *flags, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == (
+                "error: invalid config (line 1: sigma: must be > 0)\n")
+
+    def test_flag_replaces_the_file_value(self, tmp_path):
+        # the config is checked as run: --I replaces intervals=1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("intervals=1\n")
+        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--I", "10"],
+        ["converge", "--levels", "30,60"],
+        ["extrapolate", "--levels", "30,60"],
+    ], ids=["solve", "converge", "extrapolate"])
+    def test_run_errors_print_alike(self, tmp_path, capsys, command):
+        # trace**2 overflows in the first run; not a fault of --levels
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nu01=1e160\n")
+        assert main([*command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: degenerate root pair: discriminant <= 0 or inf\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["--alpha", "nan"], "error: --alpha: must be > 0 and finite\n"),

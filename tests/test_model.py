@@ -5,6 +5,7 @@ at 50 significant digits and frozen here.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -214,9 +215,13 @@ class TestToPrices:
 
     def test_nonfinite_prices_raise(self, table_params):
         # ln(F0)/gamma overflows for a subnormal gamma
+        # (and u/gamma too for u = 1), reported by the raise alone
         p = replace(table_params, gamma=1e-310)
-        with pytest.raises(NumericalError, match="non-finite prices"):
-            to_prices(np.zeros(3), np.zeros(3), 0.0, p, derive_constants(p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (np.zeros(3), np.ones(3)):
+                with pytest.raises(NumericalError, match="non-finite prices"):
+                    to_prices(u, u, 0.0, p, derive_constants(p))
 
     def test_gamma_scaling(self):
         p2 = ModelParams(sigma=0.3, mu=0.06, gamma=2.0, nu01=1.0, nu10=12.0,

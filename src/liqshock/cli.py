@@ -51,7 +51,8 @@ def _write_lines(path: str | None, lines: list[str]):
 
 def _load_config(args, one_grid: bool) -> RunConfig:
     """The config file (or the defaults) with the flags applied, checked
-    as the command will use it."""
+    as the command will use it.  A ladder warns of the file's keys it
+    does not use."""
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -73,6 +74,10 @@ def _load_config(args, one_grid: bool) -> RunConfig:
     if problems:
         raise ValidationError("; ".join(f"{set_by[key]}: {msg}"
                                         for key, msg in problems))
+    unused = [key for key in ("intervals", "dt") if key in lines]
+    if unused and not one_grid:
+        warnings.warn(f"{args.command} ignores the config keys "
+                      f"{', '.join(unused)} (--levels sets the grids)")
     return cfg
 
 

@@ -139,7 +139,8 @@ def initial_state(grid: SpatialGrid, params: ModelParams,
                   payoff=payoff_call) -> GridState:
     """Level-0 state U = V = gamma * payoff(S)."""
     h = np.asarray(payoff(grid.nodes, params.strike), dtype=float)
-    u0 = params.gamma * h
+    with np.errstate(over="ignore"):  # GridState rejects the inf
+        u0 = params.gamma * h
     return GridState(step_index=0, u=u0, v=u0.copy())
 
 
@@ -152,7 +153,7 @@ class StepPlan:
     the exact spacing (s_max - s_min)/I, others the 3-point formula on
     h_i = S_i - S_{i-1}, which keeps both weights positive.  These are the
     whole ``imex_linear`` rows, so every level of such a run shares them,
-    and with them one elimination and one domination.
+    and with them one elimination (worked out here) and one domination.
     """
 
     grid: SpatialGrid
@@ -172,6 +173,8 @@ class StepPlan:
             lower, upper = ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
         object.__setattr__(self, "rows", TridiagonalRows(
             lower, 1.0 / self.tg.dt + lower + upper, upper))
+        # every level that solves these rows substitutes into one elimination
+        self.rows.elimination
 
 
 def _edges(state: GridState, plan: StepPlan) -> tuple[float, float]:

@@ -12,9 +12,12 @@ monotonicity conditions (A_i > 0, B_i > 0, D_i = C_i - A_i - B_i >= 0)
 speak about.
 
 What depends on the rows alone - the pivots and multipliers of the
-elimination and the domination D - is worked out once per row set, on
-first use, and serves every load solved with it: rows shared by a whole
-run (``imex_linear``) are eliminated and checked once.
+elimination and the domination D - can be worked out once per row set and
+cached on it.  ``solve`` substitutes into a cached elimination when the
+rows have one; otherwise it eliminates and substitutes in one forward
+pass and caches nothing.  Rows shared by a whole run (``imex_linear``)
+are eliminated once, when the run's plan is built; rows built anew at
+every level (``imex_linearized``) take the one-pass sweep.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ class TridiagonalRows:
     @functools.cached_property
     def elimination(self) -> tuple[list[float], ...]:
         """The forward sweep's factors, fixed whatever the load: the rows
-        A and B as Python floats, the pivots den_i = C_i + A_i c_{i-1} and
-        the multipliers c_i = -B_i / den_i.
+        A as Python floats, the pivots den_i = C_i + A_i c_{i-1} and the
+        multipliers c_i = -B_i / den_i.
 
         Row 0 has no predecessor: x + A * -0.0 is x to the bit for A >= 0,
         so seeding c = -0.0 leaves its pivot C_0 exact.  A vanishing pivot
@@ -76,19 +79,15 @@ class TridiagonalRows:
         scalars do but index and compute several times faster.
         """
         lo, di, up = (a.tolist() for a in (self.lower, self.diag, self.upper))
-        c = -0.0
+        pivots, mult, c = [], [], -0.0
         try:
-            mult = [c := -e / (b + a * c) for a, b, e in zip(lo, di, up)]
+            for a, b, e in zip(lo, di, up):
+                pivots.append(den := b + a * c)
+                mult.append(c := -e / den)
         except ZeroDivisionError:
-            # the comprehension cannot say which row failed: walk up to it
-            c = -0.0
-            for row, (a, b, e) in enumerate(zip(lo, di, up)):
-                if b + a * c == 0.0:
-                    raise SingularSystemError(
-                        f"zero pivot in row {row}") from None
-                c = -e / (b + a * c)
-        pivots = [b + a * c for a, b, c in zip(lo, di, [-0.0, *mult])]
-        return lo, up, pivots, mult
+            raise SingularSystemError(
+                f"zero pivot in row {len(mult)}") from None
+        return lo, pivots, mult
 
     @functools.cached_property
     def domination(self) -> np.ndarray:
@@ -131,20 +130,36 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
     Returns the full vector y_0..y_N including the boundary values.  The
     schemes only produce strictly diagonally dominant rows, which keeps
     every pivot nonzero; a vanishing pivot raises SingularSystemError.
-    Only the load is substituted here: the elimination belongs to
-    ``sys.rows`` and is computed on its first solve.
+    Rows whose ``elimination`` is cached only have the load substituted;
+    other rows are eliminated in the same forward pass as the load, in
+    the same operation order, and keep nothing.
     """
-    lo, up, pivots, mult = sys.rows.elimination
+    rows = sys.rows
     left, right = float(sys.left_value), float(sys.right_value)
     # Fold the known boundary values into the first and last interior rows.
     f = sys.rhs.tolist()
-    f[0] += lo[0] * left
-    f[-1] += up[-1] * right
-
+    f[0] += float(rows.lower[0]) * left
+    f[-1] += float(rows.upper[-1]) * right
     # Rows in assembled orientation: -A y_{i-1} + C y_i - B y_{i+1} = F;
     # seeding d = -0.0 leaves the load of row 0 exact, as c does its pivot.
     d = -0.0
-    dp = [d := (g + a * d) / den for a, den, g in zip(lo, pivots, f)]
+    if "elimination" in rows.__dict__:
+        lo, pivots, mult = rows.elimination
+        dp = [d := (g + a * d) / den for a, den, g in zip(lo, pivots, f)]
+    else:
+        lo, di, up = (a.tolist() for a in (rows.lower, rows.diag, rows.upper))
+        mult, dp, c = [], [], -0.0
+        keep_c, keep_d = mult.append, dp.append
+        try:
+            for a, b, e, g in zip(lo, di, up, f):
+                den = b + a * c
+                c = -e / den
+                d = (g + a * d) / den
+                keep_c(c)
+                keep_d(d)
+        except ZeroDivisionError:
+            raise SingularSystemError(
+                f"zero pivot in row {len(mult)}") from None
     # The last row already carries y_N, so the sweep back starts from it.
     y = dp[-1]
     back = [y := d - c * y for c, d in zip(mult[-2::-1], dp[-2::-1])]
@@ -157,9 +172,11 @@ def check_m_matrix(sys: TridiagonalSystem) -> MMatrixReport:
     With A, B, C > 0 the domination |C| - |A| - |B| is C - A - B.
     """
     rows, d = sys.rows, sys.rows.domination
-    ok = bool(np.all(rows.lower > 0) and np.all(rows.upper > 0)
-              and np.all(rows.diag > 0) and np.all(d >= 0))
-    return MMatrixReport(satisfied=ok, min_d=float(d.min()))
+    # one min per array; a NaN makes its min NaN and the compare False
+    min_d = float(d.min())
+    ok = bool(rows.lower.min() > 0 and rows.upper.min() > 0
+              and rows.diag.min() > 0 and min_d >= 0)
+    return MMatrixReport(satisfied=ok, min_d=min_d)
 
 
 def stability_bound(sys: TridiagonalSystem) -> float:

@@ -277,6 +277,35 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             "error: degenerate root pair: discriminant <= 0 or inf\n")
 
+    @pytest.mark.parametrize("command", ["converge", "extrapolate"])
+    def test_ladder_warns_of_unused_keys(self, tmp_path, capsys, command):
+        # the ladders size grids and steps from --levels alone
+        argv = [command, "--levels", "30,60"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        for text, keys in (("dt=0.001\nintervals=50\n", "intervals, dt"),
+                           ("dt=0.001\n", "dt"), ("sigma=0.3\n", None)):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text)
+            assert main([*argv, "--config", str(cfg)]) == 0
+            out, err = capsys.readouterr()
+            assert out == plain.out  # byte-identical stdout
+            assert err == ("" if keys is None else
+                           f"warning: {command} ignores the config keys "
+                           f"{keys} (--levels sets the grids)\n")
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--I", "10"],
+        ["converge", "--levels", "30,60"],
+    ], ids=["solve", "converge"])
+    def test_overflowing_gamma_prints_only_the_error(self, tmp_path, capsys,
+                                                     command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma=1e308\n")
+        assert main([*command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite entries in grid state\n")
+
     @pytest.mark.parametrize("argv,message", [
         (["--alpha", "nan"], "error: --alpha: must be > 0 and finite\n"),
         (["--I", "1"], "error: --I: must be >= 2\n"),

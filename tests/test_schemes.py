@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -63,6 +64,14 @@ class TestInitialState:
         assert st.u[i] == expected
         assert st.v[i] == expected
         assert st.step_index == 0
+
+    def test_overflowing_gamma_raises_without_warning(self):
+        p = ModelParams(sigma=0.3, mu=0.06, gamma=1e308, nu01=1.0, nu10=12.0,
+                        strike=2.0, horizon=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported once
+            with pytest.raises(ValidationError, match="non-finite"):
+                initial_state(uniform_grid(0, 5, 10), p)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
@@ -448,7 +457,9 @@ class TestSolveForward:
                       SchemeConfig(scheme=scheme))
         assert len(seen) == calls
 
-    # what depends on the rows alone is worked out once per row set
+    # the plan's rows are eliminated once; the domination is worked out
+    # once per row set checked (imex_linearized solves new rows, without
+    # caching an elimination, at every level)
     @pytest.mark.parametrize("scheme,per_run", [("imex_linear", 1),
                                                 ("imex_linearized", 24)])
     def test_row_factors_once_per_row_set(self, params, monkeypatch, scheme,
@@ -467,4 +478,4 @@ class TestSolveForward:
         grid = uniform_grid(0, 5, 60)
         solve_forward(params, grid, TimeGrid(dt=1 / 24, steps=24),
                       SchemeConfig(scheme=scheme))
-        assert counts == {"elimination": per_run, "domination": per_run}
+        assert counts == {"elimination": 1, "domination": per_run}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from liqshock import (
+    MMatrixReport,
     SingularSystemError,
     TridiagonalRows,
     TridiagonalSystem,
@@ -135,15 +136,23 @@ class TestSolve:
         assert np.array_equal(solve(sys), scalar_thomas(sys))
 
     def test_one_elimination_serves_many_loads(self):
+        # each load solved on both paths: substituted into the cached
+        # elimination, and eliminated with the load in one pass
         rng = np.random.default_rng(43)
         for n in [*range(1, 41), 639]:
-            rows = random_dominant(rng, n).rows
+            one_pass = random_dominant(rng, n).rows
+            cached = TridiagonalRows(one_pass.lower, one_pass.diag,
+                                     one_pass.upper)
+            cached.elimination
             for left, right in ((0.0, 0.0), (-0.0, 1e300),
                                 (rng.normal(), rng.normal())):
                 for rhs in (np.zeros(n), rng.normal(size=n),
                             rng.uniform(-1e150, 1e150, n)):
-                    sys = TridiagonalSystem(rows, rhs, left, right)
-                    assert np.array_equal(solve(sys), scalar_thomas(sys))
+                    for rows in (one_pass, cached):
+                        sys = TridiagonalSystem(rows, rhs, left, right)
+                        assert np.array_equal(solve(sys), scalar_thomas(sys))
+            # the one-pass sweep keeps nothing on the rows
+            assert "elimination" not in one_pass.__dict__
 
     def test_rows_leave_the_callers_arrays_alone(self):
         lower, diag, upper = np.ones(3), np.full(3, 3.0), np.ones(3)
@@ -178,6 +187,15 @@ class TestSolve:
             solve(sys)
         with pytest.raises(SingularSystemError, match="row 1"):
             sys.rows.elimination
+        # den = 1 + 1 * (-1) = 0 at row 2, after two nonzero pivots
+        sys = system(lower=np.array([0.0, 0.0, 1.0, 0.0]), diag=np.ones(4),
+                     upper=np.array([0.0, 1.0, 1.0, 0.0]), rhs=np.ones(4),
+                     left_value=0.0, right_value=0.0)
+        with pytest.raises(SingularSystemError, match="row 2"):
+            solve(sys)
+        with pytest.raises(SingularSystemError, match="row 2"):
+            sys.rows.elimination
+        assert "elimination" not in sys.rows.__dict__
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -227,6 +245,11 @@ class TestMMatrix:
         rep = check_m_matrix(sys)
         assert rep.satisfied
         assert rep.min_d == pytest.approx(0.5)
+        # D = 0 still holds
+        sys = system(lower=np.ones(3), diag=np.full(3, 2.0),
+                     upper=np.ones(3), rhs=np.zeros(3),
+                     left_value=0.0, right_value=0.0)
+        assert check_m_matrix(sys) == MMatrixReport(True, 0.0)
 
     def test_violated(self):
         sys = system(lower=np.ones(4), diag=np.full(4, 1.5),
@@ -241,7 +264,19 @@ class TestMMatrix:
         sys = system(lower=np.ones(3), diag=np.full(3, -5.0),
                      upper=np.ones(3), rhs=np.zeros(3),
                      left_value=0.0, right_value=0.0)
-        assert not check_m_matrix(sys).satisfied
+        assert check_m_matrix(sys) == MMatrixReport(False, 3.0)
+
+    def test_nan_row_fails(self):
+        # a NaN makes its row's D NaN: no sign check holds and min_d is NaN
+        for field in ("lower", "diag", "upper"):
+            arrays = dict(lower=np.ones(3), diag=np.full(3, 2.5),
+                          upper=np.ones(3))
+            arrays[field] = np.array([arrays[field][0], np.nan,
+                                      arrays[field][2]])
+            rep = check_m_matrix(system(**arrays, rhs=np.zeros(3),
+                                        left_value=0.0, right_value=0.0))
+            assert rep.satisfied is False
+            assert np.isnan(rep.min_d)
 
     def test_nonpositive_offdiagonal_fails(self):
         sys = system(lower=np.zeros(3), diag=np.ones(3),

@@ -16,8 +16,7 @@ that the linearized stepper approximates.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,15 +30,17 @@ from .mesh import (
     time_grid_from_space,
     uniform_grid,
 )
-from .model import (ModelParams, derive_constants, payoff_call, payoff_zero,
-                    to_prices)
+from .model import (DerivedConstants, ModelParams, derive_constants,
+                    payoff_call, payoff_zero, to_prices)
 from .schemes import (
     NATURAL,
     RESTRICTION_SLACK,
     GridState,
     SchemeConfig,
+    SolveDiagnostics,
     SolveResult,
     StepPlan,
+    _march,
     initial_state,
     solve_forward,
 )
@@ -377,66 +378,95 @@ class AuditReport:
         return out
 
 
-def _scan(name: str, runs, arrays, passes, largest=False) -> CheckResult:
-    """First strict minimum of ``arrays(*states)`` over the zipped
-    trajectories of ``runs``, with its (level, node), graded by ``passes``.
+def _scan(stream, checks) -> list[CheckResult]:
+    """Fold ``checks`` over ``stream``, an iterable of state tuples (one
+    state per run, all at one level), in a single pass.
 
-    The runs must carry trajectories and share one grid and time
-    partition.  ``largest`` scans non-negative errors for the first strict
-    maximum above 0, so an exact match reports no location.
+    A check is ``(name, arrays, passes, largest)``: ``arrays(states)``
+    gives the arrays whose first strict minimum over all levels, with its
+    (level, node), is the check's worst value, graded by ``passes``.
+    ``largest`` scans non-negative errors for the first strict maximum
+    above 0 instead, so an exact match reports no location.  Only the
+    current tuple is held, so a stream of live marches costs one level.
     """
-    for run in runs:
-        if run.trajectory is None:
-            raise ValidationError(
-                f"{name} audit needs a run with capture_trajectory=True")
+    found = [(0.0 if largest else math.inf, None) for *_, largest in checks]
+    for states in stream:
+        for k, (_, arrays, _, largest) in enumerate(checks):
+            for arr in arrays(states):
+                node = int(arr.argmax() if largest else arr.argmin())
+                value, worst = arr[node], found[k][0]
+                if (value > worst) if largest else (value < worst):
+                    found[k] = float(value), (states[0].step_index, node)
+    return [CheckResult(name, passes(worst), worst, where)
+            for (name, _, passes, _), (worst, where) in zip(checks, found)]
+
+
+def _captured(name: str, runs) -> zip:
+    """The level-by-level tuples of the trajectories of ``runs``, which
+    must be captured on one grid and time partition."""
+    if any(run.trajectory is None for run in runs):
+        raise ValidationError(
+            f"{name} audit needs a run with capture_trajectory=True")
     if any(r.grid.intervals != runs[0].grid.intervals
            or r.tg.steps != runs[0].tg.steps for r in runs):
         raise ValidationError("runs must share the grid and time partition")
-    pick, better = ((np.argmax, operator.gt) if largest
-                    else (np.argmin, operator.lt))
-    worst = 0.0 if largest else math.inf
-    where = None
-    for states in zip(*(r.trajectory for r in runs)):
-        for arr in arrays(*states):
-            node = int(pick(arr))
-            if better(arr[node], worst):
-                worst, where = float(arr[node]), (states[0].step_index, node)
-    return CheckResult(name, passes(worst), worst, where)
+    return zip(*(r.trajectory for r in runs))
+
+
+def _positivity(params: ModelParams, dc: DerivedConstants, tg: TimeGrid):
+    """Transformed prices (p and q) of the first run."""
+    return ("positivity", lambda st: to_prices(
+        st[0].u, st[0].v, params.horizon - st[0].step_index * tg.dt, params,
+        dc), lambda worst: worst >= POSITIVITY_TOL, False)
+
+
+def _comparison(name: str, upper: int, lower: int):
+    """Run ``upper`` minus run ``lower``, in U and V."""
+    return (name, lambda st: (st[upper].u - st[lower].u,
+                              st[upper].v - st[lower].v),
+            lambda worst: worst >= COMPARISON_TOL, False)
+
+
+def _translation(delta: float, base: int, shifted: int):
+    """Distance of run ``shifted`` from run ``base`` moved by ``delta``."""
+    return ("translation",
+            lambda st: (np.abs(st[shifted].u - st[base].u - delta),
+                        np.abs(st[shifted].v - st[base].v - delta)),
+            lambda worst: worst <= TRANSLATION_TOL, True)
 
 
 def audit_positivity(run: SolveResult) -> CheckResult:
     """Worst transformed price (p or q) over the whole space-time grid."""
-    T, dt = run.params.horizon, run.tg.dt
-    return _scan("positivity", [run], lambda s: to_prices(
-        s.u, s.v, T - s.step_index * dt, run.params, run.dc),
-        lambda worst: worst >= POSITIVITY_TOL)
+    return _scan(_captured("positivity", [run]),
+                 [_positivity(run.params, run.dc, run.tg)])[0]
 
 
 def audit_comparison(upper: SolveResult, lower: SolveResult) -> CheckResult:
     """Discrete comparison: the run with larger data stays above pointwise."""
-    return _scan("comparison", [upper, lower],
-                 lambda hi, lo: (hi.u - lo.u, hi.v - lo.v),
-                 lambda worst: worst >= COMPARISON_TOL)
+    return _scan(_captured("comparison", [upper, lower]),
+                 [_comparison("comparison", 0, 1)])[0]
 
 
 def audit_translation(base: SolveResult, shifted: SolveResult,
                       delta: float) -> CheckResult:
     """Shifting data by delta must shift the solution by exactly delta."""
-    return _scan("translation", [base, shifted],
-                 lambda b, s: (np.abs(s.u - b.u - delta),
-                               np.abs(s.v - b.v - delta)),
-                 lambda worst: worst <= TRANSLATION_TOL, largest=True)
+    return _scan(_captured("translation", [base, shifted]),
+                 [_translation(delta, 0, 1)])[0]
+
+
+def _diagnostic_checks(d: SolveDiagnostics) -> list[CheckResult]:
+    """The M-matrix pattern and the sup-norm bound of one run."""
+    return [CheckResult("m_matrix", d.m_matrix_ok, d.min_d, (d.min_d_step,)),
+            CheckResult("sup_bound", d.bound_margin >= SUP_BOUND_TOL,
+                        d.bound_margin, (d.bound_margin_step,))]
 
 
 def audit_m_matrix(run: SolveResult) -> CheckResult:
-    d = run.diagnostics
-    return CheckResult("m_matrix", d.m_matrix_ok, d.min_d, (d.min_d_step,))
+    return _diagnostic_checks(run.diagnostics)[0]
 
 
 def audit_sup_bound(run: SolveResult) -> CheckResult:
-    d = run.diagnostics
-    return CheckResult("sup_bound", d.bound_margin >= SUP_BOUND_TOL,
-                       d.bound_margin, (d.bound_margin_step,))
+    return _diagnostic_checks(run.diagnostics)[1]
 
 
 def _lifted_call(s, k):
@@ -448,23 +478,24 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
            config: SchemeConfig) -> AuditReport:
     """The audit suite that ``liqshock verify`` prints.
 
-    Three captured runs on one grid (call payoff, call + 0.1, zero
-    payoff) feed six checks: positivity of the call run, comparison of
-    each ordered pair, translation by 0.1 gamma, the M-matrix pattern and
-    the sup-norm bound.  The restriction maximum is taken over all three
-    runs.  Failures are reported as data, never raised.
+    Three runs on one grid (call payoff, call + 0.1, zero payoff) march
+    in lockstep, and one ``_scan`` folds positivity of the call run,
+    comparison of each ordered pair and translation by 0.1 gamma as the
+    levels stream past, so no trajectory is kept; the M-matrix pattern
+    and the sup-norm bound of the call run follow from its diagnostics.
+    The restriction maximum is taken over all three runs.  Failed checks
+    are reported as data, never raised; a run that breaks down raises its
+    SolveFailure at the earliest failing step.
     """
-    base, shifted, zero = [
-        solve_forward(params, grid, tg, config, payoff=payoff,
-                      capture_trajectory=True)
-        for payoff in (payoff_call, _lifted_call, payoff_zero)]
-    checks = [
-        audit_positivity(base),
-        replace(audit_comparison(shifted, base), name="comparison(h+0.1)"),
-        replace(audit_comparison(base, zero), name="comparison(call vs 0)"),
-        audit_translation(base, shifted, 0.1 * params.gamma),
-        audit_m_matrix(base),
-        audit_sup_bound(base),
-    ]
-    return AuditReport(checks=checks, restriction_max=max(
-        r.diagnostics.restriction_max for r in (base, shifted, zero)))
+    dc = derive_constants(params)
+    payoffs = (payoff_call, _lifted_call, payoff_zero)
+    diags = [SolveDiagnostics() for _ in payoffs]
+    marches = [_march(initial_state(grid, params, h), grid, tg, dc, config, d)
+               for h, d in zip(payoffs, diags)]
+    checks = _scan(zip(*marches), [
+        _positivity(params, dc, tg),
+        _comparison("comparison(h+0.1)", 1, 0),
+        _comparison("comparison(call vs 0)", 0, 2),
+        _translation(0.1 * params.gamma, 0, 1)])
+    return AuditReport(checks=checks + _diagnostic_checks(diags[0]),
+                       restriction_max=max(d.restriction_max for d in diags))

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -153,7 +154,8 @@ class StepPlan:
     the exact spacing (s_max - s_min)/I, others the 3-point formula on
     h_i = S_i - S_{i-1}, which keeps both weights positive.  These are the
     whole ``imex_linear`` rows, so every level of such a run shares them,
-    and with them one elimination (worked out here) and one domination.
+    and with them one elimination (worked out by the first ``step`` that
+    solves them) and one domination.
     """
 
     grid: SpatialGrid
@@ -173,8 +175,6 @@ class StepPlan:
             lower, upper = ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
         object.__setattr__(self, "rows", TridiagonalRows(
             lower, 1.0 / self.tg.dt + lower + upper, upper))
-        # every level that solves these rows substitutes into one elimination
-        self.rows.elimination
 
 
 def _edges(state: GridState, plan: StepPlan) -> tuple[float, float]:
@@ -244,13 +244,15 @@ def step(state: GridState,
     """Advance one time level with ``plan.config.scheme``.
 
     Returns the new state and the tridiagonal system solved for its U.
-    ``imex_linear`` solves the plan's rows and advances V pointwise by the
-    explicit rule; ``imex_linearized`` solves rows whose diagonal changes
-    with the level, then recovers V at every node, boundaries included,
-    from the eliminated one-point relation.
+    ``imex_linear`` solves the plan's rows, eliminated once for the whole
+    run, and advances V pointwise by the explicit rule;
+    ``imex_linearized`` solves rows whose diagonal changes with the
+    level, then recovers V at every node, boundaries included, from the
+    eliminated one-point relation.
     """
     if plan.config.scheme == "imex_linear":
         sys = assemble_scheme1(state, plan)
+        plan.rows.elimination  # cached: every later level substitutes
         u_new = solve(sys)
         v_new = state.v - plan.tg.dt * plan.dc.c * (
             np.exp(state.v - state.u) - 1.0)
@@ -261,39 +263,36 @@ def step(state: GridState,
     return GridState(state.step_index + 1, u_new, v_new), sys
 
 
-def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
-                  config: SchemeConfig | None = None, payoff=payoff_call,
-                  capture_trajectory: bool = False) -> SolveResult:
-    """March the scheme from the payoff level to tau = T.
+def _march(state: GridState, grid: SpatialGrid, tg: TimeGrid,
+           dc: DerivedConstants, config: SchemeConfig,
+           diag: SolveDiagnostics) -> Iterator[GridState]:
+    """Yield the level-0 ``state``, then each new level's state to tau = T.
 
-    Returns the final state together with per-run diagnostics (worst
-    M-matrix margin, worst sup-norm bound margin, worst reaction-step
-    restriction ratio).  The M-matrix check runs once per distinct row set
-    (once per run for ``imex_linear``, whose rows are the same at every
-    level); the sup-norm bound depends on the load and is checked at every
-    level.
-    A restriction ratio above 1 warns.  Numerical failures, overflow and
-    lost strict domination included, are re-raised as SolveFailure
-    carrying the failing step index.
+    Each step's checks are folded into the caller's ``diag`` before its
+    state is yielded, in this order: the reaction restriction ratio of
+    the level stepped from (a ratio above 1 warns), the M-matrix
+    conditions once per distinct row set (once per run for
+    ``imex_linear``, whose rows are the same at every level), and the
+    sup-norm bound margin, which depends on the load and is checked at
+    every level.  Numerical failures, overflow and lost strict domination
+    included, are re-raised as SolveFailure carrying the failing step
+    index; building the run's plan counts as step 0.
     """
-    dc = derive_constants(params)
-    state = initial_state(grid, params, payoff)
-    trajectory = [state] if capture_trajectory else None
-    diag = SolveDiagnostics()
     checked = None
     j = 0
     try:
         # squaring the spacing of a huge uniform grid overflows here
-        plan = StepPlan(grid, tg, dc, config or SchemeConfig())
+        plan = StepPlan(grid, tg, dc, config)
+        yield state
         for j in range(tg.steps):
             ratio = restriction_ratio(state, plan)
             if ratio > diag.restriction_max:
-                diag.restriction_max = ratio
-                diag.restriction_max_step = j
+                diag.restriction_max, diag.restriction_max_step = ratio, j
             if ratio > RESTRICTION_SLACK:
+                # past the march and the frame draining it: the caller
                 warnings.warn("reaction time-step restriction violated; "
                               "positivity of the march is no longer "
-                              "guaranteed", RuntimeWarning, stacklevel=2)
+                              "guaranteed", RuntimeWarning, stacklevel=3)
             state, sys = step(state, plan)
             if sys.rows is not checked:
                 checked, report = sys.rows, check_m_matrix(sys)
@@ -301,18 +300,36 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
             diag.solves += 1
             diag.m_matrix_ok = diag.m_matrix_ok and report.satisfied
             if report.min_d < diag.min_d:
-                diag.min_d = report.min_d
-                diag.min_d_step = j
+                diag.min_d, diag.min_d_step = report.min_d, j
             if margin < diag.bound_margin:
-                diag.bound_margin = margin
-                diag.bound_margin_step = j
-            if capture_trajectory:
-                trajectory.append(state)
+                diag.bound_margin, diag.bound_margin_step = margin, j
+            yield state
     except (LiqshockError, OverflowError) as err:
         # math.exp (restriction ratio, natural edge) overflows on a large
         # spread |U - V|, and rows that lose strict domination have no
         # sup-norm bound; both are breakdowns of step j.
         raise SolveFailure(j, str(err)) from err
-    return SolveResult(final_state=state, trajectory=trajectory,
-                       diagnostics=diag, params=params, grid=grid, tg=tg,
-                       dc=dc)
+
+
+def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
+                  config: SchemeConfig | None = None, payoff=payoff_call,
+                  capture_trajectory: bool = False) -> SolveResult:
+    """March the scheme from the payoff level to tau = T.
+
+    Works out the constants and the level-0 state once, then drains
+    ``_march`` (which builds the run's plan), keeping every level with
+    ``capture_trajectory`` and otherwise only the last.  Returns the
+    final state together with the run's diagnostics (worst M-matrix
+    margin, worst sup-norm bound margin, worst reaction-step restriction
+    ratio, each with its step).  A restriction ratio above 1 warns,
+    pointing at the caller.  Numerical failures, overflow and lost strict
+    domination included, are raised as SolveFailure carrying the failing
+    step index.
+    """
+    dc = derive_constants(params)
+    diag = SolveDiagnostics()
+    states = _march(initial_state(grid, params, payoff), grid, tg, dc,
+                    config or SchemeConfig(), diag)
+    trajectory = list(states) if capture_trajectory else None
+    final = (trajectory or deque(states, maxlen=1))[-1]
+    return SolveResult(final, trajectory, diag, params, grid, tg, dc)

@@ -16,8 +16,8 @@ elimination and the domination D - can be worked out once per row set and
 cached on it.  ``solve`` substitutes into a cached elimination when the
 rows have one; otherwise it eliminates and substitutes in one forward
 pass and caches nothing.  Rows shared by a whole run (``imex_linear``)
-are eliminated once, when the run's plan is built; rows built anew at
-every level (``imex_linearized``) take the one-pass sweep.
+are eliminated once, by the run's first step; rows built anew at every
+level (``imex_linearized``) take the one-pass sweep.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Extrapolation, study ladders, oracles, and audit machinery."""
 
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from liqshock import (
     NATURAL,
     AuditReport,
     DerivedConstants,
+    LiqshockError,
     ModelParams,
     OracleConvergenceError,
     SchemeConfig,
@@ -32,6 +36,7 @@ from liqshock import (
     richardson,
     solve_forward,
     step,
+    tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
     verify,
@@ -333,6 +338,72 @@ class TestAudits:
                       lambda a, b: audit_translation(a, b, 0.0)):
             with pytest.raises(ValidationError, match="share the grid"):
                 audit(captured, coarse)
+
+
+def captured_verify(params, grid, tg, config):
+    """The verify lines from three captured runs and the public audits."""
+    base, shifted, zero = [
+        solve_forward(params, grid, tg, config, payoff=payoff,
+                      capture_trajectory=True)
+        for payoff in (payoff_call, lambda s, k: payoff_call(s, k) + 0.1,
+                       payoff_zero)]
+    checks = [
+        audit_positivity(base),
+        replace(audit_comparison(shifted, base), name="comparison(h+0.1)"),
+        replace(audit_comparison(base, zero), name="comparison(call vs 0)"),
+        audit_translation(base, shifted, 0.1 * params.gamma),
+        audit_m_matrix(base),
+        audit_sup_bound(base),
+    ]
+    return AuditReport(checks, max(r.diagnostics.restriction_max
+                                   for r in (base, shifted, zero))).lines()
+
+
+def outcome(route, *args):
+    """What ``route`` returns, or the type and message it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return route(*args)
+    except LiqshockError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+class TestStreamedVerify:
+    # Seeded draws from the acceptance criterion-9 box, on which most
+    # imex_linear runs break down: the lockstep marches must report what
+    # the captured runs report, lines or failure alike.
+    @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
+    def test_matches_captured_runs(self, scheme):
+        rng = np.random.default_rng(7)
+        failures = 0
+        for _ in range(150):
+            p = ModelParams(
+                sigma=rng.uniform(0.05, 1.0), mu=rng.uniform(-0.5, 0.5),
+                gamma=rng.uniform(0.1, 10.0), nu01=rng.uniform(0.01, 20.0),
+                nu10=rng.uniform(0.01, 20.0), strike=rng.uniform(0.5, 10.0),
+                horizon=rng.uniform(0.1, 3.0), s_min=0.0,
+                s_max=rng.uniform(11.0, 50.0))
+            grid = uniform_grid(p.s_min, p.s_max, 20)
+            args = (p, grid, time_grid_from_space(grid, p.horizon),
+                    SchemeConfig(scheme=scheme))
+            streamed = outcome(lambda *a: verify(*a).lines(), *args)
+            assert streamed == outcome(captured_verify, *args)
+            failures += isinstance(streamed, str)
+        if scheme == "imex_linear":
+            assert failures > 0  # breakdowns are part of the comparison
+
+    def test_keeps_no_trajectory(self, params):
+        grid = tavella_randall_grid(0, 5, 2, 15.0, 480)
+        tg = time_grid_from_space(grid, params.horizon)
+        tracemalloc.start()
+        try:
+            verify(params, grid, tg, SchemeConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_trajectory = 2 * (tg.steps + 1) * (grid.intervals + 1) * 8
+        assert peak < one_trajectory
 
 
 class TestTranslationMatrix:

@@ -24,6 +24,7 @@ from liqshock import (
     assemble_scheme2,
     check_m_matrix,
     derive_constants,
+    implicit_oracle,
     initial_state,
     payoff_call,
     restriction_ratio,
@@ -334,8 +335,10 @@ class TestRestriction:
     def test_warns_by_default(self, params):
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.5, steps=2)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as caught:
             res = solve_forward(params, grid, tg)
+        # the warning names the line that asked for the run
+        assert caught[0].filename == __file__
         assert res.diagnostics.restriction_max == pytest.approx(0.5 * 12.0)
         assert res.diagnostics.restriction_max_step == 0
 
@@ -457,9 +460,10 @@ class TestSolveForward:
                       SchemeConfig(scheme=scheme))
         assert len(seen) == calls
 
-    # the plan's rows are eliminated once; the domination is worked out
-    # once per row set checked (imex_linearized solves new rows, without
-    # caching an elimination, at every level)
+    # the plan's rows are eliminated once, and only where they are solved
+    # (imex_linear); the domination is worked out once per row set checked
+    # (imex_linearized solves new rows, without caching an elimination, at
+    # every level)
     @pytest.mark.parametrize("scheme,per_run", [("imex_linear", 1),
                                                 ("imex_linearized", 24)])
     def test_row_factors_once_per_row_set(self, params, monkeypatch, scheme,
@@ -478,4 +482,10 @@ class TestSolveForward:
         grid = uniform_grid(0, 5, 60)
         solve_forward(params, grid, TimeGrid(dt=1 / 24, steps=24),
                       SchemeConfig(scheme=scheme))
-        assert counts == {"elimination": 1, "domination": per_run}
+        assert counts == {"elimination": int(scheme == "imex_linear"),
+                          "domination": per_run}
+        # the implicit oracle reads the plan's rows but never solves them
+        counts["elimination"] = 0
+        implicit_oracle(params, uniform_grid(0, 5, 16),
+                        TimeGrid(dt=0.1, steps=2), SchemeConfig(scheme=scheme))
+        assert counts["elimination"] == 0

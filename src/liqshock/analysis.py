@@ -483,15 +483,18 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     comparison of each ordered pair and translation by 0.1 gamma as the
     levels stream past, so no trajectory is kept; the M-matrix pattern
     and the sup-norm bound of the call run follow from its diagnostics.
-    The restriction maximum is taken over all three runs.  Failed checks
-    are reported as data, never raised; a run that breaks down raises its
-    SolveFailure at the earliest failing step.
+    The restriction maximum is taken over all three runs, and a
+    restriction warning names the line that called ``verify``; a time grid
+    that overshoots the horizon is refused before any run marches.  Failed
+    checks are reported as data, never raised; a run that breaks down
+    raises its SolveFailure at the earliest failing step.
     """
     dc = derive_constants(params)
     payoffs = (payoff_call, _lifted_call, payoff_zero)
     diags = [SolveDiagnostics() for _ in payoffs]
-    marches = [_march(initial_state(grid, params, h), grid, tg, dc, config, d)
-               for h, d in zip(payoffs, diags)]
+    # a restriction warning names verify's caller, past _march and _scan
+    marches = [_march(initial_state(grid, params, h), grid, tg, dc, config, d,
+                      stacklevel=4) for h, d in zip(payoffs, diags)]
     checks = _scan(zip(*marches), [
         _positivity(params, dc, tg),
         _comparison("comparison(h+0.1)", 1, 0),

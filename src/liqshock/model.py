@@ -144,6 +144,10 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
                             sigma=params.sigma, horizon=params.horizon)
 
 
+# Calendar times this close outside [0, T] are roundoff, not an error.
+TIME_SLACK = 1e-12
+
+
 def evaluate_f(dc: DerivedConstants, t: float) -> tuple[float, float]:
     """Evaluate (F0(t), F1(t)) for calendar time t in [0, T].
 
@@ -152,7 +156,7 @@ def evaluate_f(dc: DerivedConstants, t: float) -> tuple[float, float]:
     F0(T) = F1(T) = 1 up to roundoff.
     """
     T = dc.horizon
-    if t < -1e-12 or t > T * (1.0 + 1e-12):
+    if t < -TIME_SLACK or t > T * (1.0 + TIME_SLACK):
         raise ValidationError(f"t={t} outside [0, {T}]")
     q1 = (dc.lambda2 - dc.d0) / (dc.lambda2 - dc.lambda1)
     q2 = (dc.lambda1 - dc.d0) / (dc.lambda1 - dc.lambda2)

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import LiqshockError, SolveFailure, ValidationError
 from .mesh import SpatialGrid, TimeGrid
-from .model import DerivedConstants, ModelParams, derive_constants, payoff_call
+from .model import (TIME_SLACK, DerivedConstants, ModelParams,
+                    derive_constants, payoff_call)
 from .tridiag import (TridiagonalRows, TridiagonalSystem, check_m_matrix,
                       solve, stability_bound)
 
@@ -199,7 +200,9 @@ def restriction_ratio(state: GridState, plan: StepPlan) -> float:
     Values above 1 void the sign conditions behind the discrete comparison
     principle for the explicit reaction update.
     """
-    vu, uv = float(np.max(state.v - state.u)), float(np.max(state.u - state.v))
+    # one difference serves both maxima: fl(v - u) is exactly -fl(u - v)
+    diff = state.u - state.v
+    vu, uv = -float(diff.min()), float(diff.max())
     dt, dc = plan.tg.dt, plan.dc
     return dt * max(dc.c * math.exp(vu), dc.a * math.exp(uv))
 
@@ -234,8 +237,7 @@ def assemble_scheme2(state: GridState, plan: StepPlan
     wi, rows = w[1:-1], plan.rows
     diag = rows.diag + wi - wi * z[1:-1] / k_hat[1:-1]
     rhs = f_hat + wi / k_hat[1:-1] * g[1:-1]
-    return (TridiagonalSystem(TridiagonalRows(rows.lower, diag, rows.upper),
-                              rhs, *_edges(state, plan)),
+    return (TridiagonalSystem(rows.with_diag(diag), rhs, *_edges(state, plan)),
             (k_hat, -z, g))
 
 
@@ -265,19 +267,26 @@ def step(state: GridState,
 
 def _march(state: GridState, grid: SpatialGrid, tg: TimeGrid,
            dc: DerivedConstants, config: SchemeConfig,
-           diag: SolveDiagnostics) -> Iterator[GridState]:
+           diag: SolveDiagnostics, stacklevel: int = 3
+           ) -> Iterator[GridState]:
     """Yield the level-0 ``state``, then each new level's state to tau = T.
 
+    A time grid whose last level lies past the horizon (by more than
+    ``evaluate_f`` forgives) is a ValidationError before the first state.
     Each step's checks are folded into the caller's ``diag`` before its
     state is yielded, in this order: the reaction restriction ratio of
-    the level stepped from (a ratio above 1 warns), the M-matrix
-    conditions once per distinct row set (once per run for
+    the level stepped from (a ratio above 1 warns at ``stacklevel``,
+    whose default 3 names the caller of the frame draining the march),
+    the M-matrix conditions once per distinct row set (once per run for
     ``imex_linear``, whose rows are the same at every level), and the
     sup-norm bound margin, which depends on the load and is checked at
     every level.  Numerical failures, overflow and lost strict domination
     included, are re-raised as SolveFailure carrying the failing step
     index; building the run's plan counts as step 0.
     """
+    if dc.horizon - tg.steps * tg.dt < -TIME_SLACK:
+        raise ValidationError(f"{tg.steps} steps of dt={tg.dt} overshoot "
+                              f"the horizon {dc.horizon}")
     checked = None
     j = 0
     try:
@@ -289,10 +298,10 @@ def _march(state: GridState, grid: SpatialGrid, tg: TimeGrid,
             if ratio > diag.restriction_max:
                 diag.restriction_max, diag.restriction_max_step = ratio, j
             if ratio > RESTRICTION_SLACK:
-                # past the march and the frame draining it: the caller
                 warnings.warn("reaction time-step restriction violated; "
                               "positivity of the march is no longer "
-                              "guaranteed", RuntimeWarning, stacklevel=3)
+                              "guaranteed", RuntimeWarning,
+                              stacklevel=stacklevel)
             state, sys = step(state, plan)
             if sys.rows is not checked:
                 checked, report = sys.rows, check_m_matrix(sys)
@@ -322,9 +331,10 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     final state together with the run's diagnostics (worst M-matrix
     margin, worst sup-norm bound margin, worst reaction-step restriction
     ratio, each with its step).  A restriction ratio above 1 warns,
-    pointing at the caller.  Numerical failures, overflow and lost strict
-    domination included, are raised as SolveFailure carrying the failing
-    step index.
+    pointing at the caller.  A time grid that overshoots the horizon is a
+    ValidationError before any level runs.  Numerical failures, overflow
+    and lost strict domination included, are raised as SolveFailure
+    carrying the failing step index.
     """
     dc = derive_constants(params)
     diag = SolveDiagnostics()

@@ -11,18 +11,25 @@ rows during the solve, so the stored rows are exactly the ones the
 monotonicity conditions (A_i > 0, B_i > 0, D_i = C_i - A_i - B_i >= 0)
 speak about.
 
-What depends on the rows alone - the pivots and multipliers of the
-elimination and the domination D - can be worked out once per row set and
-cached on it.  ``solve`` substitutes into a cached elimination when the
-rows have one; otherwise it eliminates and substitutes in one forward
-pass and caches nothing.  Rows shared by a whole run (``imex_linear``)
-are eliminated once, by the run's first step; rows built anew at every
-level (``imex_linearized``) take the one-pass sweep.
+What depends on the rows alone is worked out once per row set and
+cached on it: the pivots and multipliers of the elimination, the
+domination D and its minimum, which both checks read.  What depends on A
+and B alone - A and B as Python floats, |A|, |B| and the sign of A and
+B - is cached too, and rows derived from another set by ``with_diag``
+share it instead of redoing it.  ``solve`` substitutes into a cached
+elimination when the rows have one; otherwise it eliminates and
+substitutes in one forward pass, converting only the diagonal, and
+caches no elimination.  Either way it packs the back substitution into
+the result array in one call.  Rows shared by a whole run
+(``imex_linear``) are eliminated once, by the run's first step; rows
+with a new diagonal at every level (``imex_linearized``) are derived
+from the run's rows and take the one-pass sweep.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +74,22 @@ class TridiagonalRows:
                                   "lower/diag/upper of one length")
 
     @functools.cached_property
+    def off_diagonals(self) -> tuple:
+        """What A and B alone fix: A and B as Python floats, |A|, |B|, and
+        whether every A_i and B_i is positive (a NaN makes it False).
+        Rows derived by ``with_diag`` share these instead of redoing them."""
+        lo, up = self.lower, self.upper
+        return (lo.tolist(), up.tolist(), np.abs(lo), np.abs(up),
+                bool(lo.min() > 0 and up.min() > 0))
+
+    def with_diag(self, diag) -> TridiagonalRows:
+        """Rows with these A and B and the diagonal ``diag``, sharing this
+        row set's ``off_diagonals``."""
+        rows = TridiagonalRows(self.lower, diag, self.upper)
+        rows.__dict__["off_diagonals"] = self.off_diagonals
+        return rows
+
+    @functools.cached_property
     def elimination(self) -> tuple[list[float], ...]:
         """The forward sweep's factors, fixed whatever the load: the rows
         A as Python floats, the pivots den_i = C_i + A_i c_{i-1} and the
@@ -78,10 +101,10 @@ class TridiagonalRows:
         Python floats, which round each operation exactly as float64
         scalars do but index and compute several times faster.
         """
-        lo, di, up = (a.tolist() for a in (self.lower, self.diag, self.upper))
+        lo, up, *_ = self.off_diagonals
         pivots, mult, c = [], [], -0.0
         try:
-            for a, b, e in zip(lo, di, up):
+            for a, b, e in zip(lo, self.diag.tolist(), up):
                 pivots.append(den := b + a * c)
                 mult.append(c := -e / den)
         except ZeroDivisionError:
@@ -92,7 +115,13 @@ class TridiagonalRows:
     @functools.cached_property
     def domination(self) -> np.ndarray:
         """D_i = |C_i| - |A_i| - |B_i| of every row."""
-        return np.abs(self.diag) - np.abs(self.lower) - np.abs(self.upper)
+        _, _, abs_lower, abs_upper, _ = self.off_diagonals
+        return np.abs(self.diag) - abs_lower - abs_upper
+
+    @functools.cached_property
+    def min_domination(self) -> float:
+        """The least D_i (NaN if any D_i is), read by both checks."""
+        return float(self.domination.min())
 
 
 @dataclass(frozen=True)
@@ -132,7 +161,8 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
     every pivot nonzero; a vanishing pivot raises SingularSystemError.
     Rows whose ``elimination`` is cached only have the load substituted;
     other rows are eliminated in the same forward pass as the load, in
-    the same operation order, and keep nothing.
+    the same operation order, and keep no elimination.  The result is a
+    new writable float64 array.
     """
     rows = sys.rows
     left, right = float(sys.left_value), float(sys.right_value)
@@ -147,11 +177,11 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
         lo, pivots, mult = rows.elimination
         dp = [d := (g + a * d) / den for a, den, g in zip(lo, pivots, f)]
     else:
-        lo, di, up = (a.tolist() for a in (rows.lower, rows.diag, rows.upper))
+        lo, up, *_ = rows.off_diagonals
         mult, dp, c = [], [], -0.0
         keep_c, keep_d = mult.append, dp.append
         try:
-            for a, b, e, g in zip(lo, di, up, f):
+            for a, b, e, g in zip(lo, rows.diag.tolist(), up, f):
                 den = b + a * c
                 c = -e / den
                 d = (g + a * d) / den
@@ -163,7 +193,10 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
     # The last row already carries y_N, so the sweep back starts from it.
     y = dp[-1]
     back = [y := d - c * y for c, d in zip(mult[-2::-1], dp[-2::-1])]
-    return np.array([left, *back[::-1], dp[-1], right])
+    out = np.empty(len(dp) + 2)
+    struct.pack_into(f"{out.size}d", out, 0, left, *reversed(back), dp[-1],
+                     right)
+    return out
 
 
 def check_m_matrix(sys: TridiagonalSystem) -> MMatrixReport:
@@ -171,11 +204,10 @@ def check_m_matrix(sys: TridiagonalSystem) -> MMatrixReport:
 
     With A, B, C > 0 the domination |C| - |A| - |B| is C - A - B.
     """
-    rows, d = sys.rows, sys.rows.domination
-    # one min per array; a NaN makes its min NaN and the compare False
-    min_d = float(d.min())
-    ok = bool(rows.lower.min() > 0 and rows.upper.min() > 0
-              and rows.diag.min() > 0 and min_d >= 0)
+    rows = sys.rows
+    min_d = rows.min_domination
+    # a NaN makes its min NaN and the compare False
+    ok = bool(rows.off_diagonals[-1] and rows.diag.min() > 0 and min_d >= 0)
     return MMatrixReport(satisfied=ok, min_d=min_d)
 
 
@@ -185,8 +217,7 @@ def stability_bound(sys: TridiagonalSystem) -> float:
     Requires strict domination D_i = |C_i| - |A_i| - |B_i| > 0 on every
     row; the solved y then satisfies ||y||_inf <= bound.
     """
-    d = sys.rows.domination
-    if d.min() <= 0:
+    if sys.rows.min_domination <= 0:
         raise ValidationError("strict diagonal domination required")
-    interior = float(np.max(np.abs(sys.rhs) / d))
+    interior = float((np.abs(sys.rhs) / sys.rows.domination).max())
     return max(abs(sys.left_value), abs(sys.right_value), interior)

@@ -309,9 +309,9 @@ class TestAudits:
             assert len(report.lines()) == 6
 
     def test_restriction_flagged_on_coarse_run(self, params):
-        # dt * c = 2.5 violates the explicit-reaction restriction
+        # dt * c = 3 violates the explicit-reaction restriction
         grid = uniform_grid(0, 5, 12)
-        tg = TimeGrid(dt=1 / 4.8, steps=int(round(4.8)))
+        tg = TimeGrid(dt=0.25, steps=4)
         with pytest.warns(RuntimeWarning):
             run = solve_forward(params, grid, tg, capture_trajectory=True)
         report = AuditReport(checks=[audit_m_matrix(run)],
@@ -319,6 +319,34 @@ class TestAudits:
         assert not report.restriction_ok
         assert report.restriction_max > 2.0
         assert any("restriction" in line for line in report.lines())
+
+    def test_restriction_warning_names_verify_caller(self, params):
+        grid = uniform_grid(0, 5, 12)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            verify(params, grid, TimeGrid(dt=0.25, steps=4), SchemeConfig())
+        # one per step of each of the three runs, each naming this line
+        assert len(caught) == 12
+        assert {w.filename for w in caught} == {__file__}
+
+    def test_overshooting_time_grid_refused(self, params):
+        # 5 steps of 1/4.8 end at tau = 1.0417 > T = 1: refused before any
+        # level is stepped (which would warn, dt * c = 2.5)
+        grid = uniform_grid(0, 5, 12)
+        over = TimeGrid(dt=1 / 4.8, steps=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (solve_forward,
+                          lambda *args: verify(*args, SchemeConfig())):
+                with pytest.raises(ValidationError,
+                                   match="5 steps of dt=.* overshoot the "
+                                         "horizon 1.0"):
+                    route(params, grid, over)
+        # short of the horizon, or past it by no more than the roundoff
+        # to_prices forgives, a grid runs, and its audits find every time
+        for tg in (TimeGrid(dt=1 / 24, steps=12),
+                   TimeGrid(dt=(1 + 4e-13) / 24, steps=24)):
+            assert len(verify(params, grid, tg, SchemeConfig()).checks) == 6
 
     def test_requires_trajectory(self, params):
         grid = uniform_grid(0, 5, 48)

@@ -461,14 +461,17 @@ class TestSolveForward:
         assert len(seen) == calls
 
     # the plan's rows are eliminated once, and only where they are solved
-    # (imex_linear); the domination is worked out once per row set checked
-    # (imex_linearized solves new rows, without caching an elimination, at
-    # every level)
+    # (imex_linear); the facts of A and B are worked out once per run,
+    # every level's rows sharing them; the domination and its minimum are
+    # worked out once per row set checked (imex_linearized solves new
+    # rows, without caching an elimination, at every level)
     @pytest.mark.parametrize("scheme,per_run", [("imex_linear", 1),
                                                 ("imex_linearized", 24)])
     def test_row_factors_once_per_row_set(self, params, monkeypatch, scheme,
                                           per_run):
-        counts = dict.fromkeys(("elimination", "domination"), 0)
+        names = ("elimination", "off_diagonals", "domination",
+                 "min_domination")
+        counts = dict.fromkeys(names, 0)
         for name in counts:
             compute = getattr(TridiagonalRows, name).func
 
@@ -483,7 +486,8 @@ class TestSolveForward:
         solve_forward(params, grid, TimeGrid(dt=1 / 24, steps=24),
                       SchemeConfig(scheme=scheme))
         assert counts == {"elimination": int(scheme == "imex_linear"),
-                          "domination": per_run}
+                          "off_diagonals": 1, "domination": per_run,
+                          "min_domination": per_run}
         # the implicit oracle reads the plan's rows but never solves them
         counts["elimination"] = 0
         implicit_oracle(params, uniform_grid(0, 5, 16),

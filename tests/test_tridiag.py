@@ -171,6 +171,45 @@ class TestSolve:
         # a row set's own arrays are shared, not copied again
         assert TridiagonalRows(rows.lower, diag, rows.upper).upper is rows.upper
 
+    def test_result_is_a_new_writable_array(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 639):
+            sys = random_dominant(rng, n)
+            y = solve(sys)
+            assert y.dtype == np.float64 and y.shape == (n + 2,)
+            assert y.flags.writeable and y.flags.owndata
+            assert np.array_equal(y, scalar_thomas(sys))
+
+    def test_derived_rows_match_fresh_rows(self):
+        # a new diagonal on shared A and B, including a non-positive A and
+        # a NaN diagonal entry: every fact equals that of rows built anew
+        rng = np.random.default_rng(53)
+        for n in (1, 2, 17, 639):
+            base = random_dominant(rng, n).rows
+            lower = base.lower.copy()
+            lower[n // 2] = 0.0 if n > 1 else -0.5
+            base = TridiagonalRows(lower, base.diag, base.upper)
+            diags = [base.diag + rng.uniform(0.0, 1.0, n)]
+            diags.append(diags[0].copy())
+            diags[1][n - 1] = np.nan
+            for diag in diags:
+                derived, fresh = base.with_diag(diag), TridiagonalRows(
+                    base.lower, diag, base.upper)
+                assert derived.off_diagonals is base.off_diagonals
+                assert np.array_equal(derived.domination, fresh.domination,
+                                      equal_nan=True)
+                assert repr(derived.min_domination) == repr(
+                    fresh.min_domination)
+                assert repr(check_m_matrix(TridiagonalSystem(
+                    derived, np.zeros(n), 0.0, 0.0))) == repr(check_m_matrix(
+                        TridiagonalSystem(fresh, np.zeros(n), 0.0, 0.0)))
+                rhs = rng.normal(size=n)
+                y, want = (solve(TridiagonalSystem(rows, rhs, 0.5, -1.5))
+                           for rows in (derived, fresh))
+                assert np.array_equal(y, want, equal_nan=True)
+                assert np.array_equal(y, scalar_thomas(TridiagonalSystem(
+                    fresh, rhs, 0.5, -1.5)), equal_nan=True)
+
     def test_singular_pivot(self):
         sys = system(lower=np.zeros(2), diag=np.zeros(2),
                      upper=np.zeros(2), rhs=np.ones(2),

@@ -26,6 +26,7 @@ from .mesh import (
     HALF_MIN_SPACING,
     SpatialGrid,
     TimeGrid,
+    _check_cells,
     tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
@@ -40,6 +41,7 @@ from .schemes import (
     SolveDiagnostics,
     SolveResult,
     StepPlan,
+    _check_horizon,
     _march,
     initial_state,
     solve_forward,
@@ -138,16 +140,24 @@ def _build_grid(params: ModelParams, grid_kind: str, intervals: int,
 
 
 def _level_grids(params: ModelParams, grid_kind: str, levels: Sequence[int],
-                 alpha: float) -> list[tuple[SpatialGrid, TimeGrid]]:
-    """The spatial and (slaved) time grid of every level of a doubling
-    ladder, so that a bad level is refused before any level runs."""
+                 alpha: float, halved: bool = False
+                 ) -> list[tuple[SpatialGrid, tuple[TimeGrid, ...]]]:
+    """The spatial grid and the time grids of every level of a doubling
+    ladder: the slaved one and (with ``halved``) its dt/2 twin, so that a
+    bad level, or a twin over the cell cap, is refused before any level
+    runs."""
     if len(levels) < 1:
         raise ValidationError("need at least one level")
     if any(fine != 2 * coarse for coarse, fine in zip(levels, levels[1:])):
         raise ValidationError("levels must double at each step")
     grids = [_build_grid(params, grid_kind, lvl, alpha) for lvl in levels]
-    return [(g, time_grid_from_space(g, params.horizon, HALF_MIN_SPACING))
-            for g in grids]
+    out = []
+    for g in grids:
+        tg = time_grid_from_space(g, params.horizon, HALF_MIN_SPACING)
+        tgs = (tg, tg.halved()) if halved else (tg,)
+        _check_cells(g.intervals, tgs[-1].steps)
+        out.append((g, tgs))
+    return out
 
 
 def _rows_from_values(levels, values) -> list[ConvergenceRow]:
@@ -170,9 +180,8 @@ def _ladder(params, scheme, grid_kind, levels, alpha, left_bc, on_result,
     """Per level, yield the runs at the slaved dt and (with ``halved``)
     at dt/2 on the same spatial grid, each first passed to ``on_result``."""
     config = SchemeConfig(scheme=scheme, left_bc=left_bc)
-    for grid, tg in _level_grids(params, grid_kind, levels, alpha):
-        runs = [solve_forward(params, grid, t, config)
-                for t in ((tg, tg.halved()) if halved else (tg,))]
+    for grid, tgs in _level_grids(params, grid_kind, levels, alpha, halved):
+        runs = [solve_forward(params, grid, t, config) for t in tgs]
         if on_result is not None:
             for run in runs:
                 on_result(run)
@@ -268,10 +277,12 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     solve, so the oracle shares no code path with the production
     elimination.
     Intended for small instances as the reference the linearized stepper
-    approximates.
+    approximates.  A time grid that overshoots the horizon is refused as
+    by ``solve_forward``.
     """
     if grid.intervals > 64 or tg.steps > 128:
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
+    _check_horizon(tg, params.horizon)
     plan = StepPlan(grid, tg, derive_constants(params),
                     config or SchemeConfig())
     config, dc = plan.config, plan.dc
@@ -407,8 +418,8 @@ def _captured(name: str, runs) -> zip:
     if any(run.trajectory is None for run in runs):
         raise ValidationError(
             f"{name} audit needs a run with capture_trajectory=True")
-    if any(r.grid.intervals != runs[0].grid.intervals
-           or r.tg.steps != runs[0].tg.steps for r in runs):
+    if any(not np.array_equal(r.grid.nodes, runs[0].grid.nodes)
+           or r.tg != runs[0].tg for r in runs):
         raise ValidationError("runs must share the grid and time partition")
     return zip(*(r.trajectory for r in runs))
 

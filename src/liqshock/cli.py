@@ -111,14 +111,15 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _study(study, cfg: RunConfig, levels: str):
+def _study(study, cfg: RunConfig, levels: str, halved: bool = False):
     """Run a ladder study on the comma list ``levels``.  Every level's
-    grids are built first, so a bad level names --levels; an error from
-    a run prints as it does for solve."""
+    grids (with ``halved``, also the dt/2 twins) are built first, so a
+    bad level names --levels; an error from a run prints as it does for
+    solve."""
     params = cfg.model_params()
     try:
         sizes = [int(tok) for tok in levels.split(",") if tok.strip()]
-        analysis._level_grids(params, cfg.grid, sizes, cfg.alpha)
+        analysis._level_grids(params, cfg.grid, sizes, cfg.alpha, halved)
     except ValueError as e:  # ValidationError included
         raise ValidationError(f"--levels: {e}") from e
     sc = _scheme_config(cfg)
@@ -136,7 +137,7 @@ def cmd_converge(cfg: RunConfig, levels: str) -> int:
 
 
 def cmd_extrapolate(cfg: RunConfig, levels: str) -> int:
-    rows = _study(analysis.extrapolated_study, cfg, levels)
+    rows = _study(analysis.extrapolated_study, cfg, levels, halved=True)
     _write_csv(cfg.output_path, "I,Z,W,Y,diff_Y,ratio,order",
                map(astuple, rows))
     return 0

@@ -131,13 +131,18 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     return SpatialGrid(nodes)
 
 
+def _check_cells(intervals: int, steps: int):
+    """Refuse a run of more than MAX_CELLS cells in all."""
+    if intervals * steps > MAX_CELLS:
+        raise ValidationError(f"intervals x steps > MAX_CELLS = {MAX_CELLS}")
+
+
 def _checked_steps(intervals: int, horizon: float, dt: float) -> int:
     """Fewest steps of at most ``dt`` (to the snap tolerance) that cover the
     horizon; more than MAX_CELLS cells in all are rejected."""
     # capped, so that an infinite ratio never reaches ceil
     steps = max(1, math.ceil(min(horizon / dt * (1 - _SNAP_RTOL), MAX_CELLS)))
-    if intervals * steps > MAX_CELLS:
-        raise ValidationError(f"intervals x steps > MAX_CELLS = {MAX_CELLS}")
+    _check_cells(intervals, steps)
     return steps
 
 

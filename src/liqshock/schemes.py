@@ -265,14 +265,22 @@ def step(state: GridState,
     return GridState(state.step_index + 1, u_new, v_new), sys
 
 
+def _check_horizon(tg: TimeGrid, horizon: float):
+    """Refuse a time grid whose last level lies past the horizon by more
+    than ``evaluate_f`` forgives; a grid that stops short is legal."""
+    if horizon - tg.steps * tg.dt < -TIME_SLACK:
+        raise ValidationError(f"{tg.steps} steps of dt={tg.dt} overshoot "
+                              f"the horizon {horizon}")
+
+
 def _march(state: GridState, grid: SpatialGrid, tg: TimeGrid,
            dc: DerivedConstants, config: SchemeConfig,
            diag: SolveDiagnostics, stacklevel: int = 3
            ) -> Iterator[GridState]:
     """Yield the level-0 ``state``, then each new level's state to tau = T.
 
-    A time grid whose last level lies past the horizon (by more than
-    ``evaluate_f`` forgives) is a ValidationError before the first state.
+    A time grid that ``_check_horizon`` refuses is a ValidationError
+    before the first state.
     Each step's checks are folded into the caller's ``diag`` before its
     state is yielded, in this order: the reaction restriction ratio of
     the level stepped from (a ratio above 1 warns at ``stacklevel``,
@@ -284,9 +292,7 @@ def _march(state: GridState, grid: SpatialGrid, tg: TimeGrid,
     included, are re-raised as SolveFailure carrying the failing step
     index; building the run's plan counts as step 0.
     """
-    if dc.horizon - tg.steps * tg.dt < -TIME_SLACK:
-        raise ValidationError(f"{tg.steps} steps of dt={tg.dt} overshoot "
-                              f"the horizon {dc.horizon}")
+    _check_horizon(tg, dc.horizon)
     checked = None
     j = 0
     try:

@@ -110,7 +110,13 @@ class TestStudies:
         with pytest.raises(ValidationError,
                            match="intervals x steps > MAX_CELLS"):
             convergence_tables(params, "imex_linear", "uniform", [4000, 8000])
+        # 3840 x 1536 cells fit, but not the 3840 x 3072 of the dt/2 twin
+        with pytest.raises(ValidationError,
+                           match="intervals x steps > MAX_CELLS"):
+            extrapolated_study(params, "imex_linear", "uniform", [3840])
         assert runs == []
+        assert len(analysis_mod._level_grids(params, "uniform", [3840],
+                                             15.0)) == 1
 
     def test_small_ladder_monotone(self, params):
         rows = convergence_study(params, "imex_linear", "uniform",
@@ -337,7 +343,8 @@ class TestAudits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for route in (solve_forward,
-                          lambda *args: verify(*args, SchemeConfig())):
+                          lambda *args: verify(*args, SchemeConfig()),
+                          implicit_oracle):
                 with pytest.raises(ValidationError,
                                    match="5 steps of dt=.* overshoot the "
                                          "horizon 1.0"):
@@ -348,6 +355,7 @@ class TestAudits:
                    TimeGrid(dt=(1 + 4e-13) / 24, steps=24)):
             assert len(verify(params, grid, tg, SchemeConfig()).checks) == 6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_requires_trajectory(self, params):
         grid = uniform_grid(0, 5, 48)
         tg = time_grid_from_space(grid, params.horizon)
@@ -362,10 +370,19 @@ class TestAudits:
         coarse = solve_forward(params, other,
                                time_grid_from_space(other, params.horizon),
                                capture_trajectory=True)
-        for audit in (audit_comparison,
-                      lambda a, b: audit_translation(a, b, 0.0)):
-            with pytest.raises(ValidationError, match="share the grid"):
-                audit(captured, coarse)
+        # equal counts are not enough: other nodes, or other time levels
+        uniform = uniform_grid(0, 5, 20)
+        tg20 = time_grid_from_space(uniform, params.horizon)
+        run20 = solve_forward(params, uniform, tg20, capture_trajectory=True)
+        pairs = [(captured, coarse)] + [
+            (run20, solve_forward(params, g, t, capture_trajectory=True))
+            for g, t in ((tavella_randall_grid(0, 5, 2, 1.0, 20), tg20),
+                         (uniform, TimeGrid(tg20.dt / 2, tg20.steps)))]
+        for first, second in pairs:
+            for audit in (audit_comparison,
+                          lambda a, b: audit_translation(a, b, 0.0)):
+                with pytest.raises(ValidationError, match="share the grid"):
+                    audit(first, second)
 
 
 def captured_verify(params, grid, tg, config):

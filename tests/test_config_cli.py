@@ -1,7 +1,11 @@
 """Config parsing and the command-line surface."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from liqshock import (ConfigError, RunConfig, ValidationError, parse_config,
 from liqshock import analysis
 from liqshock.cli import _build_parser, _load_config, main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+RESTRICTION_WARNING = ("warning: reaction time-step restriction violated; "
+                       "positivity of the march is no longer guaranteed\n")
 FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
               "s_min", "s_max", "alpha", "dt")
 
@@ -203,6 +210,8 @@ class TestCliTables:
         # 8000 x 3200 steps of half the spacing
         ("converge", "8000", "intervals x steps > MAX_CELLS = 10000000"),
         ("converge", "4000,8000", "intervals x steps > MAX_CELLS = 10000000"),
+        # 3840 x 1536 steps fit, but not the 3072 steps of the dt/2 twin
+        ("extrapolate", "3840", "intervals x steps > MAX_CELLS = 10000000"),
     ])
     def test_bad_levels_name_the_flag(self, capsys, monkeypatch, command,
                                       levels, message):
@@ -232,7 +241,7 @@ class TestCliVerify:
     def test_out_writes_the_report(self, tmp_path, capsys):
         out = tmp_path / "verify.txt"
         assert main(["verify", "--I", "40", "--out", str(out)]) == 3
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr() == ("", "")
         lines = out.read_text().splitlines()
         assert len(lines) == 6
         assert all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines)
@@ -258,11 +267,12 @@ class TestCliErrors:
             assert capsys.readouterr().err == (
                 "error: invalid config (line 1: sigma: must be > 0)\n")
 
-    def test_flag_replaces_the_file_value(self, tmp_path):
+    def test_flag_replaces_the_file_value(self, tmp_path, capsys):
         # the config is checked as run: --I replaces intervals=1
         cfg = tmp_path / "run.cfg"
         cfg.write_text("intervals=1\n")
         assert main(["solve", "--I", "10", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == RESTRICTION_WARNING
 
     @pytest.mark.parametrize("command", [
         ["solve", "--I", "10"],
@@ -329,12 +339,15 @@ class TestCliErrors:
         assert main(["solve", "--I", "10", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}:")
 
-    def test_restriction_warning_is_one_line(self, capsys):
+    def test_restriction_warning_is_one_line(self, tmp_path, capsys):
         # dt*c = 0.25*12 breaks the reaction restriction on every step
         assert main(["solve", "--I", "10"]) == 0
-        assert capsys.readouterr().err == (
-            "warning: reaction time-step restriction violated; positivity "
-            "of the march is no longer guaranteed\n")
+        assert capsys.readouterr().err == RESTRICTION_WARNING
+        # so does dt*c = 0.2*12 in each of verify's three runs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt=0.2\n")
+        assert main(["verify", "--I", "10", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == RESTRICTION_WARNING
 
     @pytest.mark.parametrize("text", ["sigma=1e-200\n", "mu=1e200\n",
                                       "sigma=1e-160\n"],
@@ -380,13 +393,16 @@ class TestCliErrors:
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("scheme", ["linear", "linearized"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--scheme", "linear"],
+        ["solve", "--scheme", "linearized"],
+        ["verify"],
+    ], ids=["linear", "linearized", "verify"])
     def test_lost_domination_is_numerical_failure(self, tmp_path, capsys,
-                                                  scheme):
+                                                  command):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma=1e8\n")
-        assert main(["solve", "--I", "10", "--scheme", scheme,
-                     "--config", str(cfg)]) == 2
+        assert main([*command, "--I", "10", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
             "numerical failure: time step 0: "
             "strict diagonal domination required\n")
@@ -462,3 +478,36 @@ class TestCliErrors:
         out = tmp_path / "o.csv"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 50
+
+
+class TestCliProcess:
+    """What only a real process shows: ``sys.exit(main())`` carries the
+    exit code, nothing escapes as a traceback, and a refused runaway size
+    returns at once instead of allocating."""
+
+    @pytest.mark.parametrize("argv,config,code,err", [
+        (["solve", "--I", "10"], None, 0, RESTRICTION_WARNING),
+        (["solve", "--I", "100000000"], None, 1,
+         "error: --I: must be <= 10000000\n"),
+        (["solve"], "intervals=100000000\n", 1,
+         "error: invalid config (line 1: intervals: must be <= 10000000)\n"),
+        (["solve", "--I", "10"], "dt=1e-9\n", 1,
+         "error: invalid config (line 1: dt: "
+         "intervals x steps > MAX_CELLS = 10000000)\n"),
+        (["solve", "--I", "10"], "sigma=1e8\n", 2,
+         RESTRICTION_WARNING + "numerical failure: time step 0: "
+         "strict diagonal domination required\n"),
+        (["verify", "--I", "40"], None, 3, ""),
+    ], ids=["solved", "runaway-I", "runaway-intervals", "runaway-dt",
+            "lost-domination", "failed-audit"])
+    def test_exit_code_and_stderr(self, tmp_path, argv, config, code, err):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = [*argv, "--config", str(cfg)]
+        done = subprocess.run(
+            [sys.executable, "-m", "liqshock.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        # the whole of stderr, so a traceback fails the test too
+        assert (done.returncode, done.stderr) == (code, err)

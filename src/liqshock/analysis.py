@@ -247,9 +247,11 @@ def ode_oracle(params: ModelParams, h_star: float,
     T = params.horizon
     if not 0 < dt_ref < math.inf:  # also rejects NaN
         raise ValidationError("dt_ref must be > 0 and finite")
+    u = v = params.gamma * h_star
+    if not math.isfinite(u):
+        raise ValidationError("gamma * h_star must be finite")
     n = max(1, math.ceil(T / dt_ref * (1.0 - 1e-12)))
     dt = T / n
-    u = v = params.gamma * h_star
 
     def f(uu, vv):
         return dc.b - dc.a * math.exp(uu - vv), dc.c * (1.0 - math.exp(vv - uu))
@@ -461,6 +463,8 @@ def audit_comparison(upper: SolveResult, lower: SolveResult) -> CheckResult:
 def audit_translation(base: SolveResult, shifted: SolveResult,
                       delta: float) -> CheckResult:
     """Shifting data by delta must shift the solution by exactly delta."""
+    if not math.isfinite(delta):
+        raise ValidationError("translation delta must be finite")
     return _scan(_captured("translation", [base, shifted]),
                  [_translation(delta, 0, 1)])[0]
 

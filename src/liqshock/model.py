@@ -156,7 +156,7 @@ def evaluate_f(dc: DerivedConstants, t: float) -> tuple[float, float]:
     F0(T) = F1(T) = 1 up to roundoff.
     """
     T = dc.horizon
-    if t < -TIME_SLACK or t > T * (1.0 + TIME_SLACK):
+    if not -TIME_SLACK <= t <= T * (1.0 + TIME_SLACK):  # also rejects NaN
         raise ValidationError(f"t={t} outside [0, {T}]")
     q1 = (dc.lambda2 - dc.d0) / (dc.lambda2 - dc.lambda1)
     q2 = (dc.lambda1 - dc.d0) / (dc.lambda1 - dc.lambda2)

@@ -181,6 +181,11 @@ class TestOdeOracle:
         for dt_ref in (0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="dt_ref must be > 0"):
                 ode_oracle(params, 1.0, dt_ref=dt_ref)
+        # the start value gamma * h_star must be finite too
+        for p, h_star in ((params, math.nan), (params, math.inf),
+                          (replace(params, gamma=1e308), 10.0)):
+            with pytest.raises(ValidationError, match="h_star must be finite"):
+                ode_oracle(p, h_star, dt_ref=0.01)
 
 
 class TestImplicitOracle:
@@ -366,6 +371,9 @@ class TestAudits:
         captured = solve_forward(params, grid, tg, capture_trajectory=True)
         with pytest.raises(ValidationError, match="translation audit needs"):
             audit_translation(captured, run, 0.0)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="delta must be finite"):
+                audit_translation(captured, captured, delta)
         other = uniform_grid(0, 5, 96)
         coarse = solve_forward(params, other,
                                time_grid_from_space(other, params.horizon),

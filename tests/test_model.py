@@ -162,10 +162,9 @@ class TestEvaluateF:
 
     def test_rejects_time_outside_horizon(self, table_params):
         dc = derive_constants(table_params)
-        with pytest.raises(ValidationError):
-            evaluate_f(dc, -0.5)
-        with pytest.raises(ValidationError):
-            evaluate_f(dc, 1.5)
+        for t in (-0.5, 1.5, math.nan):
+            with pytest.raises(ValidationError, match="outside"):
+                evaluate_f(dc, t)
 
 
 class TestPayoff:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OracleConvergenceError, ValidationError
+from .errors import OracleConvergenceError, SolveFailure, ValidationError
 from .mesh import (
     HALF_MIN_SPACING,
     SpatialGrid,
@@ -280,7 +280,8 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     elimination.
     Intended for small instances as the reference the linearized stepper
     approximates.  A time grid that overshoots the horizon is refused as
-    by ``solve_forward``.
+    by ``solve_forward``, and a spacing whose square overflows is its
+    SolveFailure at step 0.
     """
     if grid.intervals > 64 or tg.steps > 128:
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
@@ -288,7 +289,10 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     plan = StepPlan(grid, tg, derive_constants(params),
                     config or SchemeConfig())
     config, dc = plan.config, plan.dc
-    a_lo, b_up = plan.rows.lower, plan.rows.upper
+    try:
+        a_lo, b_up = plan.rows.lower, plan.rows.upper
+    except OverflowError as err:
+        raise SolveFailure(0, str(err)) from err
     dt = tg.dt
     # Edges without the natural rule hold a set value: no residual there
     # and an identity row in the Newton system.
@@ -494,24 +498,24 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     """The audit suite that ``liqshock verify`` prints.
 
     Three runs on one grid (call payoff, call + 0.1, zero payoff) march
-    in lockstep, and one ``_scan`` folds positivity of the call run,
-    comparison of each ordered pair and translation by 0.1 gamma as the
-    levels stream past, so no trajectory is kept; the M-matrix pattern
-    and the sup-norm bound of the call run follow from its diagnostics.
-    The restriction maximum is taken over all three runs, and a
-    restriction warning names the line that called ``verify``; a time grid
-    that overshoots the horizon is refused before any run marches.  Failed
-    checks are reported as data, never raised; a run that breaks down
-    raises its SolveFailure at the earliest failing step.
+    in lockstep on one ``StepPlan``, sharing its rows (for ``imex_linear``
+    also their one elimination), and one ``_scan`` folds positivity of the
+    call run, comparison of each ordered pair and translation by 0.1 gamma
+    as the levels stream past, so no trajectory is kept; the M-matrix
+    pattern and the sup-norm bound of the call run follow from its
+    diagnostics.  The restriction maximum is taken over all three runs,
+    and a restriction warning names the first caller outside liqshock; a
+    time grid that overshoots the horizon is refused before any run
+    marches.  Failed checks are reported as data, never raised; a run
+    that breaks down raises its SolveFailure at the earliest failing step.
     """
-    dc = derive_constants(params)
+    plan = StepPlan(grid, tg, derive_constants(params), config)
     payoffs = (payoff_call, _lifted_call, payoff_zero)
     diags = [SolveDiagnostics() for _ in payoffs]
-    # a restriction warning names verify's caller, past _march and _scan
-    marches = [_march(initial_state(grid, params, h), grid, tg, dc, config, d,
-                      stacklevel=4) for h, d in zip(payoffs, diags)]
+    marches = [_march(initial_state(grid, params, h), plan, d)
+               for h, d in zip(payoffs, diags)]
     checks = _scan(zip(*marches), [
-        _positivity(params, dc, tg),
+        _positivity(params, plan.dc, tg),
         _comparison("comparison(h+0.1)", 1, 0),
         _comparison("comparison(call vs 0)", 0, 2),
         _translation(0.1 * params.gamma, 0, 1)])

@@ -20,10 +20,12 @@ follows the reduced reaction ODE one explicit Euler step at a time.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -148,14 +150,16 @@ def initial_state(grid: SpatialGrid, params: ModelParams,
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Per-run inputs and the implicit-diffusion rows built once from them.
+    """Per-run inputs and the implicit-diffusion rows worked out from them.
 
     ``rows.lower``/``rows.upper`` hold the weights of the implicit second
     difference and ``rows.diag = 1/dt + lower + upper``.  Uniform grids use
     the exact spacing (s_max - s_min)/I, others the 3-point formula on
-    h_i = S_i - S_{i-1}, which keeps both weights positive.  These are the
-    whole ``imex_linear`` rows, so every level of such a run shares them,
-    and with them one elimination (worked out by the first ``step`` that
+    h_i = S_i - S_{i-1}, which keeps both weights positive.  The rows are
+    worked out on first use and cached, so building a plan cannot fail,
+    and every run marched on one plan shares them.  They are the whole
+    ``imex_linear`` rows, so every level of such runs shares them, and
+    with them one elimination (worked out by the first ``step`` that
     solves them) and one domination.
     """
 
@@ -163,19 +167,20 @@ class StepPlan:
     tg: TimeGrid
     dc: DerivedConstants
     config: SchemeConfig
-    rows: TridiagonalRows = field(init=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def rows(self) -> TridiagonalRows:
         s, sigma = self.grid.nodes, self.dc.sigma
         if self.grid.uniform:
-            ds = self.grid.min_spacing()
-            lower = upper = 0.5 * sigma ** 2 * s[1:-1] ** 2 / ds ** 2
+            # the spacing of a huge grid overflows as it is squared, before
+            # the nodes are, so the OverflowError comes without a warning
+            ds2 = self.grid.min_spacing() ** 2
+            lower = upper = 0.5 * sigma ** 2 * s[1:-1] ** 2 / ds2
         else:
             hl, hr = np.diff(s[:-1]), np.diff(s[1:])
             ssq = sigma ** 2 * s[1:-1] ** 2
             lower, upper = ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
-        object.__setattr__(self, "rows", TridiagonalRows(
-            lower, 1.0 / self.tg.dt + lower + upper, upper))
+        return TridiagonalRows(lower, 1.0 / self.tg.dt + lower + upper, upper)
 
 
 def _edges(state: GridState, plan: StepPlan) -> tuple[float, float]:
@@ -273,56 +278,57 @@ def _check_horizon(tg: TimeGrid, horizon: float):
                               f"the horizon {horizon}")
 
 
-def _march(state: GridState, grid: SpatialGrid, tg: TimeGrid,
-           dc: DerivedConstants, config: SchemeConfig,
-           diag: SolveDiagnostics, stacklevel: int = 3
+def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
            ) -> Iterator[GridState]:
-    """Yield the level-0 ``state``, then each new level's state to tau = T.
+    """Yield the level-0 ``state``, then each new level's state of the
+    run on ``plan`` to tau = T.
 
     A time grid that ``_check_horizon`` refuses is a ValidationError
     before the first state.
     Each step's checks are folded into the caller's ``diag`` before its
     state is yielded, in this order: the reaction restriction ratio of
-    the level stepped from (a ratio above 1 warns at ``stacklevel``,
-    whose default 3 names the caller of the frame draining the march),
-    the M-matrix conditions once per distinct row set (once per run for
-    ``imex_linear``, whose rows are the same at every level), and the
-    sup-norm bound margin, which depends on the load and is checked at
-    every level.  Numerical failures, overflow and lost strict domination
-    included, are re-raised as SolveFailure carrying the failing step
-    index; building the run's plan counts as step 0.
+    the level stepped from (a ratio above 1 warns at the first frame
+    outside liqshock, the caller of ``solve_forward``, ``verify`` or a
+    ladder), the M-matrix conditions once per distinct row set (once per
+    run for ``imex_linear``, whose rows are the plan's at every level),
+    and the sup-norm bound margin, which depends on the load and is
+    checked at every level.  Numerical failures, overflow and lost strict
+    domination included, are re-raised as SolveFailure carrying the
+    failing step index; working out the plan's rows counts as step 0.
     """
-    _check_horizon(tg, dc.horizon)
+    _check_horizon(plan.tg, plan.dc.horizon)
     checked = None
     j = 0
     try:
-        # squaring the spacing of a huge uniform grid overflows here
-        plan = StepPlan(grid, tg, dc, config)
         yield state
-        for j in range(tg.steps):
+        for j in range(plan.tg.steps):
             ratio = restriction_ratio(state, plan)
             if ratio > diag.restriction_max:
                 diag.restriction_max, diag.restriction_max_step = ratio, j
             if ratio > RESTRICTION_SLACK:
+                frame, level = inspect.currentframe().f_back, 2
+                while frame and frame.f_globals.get(
+                        "__name__", "").startswith("liqshock."):
+                    frame, level = frame.f_back, level + 1
                 warnings.warn("reaction time-step restriction violated; "
                               "positivity of the march is no longer "
-                              "guaranteed", RuntimeWarning,
-                              stacklevel=stacklevel)
+                              "guaranteed", RuntimeWarning, stacklevel=level)
             state, sys = step(state, plan)
             if sys.rows is not checked:
-                checked, report = sys.rows, check_m_matrix(sys)
+                checked, ok = sys.rows, check_m_matrix(sys)
             margin = stability_bound(sys) - float(np.abs(state.u).max())
             diag.solves += 1
-            diag.m_matrix_ok = diag.m_matrix_ok and report.satisfied
-            if report.min_d < diag.min_d:
-                diag.min_d, diag.min_d_step = report.min_d, j
+            diag.m_matrix_ok = diag.m_matrix_ok and ok
+            if sys.rows.min_domination < diag.min_d:
+                diag.min_d, diag.min_d_step = sys.rows.min_domination, j
             if margin < diag.bound_margin:
                 diag.bound_margin, diag.bound_margin_step = margin, j
             yield state
     except (LiqshockError, OverflowError) as err:
         # math.exp (restriction ratio, natural edge) overflows on a large
-        # spread |U - V|, and rows that lose strict domination have no
-        # sup-norm bound; both are breakdowns of step j.
+        # spread |U - V|, squaring a huge spacing overflows, and rows that
+        # lose strict domination have no sup-norm bound; all are
+        # breakdowns of step j.
         raise SolveFailure(j, str(err)) from err
 
 
@@ -331,21 +337,21 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                   capture_trajectory: bool = False) -> SolveResult:
     """March the scheme from the payoff level to tau = T.
 
-    Works out the constants and the level-0 state once, then drains
-    ``_march`` (which builds the run's plan), keeping every level with
+    Works out the constants, the run's ``StepPlan`` and the level-0
+    state once, then drains ``_march``, keeping every level with
     ``capture_trajectory`` and otherwise only the last.  Returns the
     final state together with the run's diagnostics (worst M-matrix
     margin, worst sup-norm bound margin, worst reaction-step restriction
     ratio, each with its step).  A restriction ratio above 1 warns,
-    pointing at the caller.  A time grid that overshoots the horizon is a
-    ValidationError before any level runs.  Numerical failures, overflow
-    and lost strict domination included, are raised as SolveFailure
-    carrying the failing step index.
+    pointing at the first caller outside liqshock.  A time grid that
+    overshoots the horizon is a ValidationError before any level runs.
+    Numerical failures, overflow and lost strict domination included, are
+    raised as SolveFailure carrying the failing step index.
     """
-    dc = derive_constants(params)
+    plan = StepPlan(grid, tg, derive_constants(params),
+                    config or SchemeConfig())
     diag = SolveDiagnostics()
-    states = _march(initial_state(grid, params, payoff), grid, tg, dc,
-                    config or SchemeConfig(), diag)
+    states = _march(initial_state(grid, params, payoff), plan, diag)
     trajectory = list(states) if capture_trajectory else None
     final = (trajectory or deque(states, maxlen=1))[-1]
-    return SolveResult(final, trajectory, diag, params, grid, tg, dc)
+    return SolveResult(final, trajectory, diag, params, grid, tg, plan.dc)

@@ -13,17 +13,19 @@ speak about.
 
 What depends on the rows alone is worked out once per row set and
 cached on it: the pivots and multipliers of the elimination, the
-domination D and its minimum, which both checks read.  What depends on A
-and B alone - A and B as Python floats, |A|, |B| and the sign of A and
-B - is cached too, and rows derived from another set by ``with_diag``
-share it instead of redoing it.  ``solve`` substitutes into a cached
+domination D and its minimum, which both checks read; the minimum is
+also what a caller reads as the M-matrix margin, since ``check_m_matrix``
+only answers whether the conditions hold.  What depends on A and B
+alone - A and B as Python floats, |A|, |B| and the sign of A and B - is
+cached too, and rows derived from another set by ``with_diag`` share it
+instead of redoing it.  ``solve`` substitutes into a cached
 elimination when the rows have one; otherwise it eliminates and
 substitutes in one forward pass, converting only the diagonal, and
 caches no elimination.  Either way it packs the back substitution into
-the result array in one call.  Rows shared by a whole run
-(``imex_linear``) are eliminated once, by the run's first step; rows
-with a new diagonal at every level (``imex_linearized``) are derived
-from the run's rows and take the one-pass sweep.
+the result array in one call.  Rows shared by every level of every run
+on one plan (``imex_linear``) are eliminated once, by the first step that
+solves them; rows with a new diagonal at every level (``imex_linearized``)
+are derived from the plan's rows and take the one-pass sweep.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .errors import SingularSystemError, ValidationError
 __all__ = [
     "TridiagonalRows",
     "TridiagonalSystem",
-    "MMatrixReport",
     "solve",
     "check_m_matrix",
     "stability_bound",
@@ -144,15 +145,6 @@ class TridiagonalSystem:
         return self.rows.diag.size
 
 
-@dataclass(frozen=True)
-class MMatrixReport:
-    """Outcome of the sign/domination check: A_i, B_i, C_i positive and
-    D_i = C_i - A_i - B_i >= 0 on every interior row."""
-
-    satisfied: bool
-    min_d: float
-
-
 def solve(sys: TridiagonalSystem) -> np.ndarray:
     """Solve by forward elimination / back substitution (no pivoting).
 
@@ -199,16 +191,17 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
     return out
 
 
-def check_m_matrix(sys: TridiagonalSystem) -> MMatrixReport:
-    """Diagnose the discrete-maximum-principle conditions on interior rows.
+def check_m_matrix(sys: TridiagonalSystem) -> bool:
+    """Whether the interior rows meet the discrete-maximum-principle
+    conditions: A_i, B_i, C_i positive and D_i = C_i - A_i - B_i >= 0.
 
-    With A, B, C > 0 the domination |C| - |A| - |B| is C - A - B.
+    With A, B, C > 0 the domination |C| - |A| - |B| is C - A - B, so the
+    least D_i is the rows' cached ``min_domination``.
     """
     rows = sys.rows
-    min_d = rows.min_domination
     # a NaN makes its min NaN and the compare False
-    ok = bool(rows.off_diagonals[-1] and rows.diag.min() > 0 and min_d >= 0)
-    return MMatrixReport(satisfied=ok, min_d=min_d)
+    return bool(rows.off_diagonals[-1] and rows.diag.min() > 0
+                and rows.min_domination >= 0)
 
 
 def stability_bound(sys: TridiagonalSystem) -> float:

@@ -339,6 +339,17 @@ class TestAudits:
         # one per step of each of the three runs, each naming this line
         assert len(caught) == 12
         assert {w.filename for w in caught} == {__file__}
+        # the ladders name their caller too: at levels 10 and 20 the slaved
+        # dt gives dt*c = 3 and 1.5, so every step of those runs warns, and
+        # the dt/2 twins give 1.5 and 0.75
+        for study, warned in ((extrapolated_study, 4 + 8 + 8),
+                              (convergence_tables, 4 + 8),
+                              (convergence_study, 4 + 8)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                study(params, "imex_linear", "uniform", [10, 20])
+            assert len(caught) == warned
+            assert {w.filename for w in caught} == {__file__}
 
     def test_overshooting_time_grid_refused(self, params):
         # 5 steps of 1/4.8 end at tau = 1.0417 > T = 1: refused before any

@@ -33,6 +33,7 @@ from liqshock import (
     tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
+    verify,
 )
 
 
@@ -152,9 +153,9 @@ class TestAssembleScheme1:
         cfg = SchemeConfig()
         sys = assemble_scheme1(initial_state(grid, params),
                                StepPlan(grid, tg, dc, cfg))
-        rep = check_m_matrix(sys)
-        assert rep.satisfied
-        assert rep.min_d == pytest.approx(1.0 / tg.dt, rel=1e-12)
+        assert check_m_matrix(sys) is True
+        assert sys.rows.min_domination == pytest.approx(1.0 / tg.dt,
+                                                        rel=1e-12)
 
 
 class TestStepScheme1:
@@ -216,8 +217,8 @@ class TestAssembleScheme2:
         for dt in (1e-4, 0.05, 0.5, 5.0):
             sys, _ = assemble_scheme2(
                 st, StepPlan(grid, TimeGrid(dt=dt, steps=1), dc, cfg))
-            assert check_m_matrix(sys).satisfied
-            assert check_m_matrix(sys).min_d > 0
+            assert check_m_matrix(sys) is True
+            assert sys.rows.min_domination > 0
 
 
 class TestStepScheme2:
@@ -414,10 +415,19 @@ class TestSolveForward:
         # squaring the spacing 1e199 of this hand-built uniform grid
         # overflows; ModelParams rejects such an s_max, a grid cannot
         grid = uniform_grid(0, 1e200, 10)
-        with pytest.raises(SolveFailure) as exc:
-            solve_forward(params, grid, TimeGrid(dt=0.1, steps=10))
-        assert exc.value.step_index == 0
-        assert isinstance(exc.value.__cause__, OverflowError)
+        for route in (solve_forward, implicit_oracle):
+            with pytest.raises(SolveFailure) as exc:
+                route(params, grid, TimeGrid(dt=0.1, steps=10))
+            assert exc.value.step_index == 0
+            assert isinstance(exc.value.__cause__, OverflowError)
+            # dt*c = 0.6 keeps the restriction, and the overflow is
+            # reported once, as the failure, without a warning first
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SolveFailure) as exc:
+                    route(params, grid, TimeGrid(dt=0.05, steps=20))
+            assert exc.value.step_index == 0
+            assert isinstance(exc.value.__cause__, OverflowError)
 
     def test_diagnostics_clean_on_table_run(self, params):
         grid = uniform_grid(0, 5, 60)
@@ -461,10 +471,12 @@ class TestSolveForward:
         assert len(seen) == calls
 
     # the plan's rows are eliminated once, and only where they are solved
-    # (imex_linear); the facts of A and B are worked out once per run,
+    # (imex_linear); the facts of A and B are worked out once per plan,
     # every level's rows sharing them; the domination and its minimum are
     # worked out once per row set checked (imex_linearized solves new
-    # rows, without caching an elimination, at every level)
+    # rows, without caching an elimination, at every level).  verify's
+    # three runs share one plan, so only the linearized rows are new for
+    # each run.
     @pytest.mark.parametrize("scheme,per_run", [("imex_linear", 1),
                                                 ("imex_linearized", 24)])
     def test_row_factors_once_per_row_set(self, params, monkeypatch, scheme,
@@ -482,12 +494,15 @@ class TestSolveForward:
             prop = functools.cached_property(counted)
             prop.__set_name__(TridiagonalRows, name)
             monkeypatch.setattr(TridiagonalRows, name, prop)
-        grid = uniform_grid(0, 5, 60)
-        solve_forward(params, grid, TimeGrid(dt=1 / 24, steps=24),
-                      SchemeConfig(scheme=scheme))
-        assert counts == {"elimination": int(scheme == "imex_linear"),
-                          "off_diagonals": 1, "domination": per_run,
-                          "min_domination": per_run}
+        grid, tg = uniform_grid(0, 5, 60), TimeGrid(dt=1 / 24, steps=24)
+        linear = scheme == "imex_linear"
+        for route, per_plan in ((solve_forward, per_run),
+                                (verify, per_run if linear else 3 * per_run)):
+            counts.update(dict.fromkeys(names, 0))
+            route(params, grid, tg, SchemeConfig(scheme=scheme))
+            assert counts == {"elimination": int(linear),
+                              "off_diagonals": 1, "domination": per_plan,
+                              "min_domination": per_plan}
         # the implicit oracle reads the plan's rows but never solves them
         counts["elimination"] = 0
         implicit_oracle(params, uniform_grid(0, 5, 16),

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from liqshock import (
-    MMatrixReport,
     SingularSystemError,
     TridiagonalRows,
     TridiagonalSystem,
@@ -200,9 +199,9 @@ class TestSolve:
                                       equal_nan=True)
                 assert repr(derived.min_domination) == repr(
                     fresh.min_domination)
-                assert repr(check_m_matrix(TridiagonalSystem(
-                    derived, np.zeros(n), 0.0, 0.0))) == repr(check_m_matrix(
-                        TridiagonalSystem(fresh, np.zeros(n), 0.0, 0.0)))
+                assert check_m_matrix(TridiagonalSystem(
+                    derived, np.zeros(n), 0.0, 0.0)) is check_m_matrix(
+                        TridiagonalSystem(fresh, np.zeros(n), 0.0, 0.0))
                 rhs = rng.normal(size=n)
                 y, want = (solve(TridiagonalSystem(rows, rhs, 0.5, -1.5))
                            for rows in (derived, fresh))
@@ -281,47 +280,48 @@ class TestMMatrix:
         sys = system(lower=np.ones(4), diag=np.full(4, 2.5),
                      upper=np.ones(4), rhs=np.zeros(4),
                      left_value=0.0, right_value=0.0)
-        rep = check_m_matrix(sys)
-        assert rep.satisfied
-        assert rep.min_d == pytest.approx(0.5)
+        assert check_m_matrix(sys) is True
+        assert sys.rows.min_domination == pytest.approx(0.5)
         # D = 0 still holds
         sys = system(lower=np.ones(3), diag=np.full(3, 2.0),
                      upper=np.ones(3), rhs=np.zeros(3),
                      left_value=0.0, right_value=0.0)
-        assert check_m_matrix(sys) == MMatrixReport(True, 0.0)
+        assert check_m_matrix(sys) is True
+        assert sys.rows.min_domination == 0.0
 
     def test_violated(self):
         sys = system(lower=np.ones(4), diag=np.full(4, 1.5),
                      upper=np.ones(4), rhs=np.zeros(4),
                      left_value=0.0, right_value=0.0)
-        rep = check_m_matrix(sys)
-        assert not rep.satisfied
-        assert rep.min_d == pytest.approx(-0.5)
+        assert check_m_matrix(sys) is False
+        assert sys.rows.min_domination == pytest.approx(-0.5)
 
     def test_negative_diagonal_fails(self):
         # D = |C| - |A| - |B| = 3 >= 0 here, so only C > 0 catches it
         sys = system(lower=np.ones(3), diag=np.full(3, -5.0),
                      upper=np.ones(3), rhs=np.zeros(3),
                      left_value=0.0, right_value=0.0)
-        assert check_m_matrix(sys) == MMatrixReport(False, 3.0)
+        assert check_m_matrix(sys) is False
+        assert sys.rows.min_domination == 3.0
 
     def test_nan_row_fails(self):
-        # a NaN makes its row's D NaN: no sign check holds and min_d is NaN
+        # a NaN makes its row's D NaN: no sign check holds and the least D
+        # is NaN
         for field in ("lower", "diag", "upper"):
             arrays = dict(lower=np.ones(3), diag=np.full(3, 2.5),
                           upper=np.ones(3))
             arrays[field] = np.array([arrays[field][0], np.nan,
                                       arrays[field][2]])
-            rep = check_m_matrix(system(**arrays, rhs=np.zeros(3),
-                                        left_value=0.0, right_value=0.0))
-            assert rep.satisfied is False
-            assert np.isnan(rep.min_d)
+            sys = system(**arrays, rhs=np.zeros(3), left_value=0.0,
+                         right_value=0.0)
+            assert check_m_matrix(sys) is False
+            assert np.isnan(sys.rows.min_domination)
 
     def test_nonpositive_offdiagonal_fails(self):
         sys = system(lower=np.zeros(3), diag=np.ones(3),
                      upper=np.ones(3), rhs=np.zeros(3),
                      left_value=0.0, right_value=0.0)
-        assert not check_m_matrix(sys).satisfied
+        assert check_m_matrix(sys) is False
 
     def test_positivity_under_conditions(self):
         # nonnegative load and boundary data force a nonnegative solution
@@ -335,7 +335,7 @@ class TestMMatrix:
             sys = system(lower=lower, diag=diag, upper=upper,
                          rhs=rhs, left_value=rng.uniform(0, 2),
                          right_value=rng.uniform(0, 2))
-            assert check_m_matrix(sys).satisfied
+            assert check_m_matrix(sys) is True
             assert solve(sys).min() >= -1e-13
 
 

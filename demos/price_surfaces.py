@@ -27,10 +27,10 @@ print(f"grid: {grid.intervals} intervals, dt = {tg.dt:.6f} ({tg.steps} steps)")
 
 for scheme in ("imex_linear", "imex_linearized"):
     result = solve_forward(params, grid, tg, SchemeConfig(scheme=scheme))
-    first = initial_state(grid, params)
-    p_T, q_T = to_prices(first.u, first.v, params.horizon, params, result.dc)
+    first, dc = initial_state(grid, params), result.plan.dc
+    p_T, q_T = to_prices(first.u, first.v, params.horizon, params, dc)
     p_0, q_0 = to_prices(result.final_state.u, result.final_state.v, 0.0,
-                         params, result.dc)
+                         params, dc)
 
     # At issue the option is worth more than at expiry for S < K (time
     # value), and the illiquid-state price q sits below p.

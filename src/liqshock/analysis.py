@@ -21,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OracleConvergenceError, SolveFailure, ValidationError
+from .errors import OracleConvergenceError, ValidationError
 from .mesh import (
     HALF_MIN_SPACING,
+    MAX_CELLS,
     SpatialGrid,
     TimeGrid,
     _check_cells,
@@ -31,8 +32,8 @@ from .mesh import (
     time_grid_from_space,
     uniform_grid,
 )
-from .model import (DerivedConstants, ModelParams, derive_constants,
-                    payoff_call, payoff_zero, to_prices)
+from .model import (ModelParams, derive_constants, payoff_call, payoff_zero,
+                    to_prices)
 from .schemes import (
     NATURAL,
     RESTRICTION_SLACK,
@@ -120,7 +121,7 @@ def at_the_money(result: SolveResult, quantity: str = "r0") -> float:
     the final level; a strike off the grid is an error."""
     if quantity not in ("r0", "r1"):
         raise ValidationError(f"quantity must be 'r0' or 'r1': {quantity!r}")
-    nodes = result.grid.nodes
+    nodes = result.plan.grid.nodes
     strike = result.params.strike
     if not nodes[0] <= strike <= nodes[-1]:
         raise ValidationError(f"strike {strike} outside the grid "
@@ -241,7 +242,8 @@ def ode_oracle(params: ModelParams, h_star: float,
 
     u' = b - a e^(u-v), v' = c (1 - e^(v-u)), u(0) = v(0) = gamma*h_star.
     The result is accurate to O(dt_ref^4) and serves as an independent
-    reference for constant-data solver runs.
+    reference for constant-data solver runs.  A ``dt_ref`` that needs
+    more than ``MAX_CELLS`` steps is refused before the first.
     """
     dc = derive_constants(params)
     T = params.horizon
@@ -250,7 +252,11 @@ def ode_oracle(params: ModelParams, h_star: float,
     u = v = params.gamma * h_star
     if not math.isfinite(u):
         raise ValidationError("gamma * h_star must be finite")
-    n = max(1, math.ceil(T / dt_ref * (1.0 - 1e-12)))
+    steps = T / dt_ref * (1.0 - 1e-12)
+    if steps > MAX_CELLS:  # also an infinite count, which ceil cannot take
+        raise ValidationError(f"dt_ref needs more than MAX_CELLS = "
+                              f"{MAX_CELLS} steps")
+    n = max(1, math.ceil(steps))
     dt = T / n
 
     def f(uu, vv):
@@ -280,8 +286,8 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     elimination.
     Intended for small instances as the reference the linearized stepper
     approximates.  A time grid that overshoots the horizon is refused as
-    by ``solve_forward``, and a spacing whose square overflows is its
-    SolveFailure at step 0.
+    by ``solve_forward``, and so are diffusion rows that the plan cannot
+    represent, as the same SolveFailure at step 0.
     """
     if grid.intervals > 64 or tg.steps > 128:
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
@@ -289,10 +295,7 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     plan = StepPlan(grid, tg, derive_constants(params),
                     config or SchemeConfig())
     config, dc = plan.config, plan.dc
-    try:
-        a_lo, b_up = plan.rows.lower, plan.rows.upper
-    except OverflowError as err:
-        raise SolveFailure(0, str(err)) from err
+    a_lo, b_up = plan.rows.lower, plan.rows.upper
     dt = tg.dt
     # Edges without the natural rule hold a set value: no residual there
     # and an identity row in the Newton system.
@@ -424,17 +427,17 @@ def _captured(name: str, runs) -> zip:
     if any(run.trajectory is None for run in runs):
         raise ValidationError(
             f"{name} audit needs a run with capture_trajectory=True")
-    if any(not np.array_equal(r.grid.nodes, runs[0].grid.nodes)
-           or r.tg != runs[0].tg for r in runs):
+    if any(not np.array_equal(r.plan.grid.nodes, runs[0].plan.grid.nodes)
+           or r.plan.tg != runs[0].plan.tg for r in runs):
         raise ValidationError("runs must share the grid and time partition")
     return zip(*(r.trajectory for r in runs))
 
 
-def _positivity(params: ModelParams, dc: DerivedConstants, tg: TimeGrid):
+def _positivity(params: ModelParams, plan: StepPlan):
     """Transformed prices (p and q) of the first run."""
     return ("positivity", lambda st: to_prices(
-        st[0].u, st[0].v, params.horizon - st[0].step_index * tg.dt, params,
-        dc), lambda worst: worst >= POSITIVITY_TOL, False)
+        st[0].u, st[0].v, params.horizon - st[0].step_index * plan.tg.dt,
+        params, plan.dc), lambda worst: worst >= POSITIVITY_TOL, False)
 
 
 def _comparison(name: str, upper: int, lower: int):
@@ -455,7 +458,7 @@ def _translation(delta: float, base: int, shifted: int):
 def audit_positivity(run: SolveResult) -> CheckResult:
     """Worst transformed price (p or q) over the whole space-time grid."""
     return _scan(_captured("positivity", [run]),
-                 [_positivity(run.params, run.dc, run.tg)])[0]
+                 [_positivity(run.params, run.plan)])[0]
 
 
 def audit_comparison(upper: SolveResult, lower: SolveResult) -> CheckResult:
@@ -515,7 +518,7 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     marches = [_march(initial_state(grid, params, h), plan, d)
                for h, d in zip(payoffs, diags)]
     checks = _scan(zip(*marches), [
-        _positivity(params, plan.dc, tg),
+        _positivity(params, plan),
         _comparison("comparison(h+0.1)", 1, 0),
         _comparison("comparison(call vs 0)", 0, 2),
         _translation(0.1 * params.gamma, 0, 1)])

@@ -101,7 +101,7 @@ def _write_csv(path: str | None, header: str, rows):
 def cmd_solve(cfg: RunConfig) -> int:
     params, grid, tg = _one_grid(cfg)
     result = solve_forward(params, grid, tg, _scheme_config(cfg))
-    dc = result.dc
+    dc = result.plan.dc
     first = initial_state(grid, params)
     p_T, q_T = to_prices(first.u, first.v, params.horizon, params, dc)
     p_0, q_0 = to_prices(result.final_state.u, result.final_state.v, 0.0,

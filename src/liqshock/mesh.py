@@ -125,7 +125,8 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     c1 = math.asinh((s_min - strike) / alpha)
     c2 = math.asinh((s_max - strike) / alpha)
     xi = np.arange(intervals + 1) / intervals
-    nodes = strike + alpha * np.sinh(c2 * xi + c1 * (1.0 - xi))
+    with np.errstate(all="ignore"):  # SpatialGrid refuses non-finite nodes
+        nodes = strike + alpha * np.sinh(c2 * xi + c1 * (1.0 - xi))
     nodes[0] = s_min
     nodes[-1] = s_max
     return SpatialGrid(nodes)

@@ -126,19 +126,6 @@ class SolveDiagnostics:
         return self.restriction_max <= RESTRICTION_SLACK
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """Final state of a forward march plus context and diagnostics."""
-
-    final_state: GridState
-    trajectory: list[GridState] | None
-    diagnostics: SolveDiagnostics
-    params: ModelParams
-    grid: SpatialGrid
-    tg: TimeGrid
-    dc: DerivedConstants
-
-
 def initial_state(grid: SpatialGrid, params: ModelParams,
                   payoff=payoff_call) -> GridState:
     """Level-0 state U = V = gamma * payoff(S)."""
@@ -160,7 +147,10 @@ class StepPlan:
     and every run marched on one plan shares them.  They are the whole
     ``imex_linear`` rows, so every level of such runs shares them, and
     with them one elimination (worked out by the first ``step`` that
-    solves them) and one domination.
+    solves them) and one domination.  Rows that cannot be represented
+    (an inf or NaN anywhere, say from nodes whose square overflows) are
+    refused as they are worked out, without a numpy warning, as
+    SolveFailure at step 0.
     """
 
     grid: SpatialGrid
@@ -170,17 +160,34 @@ class StepPlan:
 
     @functools.cached_property
     def rows(self) -> TridiagonalRows:
-        s, sigma = self.grid.nodes, self.dc.sigma
-        if self.grid.uniform:
-            # the spacing of a huge grid overflows as it is squared, before
-            # the nodes are, so the OverflowError comes without a warning
-            ds2 = self.grid.min_spacing() ** 2
-            lower = upper = 0.5 * sigma ** 2 * s[1:-1] ** 2 / ds2
-        else:
-            hl, hr = np.diff(s[:-1]), np.diff(s[1:])
-            ssq = sigma ** 2 * s[1:-1] ** 2
-            lower, upper = ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
-        return TridiagonalRows(lower, 1.0 / self.tg.dt + lower + upper, upper)
+        # numpy scalars: their overflow gives inf where a Python float raises
+        s, sigma = self.grid.nodes, np.float64(self.dc.sigma)
+        with np.errstate(all="ignore"):  # a non-finite row is refused below
+            if self.grid.uniform:
+                ds = np.float64(self.grid.min_spacing())
+                lower = upper = 0.5 * sigma ** 2 * s[1:-1] ** 2 / ds ** 2
+            else:
+                hl, hr = np.diff(s[:-1]), np.diff(s[1:])
+                ssq = sigma ** 2 * s[1:-1] ** 2
+                lower, upper = ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
+            diag = 1.0 / self.tg.dt + lower + upper
+        # A and B are >= 0 or NaN, so a finite C = 1/dt + A + B means all are
+        if not np.isfinite(diag).all():
+            raise SolveFailure(0, "non-finite diffusion rows")
+        return TridiagonalRows(lower, diag, upper)
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Final state of a forward march, its diagnostics and parameters, and
+    the ``StepPlan`` it marched on, the run's one record of its grid, time
+    grid, constants, scheme and rows."""
+
+    final_state: GridState
+    trajectory: list[GridState] | None
+    diagnostics: SolveDiagnostics
+    params: ModelParams
+    plan: StepPlan
 
 
 def _edges(state: GridState, plan: StepPlan) -> tuple[float, float]:
@@ -283,8 +290,9 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
     """Yield the level-0 ``state``, then each new level's state of the
     run on ``plan`` to tau = T.
 
-    A time grid that ``_check_horizon`` refuses is a ValidationError
-    before the first state.
+    A time grid that ``_check_horizon`` refuses is a ValidationError,
+    and rows the plan refuses are its SolveFailure at step 0, both before
+    the first state.
     Each step's checks are folded into the caller's ``diag`` before its
     state is yielded, in this order: the reaction restriction ratio of
     the level stepped from (a ratio above 1 warns at the first frame
@@ -292,11 +300,12 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
     ladder), the M-matrix conditions once per distinct row set (once per
     run for ``imex_linear``, whose rows are the plan's at every level),
     and the sup-norm bound margin, which depends on the load and is
-    checked at every level.  Numerical failures, overflow and lost strict
-    domination included, are re-raised as SolveFailure carrying the
-    failing step index; working out the plan's rows counts as step 0.
+    checked at every level.  Numerical failures in the loop, overflow and
+    lost strict domination included, are re-raised as SolveFailure
+    carrying the failing step index.
     """
     _check_horizon(plan.tg, plan.dc.horizon)
+    plan.rows  # cached; a non-finite row fails step 0 here, unwrapped
     checked = None
     j = 0
     try:
@@ -326,9 +335,8 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
             yield state
     except (LiqshockError, OverflowError) as err:
         # math.exp (restriction ratio, natural edge) overflows on a large
-        # spread |U - V|, squaring a huge spacing overflows, and rows that
-        # lose strict domination have no sup-norm bound; all are
-        # breakdowns of step j.
+        # spread |U - V|, and rows that lose strict domination have no
+        # sup-norm bound; both are breakdowns of step j.
         raise SolveFailure(j, str(err)) from err
 
 
@@ -342,11 +350,13 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     ``capture_trajectory`` and otherwise only the last.  Returns the
     final state together with the run's diagnostics (worst M-matrix
     margin, worst sup-norm bound margin, worst reaction-step restriction
-    ratio, each with its step).  A restriction ratio above 1 warns,
-    pointing at the first caller outside liqshock.  A time grid that
-    overshoots the horizon is a ValidationError before any level runs.
-    Numerical failures, overflow and lost strict domination included, are
-    raised as SolveFailure carrying the failing step index.
+    ratio, each with its step) and its plan, which carries the grid,
+    time grid, constants and scheme config the run used.  A restriction
+    ratio above 1 warns, pointing at the first caller outside liqshock.
+    A time grid that overshoots the horizon is a ValidationError before
+    any level runs.  Numerical failures, non-finite diffusion rows,
+    overflow and lost strict domination included, are raised as
+    SolveFailure carrying the failing step index (0 for the rows).
     """
     plan = StepPlan(grid, tg, derive_constants(params),
                     config or SchemeConfig())
@@ -354,4 +364,4 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     states = _march(initial_state(grid, params, payoff), plan, diag)
     trajectory = list(states) if capture_trajectory else None
     final = (trajectory or deque(states, maxlen=1))[-1]
-    return SolveResult(final, trajectory, diag, params, grid, tg, plan.dc)
+    return SolveResult(final, trajectory, diag, params, plan)

@@ -181,6 +181,10 @@ class TestOdeOracle:
         for dt_ref in (0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="dt_ref must be > 0"):
                 ode_oracle(params, 1.0, dt_ref=dt_ref)
+        # T/dt_ref is inf or 1e300 steps: refused before the first
+        for dt_ref in (5e-324, 1e-300):
+            with pytest.raises(ValidationError, match="MAX_CELLS"):
+                ode_oracle(params, 1.0, dt_ref=dt_ref)
         # the start value gamma * h_star must be finite too
         for p, h_star in ((params, math.nan), (params, math.inf),
                           (replace(params, gamma=1e308), 10.0)):

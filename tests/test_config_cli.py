@@ -498,8 +498,14 @@ class TestCliProcess:
          RESTRICTION_WARNING + "numerical failure: time step 0: "
          "strict diagonal domination required\n"),
         (["verify", "--I", "40"], None, 3, ""),
+        (["solve", "--I", "20"], "sigma=1.3e154\n", 2,
+         "numerical failure: time step 0: non-finite diffusion rows\n"),
+        (["solve", "--I", "20", "--grid", "tavella", "--alpha", "1e-310"],
+         None, 1,
+         "error: grid nodes must be finite and strictly increasing\n"),
     ], ids=["solved", "runaway-I", "runaway-intervals", "runaway-dt",
-            "lost-domination", "failed-audit"])
+            "lost-domination", "failed-audit", "nonfinite-rows",
+            "nonfinite-nodes"])
     def test_exit_code_and_stderr(self, tmp_path, argv, config, code, err):
         if config is not None:
             cfg = tmp_path / "run.cfg"

@@ -118,10 +118,15 @@ class TestTavellaRandallGrid:
             assert g.nodes[0] == 0.0 and g.nodes[-1] == s_max
             assert np.all(np.diff(g.nodes) > 0)
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="alpha"):
                 tavella_randall_grid(0, 5, 2, alpha, 10)
+        # (s - K)/alpha overflows, and the nodes are refused without a
+        # numpy warning first
+        with pytest.raises(ValidationError, match="nodes must be finite"):
+            tavella_randall_grid(0, 5, 2, 1e-310, 10)
 
     def test_rejects_strike_outside_domain(self):
         for strike in (0.0, 5.0, 7.0):

@@ -372,10 +372,13 @@ class TestSolveForward:
     def test_trajectory_capture(self, params):
         grid = uniform_grid(0, 5, 12)
         tg = TimeGrid(dt=0.05, steps=20)
-        res = solve_forward(params, grid, tg, capture_trajectory=True)
+        config = SchemeConfig()
+        res = solve_forward(params, grid, tg, config, capture_trajectory=True)
         assert len(res.trajectory) == 21
         assert res.trajectory[0].step_index == 0
         assert res.trajectory[-1].step_index == 20
+        # the result keeps the plan it ran, scheme config included
+        assert res.plan.config is config
 
     def test_constant_data_stays_constant(self, params):
         # independent RK4 endpoint, frozen from a 50-digit integration
@@ -412,22 +415,30 @@ class TestSolveForward:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_spacing_is_solve_failure(self, params):
-        # squaring the spacing 1e199 of this hand-built uniform grid
-        # overflows; ModelParams rejects such an s_max, a grid cannot
+        # the rows of these hand-built grids overflow (the spacing 1e199
+        # as it is squared, the nodes 1e155 and 1e200 as they are), and so
+        # do those of the standard grid at sigma = 1.3e154; ModelParams
+        # rejects such an s_max, a grid cannot
+        routes = (solve_forward, implicit_oracle,
+                  lambda p, g, tg: verify(p, g, tg, SchemeConfig()))
+        rows = "time step 0: non-finite diffusion rows"
         grid = uniform_grid(0, 1e200, 10)
-        for route in (solve_forward, implicit_oracle):
-            with pytest.raises(SolveFailure) as exc:
+        for route in routes:
+            with pytest.raises(SolveFailure, match=rows) as exc:
                 route(params, grid, TimeGrid(dt=0.1, steps=10))
             assert exc.value.step_index == 0
-            assert isinstance(exc.value.__cause__, OverflowError)
-            # dt*c = 0.6 keeps the restriction, and the overflow is
-            # reported once, as the failure, without a warning first
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(SolveFailure) as exc:
-                    route(params, grid, TimeGrid(dt=0.05, steps=20))
-            assert exc.value.step_index == 0
-            assert isinstance(exc.value.__cause__, OverflowError)
+        # dt*c = 0.6 keeps the restriction, and the overflow is reported
+        # once, as the failure, without a warning first
+        for p, grid in ((params, grid), (params, uniform_grid(0, 1e155, 10)),
+                        (params, tavella_randall_grid(0, 1e200, 2, 15, 10)),
+                        (replace(params, sigma=1.3e154),
+                         uniform_grid(0, 5, 20))):
+            for route in routes:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(SolveFailure, match=rows) as exc:
+                        route(p, grid, TimeGrid(dt=0.05, steps=20))
+                assert exc.value.step_index == 0
 
     def test_diagnostics_clean_on_table_run(self, params):
         grid = uniform_grid(0, 5, 60)

@@ -413,7 +413,6 @@ class TestSolveForward:
             solve_forward(p, grid, tg, SchemeConfig(scheme=scheme))
         assert exc.value.step_index == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_spacing_is_solve_failure(self, params):
         # the rows of these hand-built grids overflow (the spacing 1e199
         # as it is squared, the nodes 1e155 and 1e200 as they are), and so

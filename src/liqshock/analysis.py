@@ -42,7 +42,6 @@ from .schemes import (
     SolveDiagnostics,
     SolveResult,
     StepPlan,
-    _check_horizon,
     _march,
     initial_state,
     solve_forward,
@@ -285,13 +284,12 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     solve, so the oracle shares no code path with the production
     elimination.
     Intended for small instances as the reference the linearized stepper
-    approximates.  A time grid that overshoots the horizon is refused as
-    by ``solve_forward``, and so are diffusion rows that the plan cannot
-    represent, as the same SolveFailure at step 0.
+    approximates.  Its ``StepPlan`` refuses what it refuses for
+    ``solve_forward``: a time grid that overshoots the horizon, and
+    diffusion rows it cannot represent as the same SolveFailure at step 0.
     """
     if grid.intervals > 64 or tg.steps > 128:
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
-    _check_horizon(tg, params.horizon)
     plan = StepPlan(grid, tg, derive_constants(params),
                     config or SchemeConfig())
     config, dc = plan.config, plan.dc
@@ -507,16 +505,18 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     as the levels stream past, so no trajectory is kept; the M-matrix
     pattern and the sup-norm bound of the call run follow from its
     diagnostics.  The restriction maximum is taken over all three runs,
-    and a restriction warning names the first caller outside liqshock; a
-    time grid that overshoots the horizon is refused before any run
+    and a restriction warning names the first caller outside liqshock.
+    The three level-0 states are built before the plan, so anything
+    either refuses fails, as for ``solve_forward``, before any run
     marches.  Failed checks are reported as data, never raised; a run
     that breaks down raises its SolveFailure at the earliest failing step.
     """
-    plan = StepPlan(grid, tg, derive_constants(params), config)
+    dc = derive_constants(params)
     payoffs = (payoff_call, _lifted_call, payoff_zero)
+    firsts = [initial_state(grid, params, h) for h in payoffs]
+    plan = StepPlan(grid, tg, dc, config)
     diags = [SolveDiagnostics() for _ in payoffs]
-    marches = [_march(initial_state(grid, params, h), plan, d)
-               for h, d in zip(payoffs, diags)]
+    marches = [_march(first, plan, d) for first, d in zip(firsts, diags)]
     checks = _scan(zip(*marches), [
         _positivity(params, plan),
         _comparison("comparison(h+0.1)", 1, 0),

@@ -79,9 +79,10 @@ def _param_problems(p) -> dict[str, str]:
                 "domain must satisfy s_min < strike < s_max")]
     checks += [(f.name, math.isfinite(getattr(p, f.name)), "must be finite")
                for f in fields(ModelParams)]
-    # the grid spacing gets squared (an infinite s_max fails above)
-    checks.append(("s_max", p.s_max * p.s_max < math.inf,
-                   "squared must be finite"))
+    # sigma and the grid spacing get squared (infinite ones fail above);
+    # "*", since a float's "**" raises OverflowError
+    checks += [(key, getattr(p, key) * getattr(p, key) < math.inf,
+                "squared must be finite") for key in ("sigma", "s_max")]
     problems = {}
     for key, ok, msg in checks:
         if not ok:

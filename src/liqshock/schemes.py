@@ -20,18 +20,17 @@ follows the reduced reaction ODE one explicit Euler step at a time.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .errors import LiqshockError, SolveFailure, ValidationError
-from .mesh import SpatialGrid, TimeGrid
+from .mesh import SpatialGrid, TimeGrid, _check_cells
 from .model import (TIME_SLACK, DerivedConstants, ModelParams,
                     derive_constants, payoff_call)
 from .tridiag import (TridiagonalRows, TridiagonalSystem, check_m_matrix,
@@ -142,24 +141,29 @@ class StepPlan:
     ``rows.lower``/``rows.upper`` hold the weights of the implicit second
     difference and ``rows.diag = 1/dt + lower + upper``.  Uniform grids use
     the exact spacing (s_max - s_min)/I, others the 3-point formula on
-    h_i = S_i - S_{i-1}, which keeps both weights positive.  The rows are
-    worked out on first use and cached, so building a plan cannot fail,
-    and every run marched on one plan shares them.  They are the whole
-    ``imex_linear`` rows, so every level of such runs shares them, and
-    with them one elimination (worked out by the first ``step`` that
-    solves them) and one domination.  Rows that cannot be represented
-    (an inf or NaN anywhere, say from nodes whose square overflows) are
-    refused as they are worked out, without a numpy warning, as
-    SolveFailure at step 0.
+    h_i = S_i - S_{i-1}, which keeps both weights positive.  A plan checks
+    itself when built, refusing in this order a time grid whose last
+    level lies past the horizon by more than ``evaluate_f`` forgives (one
+    that stops short is legal), more than ``MAX_CELLS`` intervals x steps
+    (ValidationError both), and rows that cannot be represented (an inf or
+    NaN anywhere, say from nodes whose square overflows) as SolveFailure
+    at step 0, without a numpy warning.  Every run marched on one plan
+    shares its rows.  They are the whole ``imex_linear`` rows, so every
+    level of such runs shares them, and with them one elimination (worked
+    out by the first ``step`` that solves them) and one domination.
     """
 
     grid: SpatialGrid
     tg: TimeGrid
     dc: DerivedConstants
     config: SchemeConfig
+    rows: TridiagonalRows = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def rows(self) -> TridiagonalRows:
+    def __post_init__(self):
+        if self.dc.horizon - self.tg.steps * self.tg.dt < -TIME_SLACK:
+            raise ValidationError(f"{self.tg.steps} steps of dt={self.tg.dt} "
+                                  f"overshoot the horizon {self.dc.horizon}")
+        _check_cells(self.grid.intervals, self.tg.steps)
         # numpy scalars: their overflow gives inf where a Python float raises
         s, sigma = self.grid.nodes, np.float64(self.dc.sigma)
         with np.errstate(all="ignore"):  # a non-finite row is refused below
@@ -174,7 +178,7 @@ class StepPlan:
         # A and B are >= 0 or NaN, so a finite C = 1/dt + A + B means all are
         if not np.isfinite(diag).all():
             raise SolveFailure(0, "non-finite diffusion rows")
-        return TridiagonalRows(lower, diag, upper)
+        object.__setattr__(self, "rows", TridiagonalRows(lower, diag, upper))
 
 
 @dataclass(frozen=True)
@@ -277,22 +281,12 @@ def step(state: GridState,
     return GridState(state.step_index + 1, u_new, v_new), sys
 
 
-def _check_horizon(tg: TimeGrid, horizon: float):
-    """Refuse a time grid whose last level lies past the horizon by more
-    than ``evaluate_f`` forgives; a grid that stops short is legal."""
-    if horizon - tg.steps * tg.dt < -TIME_SLACK:
-        raise ValidationError(f"{tg.steps} steps of dt={tg.dt} overshoot "
-                              f"the horizon {horizon}")
-
-
 def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
            ) -> Iterator[GridState]:
     """Yield the level-0 ``state``, then each new level's state of the
-    run on ``plan`` to tau = T.
+    run on ``plan`` to tau = T, which checked its time grid, cell count
+    and rows when it was built.
 
-    A time grid that ``_check_horizon`` refuses is a ValidationError,
-    and rows the plan refuses are its SolveFailure at step 0, both before
-    the first state.
     Each step's checks are folded into the caller's ``diag`` before its
     state is yielded, in this order: the reaction restriction ratio of
     the level stepped from (a ratio above 1 warns at the first frame
@@ -304,8 +298,6 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
     lost strict domination included, are re-raised as SolveFailure
     carrying the failing step index.
     """
-    _check_horizon(plan.tg, plan.dc.horizon)
-    plan.rows  # cached; a non-finite row fails step 0 here, unwrapped
     checked = None
     j = 0
     try:
@@ -345,23 +337,26 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                   capture_trajectory: bool = False) -> SolveResult:
     """March the scheme from the payoff level to tau = T.
 
-    Works out the constants, the run's ``StepPlan`` and the level-0
-    state once, then drains ``_march``, keeping every level with
+    Works out the constants, the level-0 state and then the run's
+    ``StepPlan`` once, then drains ``_march``, keeping every level with
     ``capture_trajectory`` and otherwise only the last.  Returns the
     final state together with the run's diagnostics (worst M-matrix
     margin, worst sup-norm bound margin, worst reaction-step restriction
     ratio, each with its step) and its plan, which carries the grid,
     time grid, constants and scheme config the run used.  A restriction
     ratio above 1 warns, pointing at the first caller outside liqshock.
-    A time grid that overshoots the horizon is a ValidationError before
-    any level runs.  Numerical failures, non-finite diffusion rows,
-    overflow and lost strict domination included, are raised as
-    SolveFailure carrying the failing step index (0 for the rows).
+    A level-0 state the payoff cannot represent, then anything the plan
+    refuses (a time grid that overshoots the horizon, more than
+    ``MAX_CELLS`` cells, non-finite diffusion rows), fails before any
+    level runs.  Numerical failures, overflow and lost strict domination
+    included, are raised as SolveFailure carrying the failing step index
+    (0 for the rows).
     """
-    plan = StepPlan(grid, tg, derive_constants(params),
-                    config or SchemeConfig())
+    dc = derive_constants(params)
+    first = initial_state(grid, params, payoff)
+    plan = StepPlan(grid, tg, dc, config or SchemeConfig())
     diag = SolveDiagnostics()
-    states = _march(initial_state(grid, params, payoff), plan, diag)
+    states = _march(first, plan, diag)
     trajectory = list(states) if capture_trajectory else None
     final = (trajectory or deque(states, maxlen=1))[-1]
     return SolveResult(final, trajectory, diag, params, plan)

@@ -27,6 +27,7 @@ from liqshock import (
     audit_translation,
     convergence_study,
     convergence_tables,
+    derive_constants,
     extrapolated_study,
     implicit_oracle,
     initial_state,
@@ -364,7 +365,9 @@ class TestAudits:
             warnings.simplefilter("error")
             for route in (solve_forward,
                           lambda *args: verify(*args, SchemeConfig()),
-                          implicit_oracle):
+                          implicit_oracle,
+                          lambda p, g, tg: StepPlan(g, tg, derive_constants(p),
+                                                    SchemeConfig())):
                 with pytest.raises(ValidationError,
                                    match="5 steps of dt=.* overshoot the "
                                          "horizon 1.0"):

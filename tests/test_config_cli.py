@@ -304,14 +304,19 @@ class TestCliErrors:
                            f"warning: {command} ignores the config keys "
                            f"{keys} (--levels sets the grids)\n")
 
-    @pytest.mark.parametrize("command", [
-        ["solve", "--I", "10"],
-        ["converge", "--levels", "30,60"],
-    ], ids=["solve", "converge"])
+    # with sigma = 1.3e154 the diffusion rows would overflow too, but the
+    # level-0 state is refused first
+    @pytest.mark.parametrize("command,text", [
+        (["solve", "--I", "10"], "gamma=1e308\n"),
+        (["converge", "--levels", "30,60"], "gamma=1e308\n"),
+        (["solve", "--I", "20"], "sigma=1.3e154\ngamma=1e308\n"),
+        (["verify", "--I", "20"], "sigma=1.3e154\ngamma=1e308\n"),
+    ], ids=["solve", "converge", "solve-nonfinite-rows",
+            "verify-nonfinite-rows"])
     def test_overflowing_gamma_prints_only_the_error(self, tmp_path, capsys,
-                                                     command):
+                                                     command, text):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("gamma=1e308\n")
+        cfg.write_text(text)
         assert main([*command, "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             "error: non-finite entries in grid state\n")
@@ -414,6 +419,11 @@ class TestCliErrors:
         assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             "error: invalid config (line 2: s_max: squared must be finite)\n")
+        # so would sigma's in the rows, although d0 underflows harmlessly
+        cfg.write_text("sigma=1e155\n")
+        assert main(["solve", "--I", "10", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config (line 1: sigma: squared must be finite)\n")
 
     def test_runaway_size_is_validation_error(self, capsys):
         assert main(["solve", "--I", "100000000"]) == 1

@@ -98,6 +98,13 @@ class TestDeriveConstants:
         with pytest.raises(ValidationError, match="s_max squared must be"):
             ModelParams(sigma=0.3, mu=0.06, gamma=1.0, nu01=1.0, nu10=12.0,
                         strike=2.0, horizon=1.0, s_max=1e200)
+        # so would sigma's, although d0 underflows harmlessly; 1.3e154
+        # still squares to a finite number
+        with pytest.raises(ValidationError, match="sigma squared must be"):
+            ModelParams(sigma=1e155, mu=0.06, gamma=1.0, nu01=1.0, nu10=12.0,
+                        strike=2.0, horizon=1.0)
+        ModelParams(sigma=1.3e154, mu=0.06, gamma=1.0, nu01=1.0, nu10=12.0,
+                    strike=2.0, horizon=1.0)
         # d0 = mu^2 / (2 sigma^2) divides by zero, overflows, or is inf
         for sigma, mu in ((1e-200, 0.06), (0.3, 1e200), (1e-160, 0.06)):
             with pytest.raises(ValidationError, match="d0 .* must be finite"):

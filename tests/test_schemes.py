@@ -215,8 +215,10 @@ class TestAssembleScheme2:
         cfg = SchemeConfig(scheme="imex_linearized")
         st = initial_state(grid, params)
         for dt in (1e-4, 0.05, 0.5, 5.0):
+            # a plan refuses a step past the horizon of its constants
             sys, _ = assemble_scheme2(
-                st, StepPlan(grid, TimeGrid(dt=dt, steps=1), dc, cfg))
+                st, StepPlan(grid, TimeGrid(dt=dt, steps=1),
+                             replace(dc, horizon=max(dc.horizon, dt)), cfg))
             assert check_m_matrix(sys) is True
             assert sys.rows.min_domination > 0
 
@@ -419,7 +421,9 @@ class TestSolveForward:
         # do those of the standard grid at sigma = 1.3e154; ModelParams
         # rejects such an s_max, a grid cannot
         routes = (solve_forward, implicit_oracle,
-                  lambda p, g, tg: verify(p, g, tg, SchemeConfig()))
+                  lambda p, g, tg: verify(p, g, tg, SchemeConfig()),
+                  lambda p, g, tg: StepPlan(g, tg, derive_constants(p),
+                                            SchemeConfig()))
         rows = "time step 0: non-finite diffusion rows"
         grid = uniform_grid(0, 1e200, 10)
         for route in routes:
@@ -438,6 +442,23 @@ class TestSolveForward:
                     with pytest.raises(SolveFailure, match=rows) as exc:
                         route(p, grid, TimeGrid(dt=0.05, steps=20))
                 assert exc.value.step_index == 0
+
+    def test_runaway_time_grid_refused(self, params, monkeypatch):
+        # 10,000 intervals x 1,001 steps end at T = 1 but exceed the cap;
+        # each route refuses them before a level is stepped
+        def no_level(*_):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(schemes, "step", no_level)
+        grid = uniform_grid(0, 5, 10_000)
+        tg = TimeGrid(dt=1 / 1001, steps=1001)
+        for route in (solve_forward,
+                      lambda p, g, t: verify(p, g, t, SchemeConfig()),
+                      lambda p, g, t: StepPlan(g, t, derive_constants(p),
+                                               SchemeConfig())):
+            with pytest.raises(ValidationError, match=r"intervals x steps > "
+                                                      r"MAX_CELLS = 10000000"):
+                route(params, grid, tg)
 
     def test_diagnostics_clean_on_table_run(self, params):
         grid = uniform_grid(0, 5, 60)

@@ -16,7 +16,7 @@ that the linearized stepper approximates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -175,17 +175,25 @@ def _rows_from_values(levels, values) -> list[ConvergenceRow]:
     return rows
 
 
+def _read(run: SolveResult, on_result) -> tuple[float, float]:
+    """Pass ``run`` to ``on_result`` (when given), then read its
+    at-the-money R0 and R1."""
+    if on_result is not None:
+        on_result(run)
+    return at_the_money(run), at_the_money(run, "r1")
+
+
 def _ladder(params, scheme, grid_kind, levels, alpha, left_bc, on_result,
             halved=False):
-    """Per level, yield the runs at the slaved dt and (with ``halved``)
-    at dt/2 on the same spatial grid, each first passed to ``on_result``."""
+    """Per level, yield the at-the-money ``(R0, R1)`` of the run at the
+    slaved dt and (with ``halved``) of its dt/2 twin on the same spatial
+    grid.  Each run goes to ``on_result`` and is dropped once its values
+    are read, before the next run marches: the ladder holds one run at a
+    time."""
     config = SchemeConfig(scheme=scheme, left_bc=left_bc)
     for grid, tgs in _level_grids(params, grid_kind, levels, alpha, halved):
-        runs = [solve_forward(params, grid, t, config) for t in tgs]
-        if on_result is not None:
-            for run in runs:
-                on_result(run)
-        yield runs
+        yield [_read(solve_forward(params, grid, t, config), on_result)
+               for t in tgs]
 
 
 def convergence_tables(params: ModelParams, scheme: str, grid_kind: str,
@@ -195,13 +203,15 @@ def convergence_tables(params: ModelParams, scheme: str, grid_kind: str,
     """Solve each level of a doubling ladder once and tabulate the
     convergence of the at-the-money R0 ("r0") and R1 ("r1").
 
-    ``on_result`` (when given) receives every SolveResult, e.g. to audit
-    the per-run diagnostics.
+    ``on_result`` (when given) receives each level's SolveResult in
+    turn, e.g. to audit the per-run diagnostics, before the next level
+    marches; the ladder keeps no run, so one that ``on_result`` does
+    not keep is freed once its values are read.
     """
-    results = [runs[0] for runs in _ladder(params, scheme, grid_kind, levels,
-                                           alpha, left_bc, on_result)]
-    return {q: _rows_from_values(levels, [at_the_money(r, q) for r in results])
-            for q in ("r0", "r1")}
+    r0, r1 = zip(*(level[0] for level in _ladder(
+        params, scheme, grid_kind, levels, alpha, left_bc, on_result)))
+    return {"r0": _rows_from_values(levels, r0),
+            "r1": _rows_from_values(levels, r1)}
 
 
 def convergence_study(params: ModelParams, scheme: str, grid_kind: str,
@@ -218,16 +228,13 @@ def extrapolated_study(params: ModelParams, scheme: str, grid_kind: str,
                        ) -> list[ExtrapolationRow]:
     """Per level: pair the slaved dt with dt/2 on the same spatial grid
     and extrapolate the at-the-money R0; tabulate the extrapolated
-    values."""
-    pairs = [(at_the_money(coarse), at_the_money(fine))
-             for coarse, fine in _ladder(params, scheme, grid_kind, levels,
-                                         alpha, left_bc, on_result,
-                                         halved=True)]
+    values.  ``on_result`` sees each level's slaved run, then its twin,
+    as for ``convergence_tables``."""
+    pairs = [(z, w) for (z, _), (w, _) in _ladder(
+        params, scheme, grid_kind, levels, alpha, left_bc, on_result,
+        halved=True)]
     rows = _rows_from_values(levels, [richardson(z, w) for z, w in pairs])
-    return [ExtrapolationRow(intervals=r.intervals, coarse_value=z,
-                             fine_value=w, extrapolated=r.value,
-                             difference=r.difference, ratio=r.ratio,
-                             order=r.order)
+    return [ExtrapolationRow(r.intervals, z, w, *astuple(r)[1:])
             for r, (z, w) in zip(rows, pairs)]
 
 
@@ -284,12 +291,15 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     solve, so the oracle shares no code path with the production
     elimination.
     Intended for small instances as the reference the linearized stepper
-    approximates.  Its ``StepPlan`` refuses what it refuses for
-    ``solve_forward``: a time grid that overshoots the horizon, and
-    diffusion rows it cannot represent as the same SolveFailure at step 0.
+    approximates.  After the size limit, it builds the level-0 state
+    before its ``StepPlan``, as ``solve_forward`` and ``verify`` do, so the
+    three refuse alike: a non-finite level-0 state first, then what the
+    plan refuses (a time grid that overshoots the horizon, and diffusion
+    rows it cannot represent as the same SolveFailure at step 0).
     """
     if grid.intervals > 64 or tg.steps > 128:
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
+    state = initial_state(grid, params, payoff)
     plan = StepPlan(grid, tg, derive_constants(params),
                     config or SchemeConfig())
     config, dc = plan.config, plan.dc
@@ -301,7 +311,6 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
              if rule != NATURAL]
     lo, up = np.pad(a_lo, 1), np.pad(b_up, 1)  # zero at both edges
     coupling = np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
-    state = initial_state(grid, params, payoff)
     for _ in range(tg.steps):
         u_old, v_old = state.u, state.v
         tau_next = (state.step_index + 1) * dt

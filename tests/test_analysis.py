@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -133,6 +134,60 @@ class TestStudies:
         assert len(count) == 2
         assert len(tables["r0"]) == 2 and len(tables["r1"]) == 2
         assert tables["r1"][0].value < tables["r0"][0].value
+
+    @pytest.mark.parametrize("study", [convergence_tables,
+                                       extrapolated_study])
+    def test_ladder_holds_one_run(self, params, study):
+        # a run is freed once its values are read, before the next marches
+        refs, live = [], []
+
+        def on_result(run):
+            live.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(run))
+
+        study(params, "imex_linear", "uniform", [40, 80, 160],
+              on_result=on_result)
+        assert live == [0] * (3 if study is convergence_tables else 6)
+
+    def test_ladder_passes_each_run_before_the_next(self, params,
+                                                    monkeypatch):
+        import liqshock.analysis as analysis_mod
+        events = []
+
+        def marching(p, grid, tg, config):
+            events.append(("march", grid.intervals, tg))
+            return solve_forward(p, grid, tg, config)
+
+        monkeypatch.setattr(analysis_mod, "solve_forward", marching)
+        extrapolated_study(params, "imex_linear", "uniform", [40, 80, 160],
+                           on_result=lambda run: events.append(
+                               ("seen", run.plan.grid.intervals,
+                                run.plan.tg)))
+        expected = []
+        for lvl in (40, 80, 160):
+            tg = time_grid_from_space(
+                uniform_grid(params.s_min, params.s_max, lvl), params.horizon)
+            for t in (tg, tg.halved()):
+                expected += [("march", lvl, t), ("seen", lvl, t)]
+        assert events == expected
+
+    @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
+    def test_ladder_values_match_standalone_runs(self, params, scheme):
+        levels = [40, 80, 160]
+        tables = convergence_tables(params, scheme, "uniform", levels)
+        rows = extrapolated_study(params, scheme, "uniform", levels)
+        config = SchemeConfig(scheme=scheme)
+        for k, lvl in enumerate(levels):
+            grid = uniform_grid(params.s_min, params.s_max, lvl)
+            tg = time_grid_from_space(grid, params.horizon)
+            run = solve_forward(params, grid, tg, config)
+            twin = solve_forward(params, grid, tg.halved(), config)
+            assert tables["r0"][k].value == at_the_money(run)
+            assert tables["r1"][k].value == at_the_money(run, "r1")
+            assert rows[k].coarse_value == at_the_money(run)
+            assert rows[k].fine_value == at_the_money(twin)
+            assert rows[k].extrapolated == richardson(at_the_money(run),
+                                                      at_the_money(twin))
 
     def test_tavella_ladder_runs(self, params):
         rows = convergence_study(params, "imex_linear", "tavella", [30, 60],

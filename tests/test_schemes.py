@@ -443,6 +443,19 @@ class TestSolveForward:
                         route(p, grid, TimeGrid(dt=0.05, steps=20))
                 assert exc.value.step_index == 0
 
+    def test_nonfinite_state_refused_before_rows(self, params):
+        # gamma * payoff overflows the level-0 state and sigma**2 the rows:
+        # every route builds the state first, so all three report it
+        p = replace(params, sigma=1.3e154, gamma=1e308)
+        grid = uniform_grid(0, 5, 20)
+        for route in (solve_forward, implicit_oracle,
+                      lambda p, g, tg: verify(p, g, tg, SchemeConfig())):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError,
+                                   match="non-finite entries in grid state"):
+                    route(p, grid, TimeGrid(dt=0.05, steps=20))
+
     def test_runaway_time_grid_refused(self, params, monkeypatch):
         # 10,000 intervals x 1,001 steps end at T = 1 but exceed the cap;
         # each route refuses them before a level is stepped

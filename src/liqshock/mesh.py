@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .tridiag import _unchecked
 
 __all__ = [
     "SpatialGrid",
@@ -47,22 +48,37 @@ def _check_intervals(intervals):
         raise ValidationError(f"more than MAX_CELLS = {MAX_CELLS} intervals")
 
 
+def _checked_nodes(nodes: np.ndarray) -> np.ndarray:
+    """``nodes``, frozen, once they are finite and strictly increasing."""
+    # strictly increasing (a NaN fails a comparison) between finite ends
+    # is finite throughout
+    if not (math.isfinite(nodes[0]) and math.isfinite(nodes[-1])
+            and (nodes[1:] > nodes[:-1]).all()):
+        raise ValidationError(
+            "grid nodes must be finite and strictly increasing")
+    nodes.setflags(write=False)
+    return nodes
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Strictly increasing price nodes S_0 .. S_I."""
+    """Strictly increasing price nodes S_0 .. S_I.
+
+    The nodes are kept read-only: an array passed in is copied unless it
+    is already a read-only float64 array owning its data (as the nodes of
+    another grid are), so the caller's array stays writable.
+    """
 
     nodes: np.ndarray
     uniform: bool = field(init=False)  # nodes are linspace of their ends
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        if nodes.flags.writeable or not nodes.flags.owndata:
+            nodes = nodes.copy()
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValidationError("grid needs at least 3 nodes")
-        if not (np.isfinite(nodes).all() and np.all(np.diff(nodes) > 0)):
-            raise ValidationError(
-                "grid nodes must be finite and strictly increasing")
+        object.__setattr__(self, "nodes", _checked_nodes(nodes))
         object.__setattr__(self, "uniform", np.array_equal(
             nodes, np.linspace(nodes[0], nodes[-1], nodes.size)))
 
@@ -104,7 +120,9 @@ def uniform_grid(s_min: float, s_max: float, intervals: int) -> SpatialGrid:
     _check_intervals(intervals)
     if not s_min < s_max:
         raise ValidationError("s_min must be < s_max")
-    return SpatialGrid(np.linspace(s_min, s_max, intervals + 1))
+    # linspace of its own ends, so uniform without SpatialGrid's comparison
+    nodes = np.linspace(s_min, s_max, intervals + 1)
+    return _unchecked(SpatialGrid, nodes=_checked_nodes(nodes), uniform=True)
 
 
 def tavella_randall_grid(s_min: float, s_max: float, strike: float,

@@ -33,8 +33,8 @@ from .errors import LiqshockError, SolveFailure, ValidationError
 from .mesh import SpatialGrid, TimeGrid, _check_cells
 from .model import (TIME_SLACK, DerivedConstants, ModelParams,
                     derive_constants, payoff_call)
-from .tridiag import (TridiagonalRows, TridiagonalSystem, check_m_matrix,
-                      solve, stability_bound)
+from .tridiag import (TridiagonalRows, TridiagonalSystem, _unchecked,
+                      check_m_matrix, solve, stability_bound)
 
 __all__ = [
     "NATURAL",
@@ -127,11 +127,20 @@ class SolveDiagnostics:
 
 def initial_state(grid: SpatialGrid, params: ModelParams,
                   payoff=payoff_call) -> GridState:
-    """Level-0 state U = V = gamma * payoff(S)."""
+    """Level-0 state U = V = gamma * payoff(S).
+
+    A payoff that does not give one value per node, or a state that is
+    not finite, is a ValidationError, raised without a numpy warning.
+    Every later level of a march has the shape of this one.
+    """
     h = np.asarray(payoff(grid.nodes, params.strike), dtype=float)
-    with np.errstate(over="ignore"):  # GridState rejects the inf
-        u0 = params.gamma * h
-    return GridState(step_index=0, u=u0, v=u0.copy())
+    if h.shape != grid.nodes.shape:
+        raise ValidationError("payoff must give one value per grid node")
+    # rounding is monotone: a finite gamma max|h| bounds every gamma h_i
+    if not math.isfinite(params.gamma * float(np.abs(h).max())):
+        raise ValidationError("non-finite entries in grid state")
+    u0 = params.gamma * h
+    return _unchecked(GridState, step_index=0, u=u0, v=u0.copy())
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,8 @@ class StepPlan:
         # A and B are >= 0 or NaN, so a finite C = 1/dt + A + B means all are
         if not np.isfinite(diag).all():
             raise SolveFailure(0, "non-finite diffusion rows")
-        object.__setattr__(self, "rows", TridiagonalRows(lower, diag, upper))
+        object.__setattr__(self, "rows",
+                           TridiagonalRows._made(lower, diag, upper))
 
 
 @dataclass(frozen=True)
@@ -194,20 +204,34 @@ class SolveResult:
     plan: StepPlan
 
 
-def _edges(state: GridState, plan: StepPlan) -> tuple[float, float]:
-    """Level-(j+1) values of U on the left and right edges: a callable rule
-    is a Dirichlet value at tau_{j+1}, ``None`` keeps the level-j value, and
-    the natural rule advances the reduced ODE u' = b - a e^(u-v) one
-    explicit Euler step (for S = 0, where the diffusion degenerates)."""
-    dt, dc = plan.tg.dt, plan.dc
+def _edge(rule: BoundaryRule, node: int, state: GridState,
+          plan: StepPlan) -> float:
+    """Level-(j+1) value of U on the edge ``node`` (0 or -1): ``None``
+    keeps the level-j value, a callable rule is a Dirichlet value at
+    tau_{j+1}, and the natural rule advances the reduced ODE
+    u' = b - a e^(u-v) one explicit Euler step (for S = 0, where the
+    diffusion degenerates)."""
+    u = float(state.u[node])
+    if rule is None:
+        return u
+    if rule == NATURAL:
+        dc = plan.dc
+        return u - plan.tg.dt * (dc.a * math.exp(u - float(state.v[node]))
+                                 - dc.b)
+    return float(rule((state.step_index + 1) * plan.tg.dt))
 
-    def edge(rule, node):
-        u = float(state.u[node])
-        if rule == NATURAL:
-            return u - dt * (dc.a * math.exp(u - float(state.v[node])) - dc.b)
-        return u if rule is None else float(rule((state.step_index + 1) * dt))
 
-    return edge(plan.config.left_bc, 0), edge(plan.config.right_bc, -1)
+def _system(rows: TridiagonalRows, rhs: np.ndarray, state: GridState,
+            plan: StepPlan) -> TridiagonalSystem:
+    """The level's system: ``rows``, the load ``rhs`` just made for them
+    and the two edge values, checked only for a load of the wrong length
+    (from a caller's state that does not fit the plan's grid)."""
+    if rhs.size != rows.diag.size:
+        raise ValidationError("rhs must have one entry per row")
+    config = plan.config
+    return _unchecked(TridiagonalSystem, rows=rows, rhs=rhs,
+                      left_value=_edge(config.left_bc, 0, state, plan),
+                      right_value=_edge(config.right_bc, -1, state, plan))
 
 
 def restriction_ratio(state: GridState, plan: StepPlan) -> float:
@@ -227,7 +251,7 @@ def assemble_scheme1(state: GridState, plan: StepPlan) -> TridiagonalSystem:
     """Linear IMEX rows: implicit diffusion, level-j reaction in the load."""
     u, v, dc = state.u, state.v, plan.dc
     rhs = u[1:-1] / plan.tg.dt - dc.a * np.exp(u[1:-1] - v[1:-1]) + dc.b
-    return TridiagonalSystem(plan.rows, rhs, *_edges(state, plan))
+    return _system(plan.rows, rhs, state, plan)
 
 
 def assemble_scheme2(state: GridState, plan: StepPlan
@@ -249,12 +273,29 @@ def assemble_scheme2(state: GridState, plan: StepPlan
     z = dc.c * np.exp(v - u)
     k_hat = 1.0 / dt + z
     g = v / dt - z * (1.0 - v + u) + dc.c
-    f_hat = u[1:-1] / dt - w[1:-1] * (1.0 + v[1:-1] - u[1:-1]) + dc.b
-    wi, rows = w[1:-1], plan.rows
-    diag = rows.diag + wi - wi * z[1:-1] / k_hat[1:-1]
-    rhs = f_hat + wi / k_hat[1:-1] * g[1:-1]
-    return (TridiagonalSystem(rows.with_diag(diag), rhs, *_edges(state, plan)),
-            (k_hat, -z, g))
+    ui, vi, wi, ki, rows = u[1:-1], v[1:-1], w[1:-1], k_hat[1:-1], plan.rows
+    f_hat = ui / dt - wi * (1.0 + vi - ui) + dc.b
+    diag = rows.diag + wi - wi * z[1:-1] / ki
+    rhs = f_hat + wi / ki * g[1:-1]
+    rows = rows._sharing(TridiagonalRows._made(rows.lower, diag, rows.upper))
+    return _system(rows, rhs, state, plan), (k_hat, -z, g)
+
+
+def _advance(state: GridState, plan: StepPlan
+             ) -> tuple[np.ndarray, np.ndarray, TridiagonalSystem]:
+    """The new level's U and V, not yet checked, and the system solved
+    for U (see ``step``)."""
+    if plan.config.scheme == "imex_linear":
+        sys = assemble_scheme1(state, plan)
+        plan.rows.elimination  # cached: every later level substitutes
+        u_new = solve(sys)
+        v_new = state.v - plan.tg.dt * plan.dc.c * (
+            np.exp(state.v - state.u) - 1.0)
+    else:
+        sys, (k_hat, e_hat, g) = assemble_scheme2(state, plan)
+        u_new = solve(sys)
+        v_new = (g - e_hat * u_new) / k_hat
+    return u_new, v_new, sys
 
 
 def step(state: GridState,
@@ -268,16 +309,7 @@ def step(state: GridState,
     level, then recovers V at every node, boundaries included, from the
     eliminated one-point relation.
     """
-    if plan.config.scheme == "imex_linear":
-        sys = assemble_scheme1(state, plan)
-        plan.rows.elimination  # cached: every later level substitutes
-        u_new = solve(sys)
-        v_new = state.v - plan.tg.dt * plan.dc.c * (
-            np.exp(state.v - state.u) - 1.0)
-    else:
-        sys, (k_hat, e_hat, g) = assemble_scheme2(state, plan)
-        u_new = solve(sys)
-        v_new = (g - e_hat * u_new) / k_hat
+    u_new, v_new, sys = _advance(state, plan)
     return GridState(state.step_index + 1, u_new, v_new), sys
 
 
@@ -291,14 +323,18 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
     state is yielded, in this order: the reaction restriction ratio of
     the level stepped from (a ratio above 1 warns at the first frame
     outside liqshock, the caller of ``solve_forward``, ``verify`` or a
-    ladder), the M-matrix conditions once per distinct row set (once per
-    run for ``imex_linear``, whose rows are the plan's at every level),
-    and the sup-norm bound margin, which depends on the load and is
-    checked at every level.  Numerical failures in the loop, overflow and
-    lost strict domination included, are re-raised as SolveFailure
-    carrying the failing step index.
+    ladder), the new level's finiteness, the M-matrix conditions once per
+    distinct row set (once per run for ``imex_linear``, whose rows are the
+    plan's at every level), and the sup-norm bound margin, which depends
+    on the load and is checked at every level.  A level's state, system
+    and (``imex_linearized``) rows are built unchecked from the arrays
+    just made for them: a non-finite U or V is all that can go wrong, and
+    max |U| serves both that check and the bound margin.  Numerical
+    failures in the loop, a non-finite level, overflow and lost strict
+    domination included, are re-raised as SolveFailure carrying the
+    failing step index.
     """
-    checked = None
+    checked = level = None
     j = 0
     try:
         yield state
@@ -307,17 +343,23 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
             if ratio > diag.restriction_max:
                 diag.restriction_max, diag.restriction_max_step = ratio, j
             if ratio > RESTRICTION_SLACK:
-                frame, level = inspect.currentframe().f_back, 2
-                while frame and frame.f_globals.get(
-                        "__name__", "").startswith("liqshock."):
-                    frame, level = frame.f_back, level + 1
+                if level is None:  # one caller resumes every level
+                    frame, level = inspect.currentframe().f_back, 2
+                    while frame and frame.f_globals.get(
+                            "__name__", "").startswith("liqshock."):
+                        frame, level = frame.f_back, level + 1
                 warnings.warn("reaction time-step restriction violated; "
                               "positivity of the march is no longer "
                               "guaranteed", RuntimeWarning, stacklevel=level)
-            state, sys = step(state, plan)
+            u, v, sys = _advance(state, plan)
+            # max |U| is the bound margin's, and finite only if U is
+            u_max = float(np.abs(u).max())
+            if not (math.isfinite(u_max) and np.isfinite(v).all()):
+                raise ValidationError("non-finite entries in grid state")
+            state = _unchecked(GridState, step_index=j + 1, u=u, v=v)
             if sys.rows is not checked:
                 checked, ok = sys.rows, check_m_matrix(sys)
-            margin = stability_bound(sys) - float(np.abs(state.u).max())
+            margin = stability_bound(sys) - u_max
             diag.solves += 1
             diag.m_matrix_ok = diag.m_matrix_ok and ok
             if sys.rows.min_domination < diag.min_d:

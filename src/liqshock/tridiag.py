@@ -47,6 +47,29 @@ __all__ = [
 ]
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without its ``__post_init__`` checks: for objects the library
+    builds from values it has just made, on which those checks could not
+    fail."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _cached(functools.cached_property):
+    """``functools.cached_property`` without the lock that Python < 3.12
+    takes on every first access; what it caches is a pure function of
+    frozen rows, so a race only works it out twice."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class TridiagonalRows:
     """Interior rows A (``lower``), C (``diag``), B (``upper``).
@@ -54,7 +77,8 @@ class TridiagonalRows:
     The arrays are kept read-only: one passed in is copied unless it is
     already a read-only array owning its data (as the rows of another
     TridiagonalRows are), so the caller's arrays stay writable and what is
-    cached from the rows cannot go stale through them.
+    cached from the rows cannot go stale through them.  ``_made`` builds
+    rows on arrays the library has just made for them, unchecked.
     """
 
     lower: np.ndarray
@@ -74,23 +98,40 @@ class TridiagonalRows:
             raise ValidationError("need at least one interior row, with "
                                   "lower/diag/upper of one length")
 
-    @functools.cached_property
+    @classmethod
+    def _made(cls, lower, diag, upper) -> TridiagonalRows:
+        """Rows on 1-d float64 arrays of one nonzero length that the caller
+        has just made and hands over: frozen in place, neither checked nor
+        copied (``lower`` and ``upper`` may be one array)."""
+        for arr in (lower, diag, upper):
+            arr.setflags(write=False)
+        return _unchecked(cls, lower=lower, diag=diag, upper=upper)
+
+    @_cached
     def off_diagonals(self) -> tuple:
         """What A and B alone fix: A and B as Python floats, |A|, |B|, and
         whether every A_i and B_i is positive (a NaN makes it False).
-        Rows derived by ``with_diag`` share these instead of redoing them."""
+        Rows derived by ``with_diag`` share these instead of redoing them,
+        and rows whose A and B are one array work them out once."""
         lo, up = self.lower, self.upper
-        return (lo.tolist(), up.tolist(), np.abs(lo), np.abs(up),
-                bool(lo.min() > 0 and up.min() > 0))
+        lo_list, abs_lo, positive = lo.tolist(), np.abs(lo), bool(lo.min() > 0)
+        if up is lo:
+            return lo_list, lo_list, abs_lo, abs_lo, positive
+        return (lo_list, up.tolist(), abs_lo, np.abs(up),
+                positive and bool(up.min() > 0))
 
     def with_diag(self, diag) -> TridiagonalRows:
         """Rows with these A and B and the diagonal ``diag``, sharing this
         row set's ``off_diagonals``."""
-        rows = TridiagonalRows(self.lower, diag, self.upper)
+        return self._sharing(TridiagonalRows(self.lower, diag, self.upper))
+
+    def _sharing(self, rows: TridiagonalRows) -> TridiagonalRows:
+        """``rows``, which have this row set's A and B, given its
+        ``off_diagonals``."""
         rows.__dict__["off_diagonals"] = self.off_diagonals
         return rows
 
-    @functools.cached_property
+    @_cached
     def elimination(self) -> tuple[list[float], ...]:
         """The forward sweep's factors, fixed whatever the load: the rows
         A as Python floats, the pivots den_i = C_i + A_i c_{i-1} and the
@@ -113,13 +154,13 @@ class TridiagonalRows:
                 f"zero pivot in row {len(mult)}") from None
         return lo, pivots, mult
 
-    @functools.cached_property
+    @_cached
     def domination(self) -> np.ndarray:
         """D_i = |C_i| - |A_i| - |B_i| of every row."""
         _, _, abs_lower, abs_upper, _ = self.off_diagonals
         return np.abs(self.diag) - abs_lower - abs_upper
 
-    @functools.cached_property
+    @_cached
     def min_domination(self) -> float:
         """The least D_i (NaN if any D_i is), read by both checks."""
         return float(self.domination.min())

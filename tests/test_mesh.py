@@ -41,6 +41,16 @@ class TestUniformGrid:
         assert g.min_spacing() == 1.0
         assert not tavella_randall_grid(0, 5, 2, 15, 30).uniform
 
+    def test_nodes_leave_the_callers_array_alone(self):
+        n = np.linspace(0, 5, 11)
+        g = SpatialGrid(n)
+        assert n.flags.writeable and g.nodes is not n
+        assert not g.nodes.flags.writeable
+        n[-1] = 9.0
+        assert g.nodes[-1] == 5.0 and g.uniform
+        # a grid's own nodes are shared, not copied again
+        assert SpatialGrid(g.nodes).nodes is g.nodes
+
     def test_rejects_degenerate(self):
         with pytest.raises(ValidationError):
             uniform_grid(0, 5, 1)

@@ -4,9 +4,11 @@ On this box ``imex_linear`` breaks down on most draws (the reaction step
 restriction ratio overflows), so the property is not that every run
 finishes: each run either finishes with a finite state, the M-matrix
 sign pattern and the sup-norm bound, or it fails with a LiqshockError.
-No other exception may reach the caller.
+No other exception may reach the caller.  A fixed sample of the box is
+also pinned bit for bit, breakdowns included.
 """
 
+import hashlib
 import math
 import warnings
 
@@ -18,7 +20,10 @@ from liqshock import (
     LiqshockError,
     ModelParams,
     SchemeConfig,
+    SolveFailure,
+    at_the_money,
     solve_forward,
+    tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
 )
@@ -55,3 +60,48 @@ def test_solve_finishes_clean_or_raises_liqshock_error(params, scheme):
     d = res.diagnostics
     assert d.m_matrix_ok
     assert math.isfinite(d.bound_margin) and d.bound_margin >= -1e-9
+
+
+# SHA-256 of the lines of 60 draws from the box (numpy's default_rng(7))
+# x both schemes x uniform and tavella (alpha = 15) grids at I = 60, each
+# with its slaved dt.  A finished run's line holds the repr of its
+# at-the-money R0 and R1 and of every SolveDiagnostics field; a run that
+# breaks down, its step and message.
+BOX_PIN = "c9fa24e8ef12b7c59a4849361c1e4a61804614097b20181d3c32aa6552e04d9d"
+
+
+def test_box_sample_pinned_bit_for_bit():
+    rng = np.random.default_rng(7)
+    box = [("sigma", 0.05, 1.0), ("mu", -0.5, 0.5), ("gamma", 0.1, 10.0),
+           ("nu01", 0.01, 20.0), ("nu10", 0.01, 20.0), ("strike", 0.5, 10.0),
+           ("horizon", 0.1, 3.0), ("s_max", 11.0, 50.0)]
+    draws = [ModelParams(s_min=0.0, **{key: float(rng.uniform(lo, hi))
+                                       for key, lo, hi in box})
+             for _ in range(60)]
+    lines = []
+    for k, p in enumerate(draws):
+        for grid in (uniform_grid(p.s_min, p.s_max, 60),
+                     tavella_randall_grid(p.s_min, p.s_max, p.strike, 15.0,
+                                          60)):
+            tg = time_grid_from_space(grid, p.horizon)
+            for scheme in ("imex_linear", "imex_linearized"):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings(
+                            "ignore", "reaction time-step restriction",
+                            RuntimeWarning)
+                        res = solve_forward(p, grid, tg,
+                                            SchemeConfig(scheme=scheme))
+                except SolveFailure as err:
+                    lines.append(f"{k} {scheme} SolveFailure "
+                                 f"{err.step_index} {err}")
+                    continue
+                d = res.diagnostics
+                lines.append(" ".join(map(repr, (
+                    k, scheme, at_the_money(res), at_the_money(res, "r1"),
+                    d.solves, d.m_matrix_ok, d.min_d, d.min_d_step,
+                    d.bound_margin, d.bound_margin_step, d.restriction_max,
+                    d.restriction_max_step))))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert sum("SolveFailure" in line for line in lines) > 0
+    assert digest == BOX_PIN

@@ -75,9 +75,33 @@ class TestInitialState:
             with pytest.raises(ValidationError, match="non-finite"):
                 initial_state(uniform_grid(0, 5, 10), p)
 
+    # the march builds every level's system unchecked on the shape of
+    # level 0, so a payoff of another shape is refused before it starts
+    @pytest.mark.parametrize("payoff", [
+        lambda s, k: payoff_call(s[:-1], k), lambda s, k: np.zeros(3),
+        lambda s, k: np.zeros(0), lambda s, k: 1.0,
+        lambda s, k: payoff_call(np.append(s, 6.0), k)],
+        ids=["short", "three", "empty", "scalar", "long"])
+    def test_payoff_of_another_shape_refused(self, params, payoff):
+        grid = uniform_grid(0, 5, 20)
+        for scheme in ("imex_linear", "imex_linearized"):
+            with pytest.raises(ValidationError, match="one value per grid"):
+                solve_forward(params, grid, TimeGrid(dt=0.05, steps=20),
+                              SchemeConfig(scheme=scheme), payoff=payoff)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             GridState(0, np.array([1.0, np.inf]), np.array([0.0, 0.0]))
+
+    def test_state_that_does_not_fit_the_plan(self, params, dc):
+        st = GridState(0, np.zeros(3), np.zeros(3))
+        for scheme in ("imex_linear", "imex_linearized"):
+            plan = StepPlan(uniform_grid(0, 5, 20), TimeGrid(0.05, 20), dc,
+                            SchemeConfig(scheme=scheme))
+            for build in (assemble_scheme1, assemble_scheme2, step):
+                with pytest.raises(ValidationError,
+                                   match="one entry per row"):
+                    build(st, plan)
         with pytest.raises(ValidationError, match="equal length"):
             GridState(0, np.zeros(3), np.zeros(4))
         with pytest.raises(ValidationError, match="step_index"):
@@ -456,13 +480,42 @@ class TestSolveForward:
                                    match="non-finite entries in grid state"):
                     route(p, grid, TimeGrid(dt=0.05, steps=20))
 
+    # step 3 puts an inf into U (through the solve, both schemes) or into
+    # V alone (through G of the linearized recovery, at the S = 0 edge):
+    # the level is refused at its own step, before its checks
+    @pytest.mark.parametrize("scheme,layer", [
+        ("imex_linear", "solve"), ("imex_linearized", "solve"),
+        ("imex_linearized", "assemble_scheme2")])
+    def test_nonfinite_level_refused_at_its_step(self, params, monkeypatch,
+                                                 scheme, layer):
+        original, seen = getattr(schemes, layer), []
+
+        def poisoned(*args):
+            out = original(*args)
+            seen.append(out)
+            if len(seen) == 4:
+                if layer == "solve":
+                    out[5] = np.inf
+                else:
+                    out[1][2][0] = np.inf
+            return out
+
+        monkeypatch.setattr(schemes, layer, poisoned)
+        with pytest.raises(SolveFailure) as exc:
+            solve_forward(params, uniform_grid(0, 5, 20),
+                          TimeGrid(dt=0.05, steps=20),
+                          SchemeConfig(scheme=scheme))
+        assert exc.value.step_index == 3
+        assert str(exc.value) == ("time step 3: non-finite entries in grid "
+                                  "state")
+
     def test_runaway_time_grid_refused(self, params, monkeypatch):
         # 10,000 intervals x 1,001 steps end at T = 1 but exceed the cap;
         # each route refuses them before a level is stepped
         def no_level(*_):
             raise AssertionError("a level ran")
 
-        monkeypatch.setattr(schemes, "step", no_level)
+        monkeypatch.setattr(schemes, "_advance", no_level)
         grid = uniform_grid(0, 5, 10_000)
         tg = TimeGrid(dt=1 / 1001, steps=1001)
         for route in (solve_forward,

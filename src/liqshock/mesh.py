@@ -99,7 +99,8 @@ class SpatialGrid:
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [0, T]: steps J >= 1 and step size dt with
-    J*dt = T."""
+    J*dt = T.  ``steps`` is kept as a Python int, so a numpy integer given
+    for it cannot wrap the products it enters (``MAX_CELLS``'s cap)."""
 
     dt: float
     steps: int
@@ -109,6 +110,7 @@ class TimeGrid:
             raise ValidationError("dt must be positive and finite")
         if not _is_count(self.steps, 1):
             raise ValidationError("steps must be a whole number >= 1")
+        object.__setattr__(self, "steps", operator.index(self.steps))
 
     def halved(self) -> "TimeGrid":
         """Same horizon with twice the steps (for temporal extrapolation)."""

@@ -157,9 +157,11 @@ class StepPlan:
     (ValidationError both), and rows that cannot be represented (an inf or
     NaN anywhere, say from nodes whose square overflows) as SolveFailure
     at step 0, without a numpy warning.  Every run marched on one plan
-    shares its rows.  They are the whole ``imex_linear`` rows, so every
+    shares its rows, built once per plan by the public, checked
+    ``TridiagonalRows``.  They are the whole ``imex_linear`` rows, so every
     level of such runs shares them, and with them one elimination (worked
-    out by the first ``step`` that solves them) and one domination.
+    out by the first ``step`` that solves them) and one domination;
+    ``imex_linearized`` derives each level's rows from them.
     """
 
     grid: SpatialGrid
@@ -187,8 +189,7 @@ class StepPlan:
         # A and B are >= 0 or NaN, so a finite C = 1/dt + A + B means all are
         if not np.isfinite(diag).all():
             raise SolveFailure(0, "non-finite diffusion rows")
-        object.__setattr__(self, "rows",
-                           TridiagonalRows._made(lower, diag, upper))
+        object.__setattr__(self, "rows", TridiagonalRows(lower, diag, upper))
 
 
 @dataclass(frozen=True)
@@ -223,11 +224,8 @@ def _edge(rule: BoundaryRule, node: int, state: GridState,
 
 def _system(rows: TridiagonalRows, rhs: np.ndarray, state: GridState,
             plan: StepPlan) -> TridiagonalSystem:
-    """The level's system: ``rows``, the load ``rhs`` just made for them
-    and the two edge values, checked only for a load of the wrong length
-    (from a caller's state that does not fit the plan's grid)."""
-    if rhs.size != rows.diag.size:
-        raise ValidationError("rhs must have one entry per row")
+    """The level's system, built unchecked: ``rows``, the load ``rhs``
+    just made for them and the two edge values."""
     config = plan.config
     return _unchecked(TridiagonalSystem, rows=rows, rhs=rhs,
                       left_value=_edge(config.left_bc, 0, state, plan),
@@ -247,8 +245,17 @@ def restriction_ratio(state: GridState, plan: StepPlan) -> float:
     return dt * max(dc.c * math.exp(vu), dc.a * math.exp(uv))
 
 
+def _fit(state: GridState, plan: StepPlan):
+    """Refuse a caller's state that does not fit the plan's grid, before
+    any of its values meet the plan's rows."""
+    if state.u.size != plan.grid.nodes.size:
+        raise ValidationError("rhs must have one entry per row")
+
+
 def assemble_scheme1(state: GridState, plan: StepPlan) -> TridiagonalSystem:
-    """Linear IMEX rows: implicit diffusion, level-j reaction in the load."""
+    """Linear IMEX rows: implicit diffusion, level-j reaction in the load.
+    A state that does not fit the plan's grid is a ValidationError."""
+    _fit(state, plan)
     u, v, dc = state.u, state.v, plan.dc
     rhs = u[1:-1] / plan.tg.dt - dc.a * np.exp(u[1:-1] - v[1:-1]) + dc.b
     return _system(plan.rows, rhs, state, plan)
@@ -267,7 +274,10 @@ def assemble_scheme2(state: GridState, plan: StepPlan
     so eliminating V adds w*z/(1/dt + z) > -w to the U diagonal (net gain
     in domination) and the V relation doubles as the recovery formula
     V_new = (G - E U_new) / K, whose (K, E, G) are returned with the rows.
+    The rows are derived from the plan's with the new diagonal.  A state
+    that does not fit the plan's grid is a ValidationError.
     """
+    _fit(state, plan)
     u, v, dc, dt = state.u, state.v, plan.dc, plan.tg.dt
     w = dc.a * np.exp(u - v)
     z = dc.c * np.exp(v - u)
@@ -277,14 +287,18 @@ def assemble_scheme2(state: GridState, plan: StepPlan
     f_hat = ui / dt - wi * (1.0 + vi - ui) + dc.b
     diag = rows.diag + wi - wi * z[1:-1] / ki
     rhs = f_hat + wi / ki * g[1:-1]
-    rows = rows._sharing(TridiagonalRows._made(rows.lower, diag, rows.upper))
-    return _system(rows, rhs, state, plan), (k_hat, -z, g)
+    return _system(rows._with_diag(diag), rhs, state, plan), (k_hat, -z, g)
 
 
 def _advance(state: GridState, plan: StepPlan
-             ) -> tuple[np.ndarray, np.ndarray, TridiagonalSystem]:
-    """The new level's U and V, not yet checked, and the system solved
-    for U (see ``step``)."""
+             ) -> tuple[GridState, float, TridiagonalSystem]:
+    """The level after ``state``, its max |U| and the system solved for
+    its U (see ``step``).
+
+    The new level is checked for what can go wrong with it, a non-finite
+    U or V (ValidationError), and built unchecked from the arrays just
+    made for it; max |U| serves that check and the march's bound margin.
+    """
     if plan.config.scheme == "imex_linear":
         sys = assemble_scheme1(state, plan)
         plan.rows.elimination  # cached: every later level substitutes
@@ -295,22 +309,29 @@ def _advance(state: GridState, plan: StepPlan
         sys, (k_hat, e_hat, g) = assemble_scheme2(state, plan)
         u_new = solve(sys)
         v_new = (g - e_hat * u_new) / k_hat
-    return u_new, v_new, sys
+    # max |U| is finite only if U is
+    u_max = float(np.abs(u_new).max())
+    if not (math.isfinite(u_max) and np.isfinite(v_new).all()):
+        raise ValidationError("non-finite entries in grid state")
+    return _unchecked(GridState, step_index=state.step_index + 1, u=u_new,
+                      v=v_new), u_max, sys
 
 
 def step(state: GridState,
          plan: StepPlan) -> tuple[GridState, TridiagonalSystem]:
     """Advance one time level with ``plan.config.scheme``.
 
-    Returns the new state and the tridiagonal system solved for its U.
+    Returns the new state and the tridiagonal system solved for its U,
+    exactly the level and system the march makes from ``state``.
     ``imex_linear`` solves the plan's rows, eliminated once for the whole
     run, and advances V pointwise by the explicit rule;
     ``imex_linearized`` solves rows whose diagonal changes with the
     level, then recovers V at every node, boundaries included, from the
-    eliminated one-point relation.
+    eliminated one-point relation.  A state that does not fit the plan's
+    grid, or a new level that is not finite, is a ValidationError.
     """
-    u_new, v_new, sys = _advance(state, plan)
-    return GridState(state.step_index + 1, u_new, v_new), sys
+    new, _, sys = _advance(state, plan)
+    return new, sys
 
 
 def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
@@ -326,10 +347,9 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
     ladder), the new level's finiteness, the M-matrix conditions once per
     distinct row set (once per run for ``imex_linear``, whose rows are the
     plan's at every level), and the sup-norm bound margin, which depends
-    on the load and is checked at every level.  A level's state, system
-    and (``imex_linearized``) rows are built unchecked from the arrays
-    just made for them: a non-finite U or V is all that can go wrong, and
-    max |U| serves both that check and the bound margin.  Numerical
+    on the load and is checked at every level.  Each level comes from
+    ``_advance``, as ``step``'s does, which checks its finiteness and
+    hands back the max |U| that the bound margin reuses.  Numerical
     failures in the loop, a non-finite level, overflow and lost strict
     domination included, are re-raised as SolveFailure carrying the
     failing step index.
@@ -351,12 +371,7 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
                 warnings.warn("reaction time-step restriction violated; "
                               "positivity of the march is no longer "
                               "guaranteed", RuntimeWarning, stacklevel=level)
-            u, v, sys = _advance(state, plan)
-            # max |U| is the bound margin's, and finite only if U is
-            u_max = float(np.abs(u).max())
-            if not (math.isfinite(u_max) and np.isfinite(v).all()):
-                raise ValidationError("non-finite entries in grid state")
-            state = _unchecked(GridState, step_index=j + 1, u=u, v=v)
+            state, u_max, sys = _advance(state, plan)
             if sys.rows is not checked:
                 checked, ok = sys.rows, check_m_matrix(sys)
             margin = stability_bound(sys) - u_max

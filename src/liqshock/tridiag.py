@@ -17,7 +17,7 @@ domination D and its minimum, which both checks read; the minimum is
 also what a caller reads as the M-matrix margin, since ``check_m_matrix``
 only answers whether the conditions hold.  What depends on A and B
 alone - A and B as Python floats, |A|, |B| and the sign of A and B - is
-cached too, and rows derived from another set by ``with_diag`` share it
+cached too, and rows derived from another set by ``_with_diag`` share it
 instead of redoing it.  ``solve`` substitutes into a cached
 elimination when the rows have one; otherwise it eliminates and
 substitutes in one forward pass, converting only the diagonal, and
@@ -77,8 +77,8 @@ class TridiagonalRows:
     The arrays are kept read-only: one passed in is copied unless it is
     already a read-only array owning its data (as the rows of another
     TridiagonalRows are), so the caller's arrays stay writable and what is
-    cached from the rows cannot go stale through them.  ``_made`` builds
-    rows on arrays the library has just made for them, unchecked.
+    cached from the rows cannot go stale through them.  ``_with_diag``
+    derives rows with a new diagonal, unchecked, from a set built this way.
     """
 
     lower: np.ndarray
@@ -98,38 +98,24 @@ class TridiagonalRows:
             raise ValidationError("need at least one interior row, with "
                                   "lower/diag/upper of one length")
 
-    @classmethod
-    def _made(cls, lower, diag, upper) -> TridiagonalRows:
-        """Rows on 1-d float64 arrays of one nonzero length that the caller
-        has just made and hands over: frozen in place, neither checked nor
-        copied (``lower`` and ``upper`` may be one array)."""
-        for arr in (lower, diag, upper):
-            arr.setflags(write=False)
-        return _unchecked(cls, lower=lower, diag=diag, upper=upper)
-
     @_cached
     def off_diagonals(self) -> tuple:
         """What A and B alone fix: A and B as Python floats, |A|, |B|, and
         whether every A_i and B_i is positive (a NaN makes it False).
-        Rows derived by ``with_diag`` share these instead of redoing them,
-        and rows whose A and B are one array work them out once."""
+        Rows derived by ``_with_diag`` share these instead of redoing
+        them."""
         lo, up = self.lower, self.upper
-        lo_list, abs_lo, positive = lo.tolist(), np.abs(lo), bool(lo.min() > 0)
-        if up is lo:
-            return lo_list, lo_list, abs_lo, abs_lo, positive
-        return (lo_list, up.tolist(), abs_lo, np.abs(up),
-                positive and bool(up.min() > 0))
+        return (lo.tolist(), up.tolist(), np.abs(lo), np.abs(up),
+                bool(lo.min() > 0 and up.min() > 0))
 
-    def with_diag(self, diag) -> TridiagonalRows:
-        """Rows with these A and B and the diagonal ``diag``, sharing this
+    def _with_diag(self, diag: np.ndarray) -> TridiagonalRows:
+        """Rows with these A and B and the diagonal ``diag``, a 1-d float64
+        array of their length that the caller has just made and hands
+        over: frozen in place, neither checked nor copied, and given this
         row set's ``off_diagonals``."""
-        return self._sharing(TridiagonalRows(self.lower, diag, self.upper))
-
-    def _sharing(self, rows: TridiagonalRows) -> TridiagonalRows:
-        """``rows``, which have this row set's A and B, given its
-        ``off_diagonals``."""
-        rows.__dict__["off_diagonals"] = self.off_diagonals
-        return rows
+        diag.setflags(write=False)
+        return _unchecked(TridiagonalRows, lower=self.lower, diag=diag,
+                          upper=self.upper, off_diagonals=self.off_diagonals)
 
     @_cached
     def elimination(self) -> tuple[list[float], ...]:

@@ -93,8 +93,10 @@ class TestInitialState:
         with pytest.raises(ValidationError):
             GridState(0, np.array([1.0, np.inf]), np.array([0.0, 0.0]))
 
-    def test_state_that_does_not_fit_the_plan(self, params, dc):
-        st = GridState(0, np.zeros(3), np.zeros(3))
+    # one interior value broadcasts against the plan's rows, three do not
+    @pytest.mark.parametrize("nodes", [3, 5])
+    def test_state_that_does_not_fit_the_plan(self, params, dc, nodes):
+        st = GridState(0, np.zeros(nodes), np.zeros(nodes))
         for scheme in ("imex_linear", "imex_linearized"):
             plan = StepPlan(uniform_grid(0, 5, 20), TimeGrid(0.05, 20), dc,
                             SchemeConfig(scheme=scheme))
@@ -509,15 +511,20 @@ class TestSolveForward:
         assert str(exc.value) == ("time step 3: non-finite entries in grid "
                                   "state")
 
-    def test_runaway_time_grid_refused(self, params, monkeypatch):
-        # 10,000 intervals x 1,001 steps end at T = 1 but exceed the cap;
+    # both end at T = 1 but exceed the cap: 10,000 intervals x 1,001
+    # steps, and 20 x 2**62 steps, a product that wraps to 0 in int64
+    @pytest.mark.parametrize("intervals,tg", [
+        (10_000, TimeGrid(dt=1 / 1001, steps=1001)),
+        (20, TimeGrid(dt=2.0 ** -62, steps=np.int64(2 ** 62)))],
+        ids=["python_int", "numpy_int"])
+    def test_runaway_time_grid_refused(self, params, monkeypatch, intervals,
+                                       tg):
         # each route refuses them before a level is stepped
         def no_level(*_):
             raise AssertionError("a level ran")
 
         monkeypatch.setattr(schemes, "_advance", no_level)
-        grid = uniform_grid(0, 5, 10_000)
-        tg = TimeGrid(dt=1 / 1001, steps=1001)
+        grid = uniform_grid(0, 5, intervals)
         for route in (solve_forward,
                       lambda p, g, t: verify(p, g, t, SchemeConfig()),
                       lambda p, g, t: StepPlan(g, t, derive_constants(p),
@@ -525,6 +532,21 @@ class TestSolveForward:
             with pytest.raises(ValidationError, match=r"intervals x steps > "
                                                       r"MAX_CELLS = 10000000"):
                 route(params, grid, tg)
+
+    @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
+    def test_step_is_one_level_of_the_march(self, params, dc, scheme):
+        grid, tg = uniform_grid(0, 5, 20), TimeGrid(dt=0.05, steps=20)
+        config = SchemeConfig(scheme=scheme)
+        march = solve_forward(params, grid, tg, config,
+                              capture_trajectory=True).trajectory
+        plan = StepPlan(grid, tg, dc, config)
+        state = initial_state(grid, params)
+        for level in march:  # bit for bit, signed zeros included
+            assert state.step_index == level.step_index
+            assert state.u.tobytes() == level.u.tobytes()
+            assert state.v.tobytes() == level.v.tobytes()
+            if level.step_index < tg.steps:
+                state, _ = step(state, plan)
 
     def test_diagnostics_clean_on_table_run(self, params):
         grid = uniform_grid(0, 5, 60)

@@ -192,8 +192,8 @@ class TestSolve:
             diags.append(diags[0].copy())
             diags[1][n - 1] = np.nan
             for diag in diags:
-                derived, fresh = base.with_diag(diag), TridiagonalRows(
-                    base.lower, diag, base.upper)
+                derived = base._with_diag(diag.copy())
+                fresh = TridiagonalRows(base.lower, diag, base.upper)
                 assert derived.off_diagonals is base.off_diagonals
                 assert np.array_equal(derived.domination, fresh.domination,
                                       equal_nan=True)

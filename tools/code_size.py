@@ -4,8 +4,10 @@
 
 A code-only line holds a token other than a comment, outside module,
 class and function docstrings.  Public names are read with ``ast`` from
-each module's ``__all__``, without importing it.  Exits 1 when two
-modules export one name: ``from .x import *`` would keep only the last.
+each module's ``__all__``, without importing it; public methods are the
+methods and properties without a leading underscore that the exported
+classes define.  Exits 1 when two modules export one name:
+``from .x import *`` would keep only the last.
 """
 import ast
 import sys
@@ -14,8 +16,9 @@ from pathlib import Path
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
-DEFS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-total, owners = 0, {}
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (ast.Module, ast.ClassDef, *FUNCS)
+total, methods, owners = 0, 0, {}
 for path in sorted(Path(sys.argv[1]).glob("*.py")):
     tree = ast.parse(path.read_text())
     doc = {n for node in ast.walk(tree) if isinstance(node, DEFS)
@@ -27,12 +30,16 @@ for path in sorted(Path(sys.argv[1]).glob("*.py")):
                 for n in range(tok.start[0], tok.end[0] + 1)} - doc
     total += len(code)
     print(f"{path.name:16} {len(code):6,}")
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                getattr(t, "id", None) == "__all__" for t in node.targets):
-            for name in ast.literal_eval(node.value):
-                owners.setdefault(name, []).append(path.name)
-print(f"{'total':16} {total:6,}\npublic names {len(owners)}")
+    names = [name for node in tree.body if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+             for name in ast.literal_eval(node.value)]
+    for name in names:
+        owners.setdefault(name, []).append(path.name)
+    methods += sum(not f.name.startswith("_") for c in tree.body
+                   if isinstance(c, ast.ClassDef) and c.name in names
+                   for f in c.body if isinstance(f, FUNCS))
+print(f"{'total':16} {total:6,}\npublic names {len(owners)}\n"
+      f"public methods {methods}")
 clashes = {n: m for n, m in owners.items() if len(m) > 1}
 for name, modules in sorted(clashes.items()):
     print(f"{name} is exported by {', '.join(modules)}", file=sys.stderr)

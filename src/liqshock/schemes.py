@@ -161,7 +161,11 @@ class StepPlan:
     ``TridiagonalRows``.  They are the whole ``imex_linear`` rows, so every
     level of such runs shares them, and with them one elimination (worked
     out by the first ``step`` that solves them) and one domination;
-    ``imex_linearized`` derives each level's rows from them.
+    ``imex_linearized`` derives each level's rows from them.  The plan also
+    keeps dt, 1/dt, a, b, c, dt*c and 1.0 as read-only 0-d float64 arrays,
+    which every level's numpy calls take in place of the Python floats:
+    numpy charges extra to take in a Python-float operand, and the 0-d
+    operand rounds each operation to the same bits.
     """
 
     grid: SpatialGrid
@@ -169,6 +173,7 @@ class StepPlan:
     dc: DerivedConstants
     config: SchemeConfig
     rows: TridiagonalRows = field(init=False, repr=False, compare=False)
+    _consts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dc.horizon - self.tg.steps * self.tg.dt < -TIME_SLACK:
@@ -190,6 +195,12 @@ class StepPlan:
         if not np.isfinite(diag).all():
             raise SolveFailure(0, "non-finite diffusion rows")
         object.__setattr__(self, "rows", TridiagonalRows(lower, diag, upper))
+        dt, dc = self.tg.dt, self.dc
+        consts = np.array([dt, 1.0 / dt, dc.a, dc.b, dc.c, dt * dc.c, 1.0],
+                          dtype=float)
+        consts.setflags(write=False)  # and so each 0-d view of it
+        object.__setattr__(self, "_consts",
+                           tuple(consts[i, ...] for i in range(consts.size)))
 
 
 @dataclass(frozen=True)
@@ -240,7 +251,7 @@ def restriction_ratio(state: GridState, plan: StepPlan) -> float:
     """
     # one difference serves both maxima: fl(v - u) is exactly -fl(u - v)
     diff = state.u - state.v
-    vu, uv = -float(diff.min()), float(diff.max())
+    vu, uv = -float(np.minimum.reduce(diff)), float(np.maximum.reduce(diff))
     dt, dc = plan.tg.dt, plan.dc
     return dt * max(dc.c * math.exp(vu), dc.a * math.exp(uv))
 
@@ -256,8 +267,9 @@ def assemble_scheme1(state: GridState, plan: StepPlan) -> TridiagonalSystem:
     """Linear IMEX rows: implicit diffusion, level-j reaction in the load.
     A state that does not fit the plan's grid is a ValidationError."""
     _fit(state, plan)
-    u, v, dc = state.u, state.v, plan.dc
-    rhs = u[1:-1] / plan.tg.dt - dc.a * np.exp(u[1:-1] - v[1:-1]) + dc.b
+    u, v = state.u[1:-1], state.v[1:-1]
+    dt, _, a, b, *_ = plan._consts
+    rhs = u / dt - a * np.exp(u - v) + b
     return _system(plan.rows, rhs, state, plan)
 
 
@@ -278,13 +290,14 @@ def assemble_scheme2(state: GridState, plan: StepPlan
     that does not fit the plan's grid is a ValidationError.
     """
     _fit(state, plan)
-    u, v, dc, dt = state.u, state.v, plan.dc, plan.tg.dt
-    w = dc.a * np.exp(u - v)
-    z = dc.c * np.exp(v - u)
-    k_hat = 1.0 / dt + z
-    g = v / dt - z * (1.0 - v + u) + dc.c
+    u, v = state.u, state.v
+    dt, inv_dt, a, b, c, _, one = plan._consts
+    w = a * np.exp(u - v)
+    z = c * np.exp(v - u)
+    k_hat = inv_dt + z
+    g = v / dt - z * (one - v + u) + c
     ui, vi, wi, ki, rows = u[1:-1], v[1:-1], w[1:-1], k_hat[1:-1], plan.rows
-    f_hat = ui / dt - wi * (1.0 + vi - ui) + dc.b
+    f_hat = ui / dt - wi * (one + vi - ui) + b
     diag = rows.diag + wi - wi * z[1:-1] / ki
     rhs = f_hat + wi / ki * g[1:-1]
     return _system(rows._with_diag(diag), rhs, state, plan), (k_hat, -z, g)
@@ -303,15 +316,16 @@ def _advance(state: GridState, plan: StepPlan
         sys = assemble_scheme1(state, plan)
         plan.rows.elimination  # cached: every later level substitutes
         u_new = solve(sys)
-        v_new = state.v - plan.tg.dt * plan.dc.c * (
-            np.exp(state.v - state.u) - 1.0)
+        *_, dt_c, one = plan._consts
+        v_new = state.v - dt_c * (np.exp(state.v - state.u) - one)
     else:
         sys, (k_hat, e_hat, g) = assemble_scheme2(state, plan)
         u_new = solve(sys)
         v_new = (g - e_hat * u_new) / k_hat
     # max |U| is finite only if U is
-    u_max = float(np.abs(u_new).max())
-    if not (math.isfinite(u_max) and np.isfinite(v_new).all()):
+    u_max = float(np.maximum.reduce(np.abs(u_new)))
+    if not (math.isfinite(u_max)
+            and np.logical_and.reduce(np.isfinite(v_new))):
         raise ValidationError("non-finite entries in grid state")
     return _unchecked(GridState, step_index=state.step_index + 1, u=u_new,
                       v=v_new), u_max, sys
@@ -328,9 +342,16 @@ def step(state: GridState,
     ``imex_linearized`` solves rows whose diagonal changes with the
     level, then recovers V at every node, boundaries included, from the
     eliminated one-point relation.  A state that does not fit the plan's
-    grid, or a new level that is not finite, is a ValidationError.
+    grid, or a new level that is not finite, is a ValidationError, raised
+    without a numpy warning: a spread |U - V| past the range of exp (which
+    the march refuses before it steps, through the restriction ratio) is
+    such a level, whether numpy or the natural edge's ``math.exp`` meets it.
     """
-    new, _, sys = _advance(state, plan)
+    try:
+        with np.errstate(all="ignore"):  # a non-finite level is refused
+            new, _, sys = _advance(state, plan)
+    except OverflowError:
+        raise ValidationError("non-finite entries in grid state") from None
     return new, sys
 
 

@@ -12,20 +12,24 @@ monotonicity conditions (A_i > 0, B_i > 0, D_i = C_i - A_i - B_i >= 0)
 speak about.
 
 What depends on the rows alone is worked out once per row set and
-cached on it: the pivots and multipliers of the elimination, the
-domination D and its minimum, which both checks read; the minimum is
-also what a caller reads as the M-matrix margin, since ``check_m_matrix``
-only answers whether the conditions hold.  What depends on A and B
-alone - A and B as Python floats, |A|, |B| and the sign of A and B - is
-cached too, and rows derived from another set by ``_with_diag`` share it
-instead of redoing it.  ``solve`` substitutes into a cached
-elimination when the rows have one; otherwise it eliminates and
-substitutes in one forward pass, converting only the diagonal, and
-caches no elimination.  Either way it packs the back substitution into
-the result array in one call.  Rows shared by every level of every run
-on one plan (``imex_linear``) are eliminated once, by the first step that
+cached on it: the pivots and multipliers of the elimination, the least
+diagonal entry, the domination D and its minimum, which both checks
+read; the minimum is also what a caller reads as the M-matrix margin,
+since ``check_m_matrix`` only answers whether the conditions hold.  What
+depends on A and B alone - A and -B as Python floats, |A|, |B| and the
+sign of A and B - is cached too, and rows derived from another set by
+``_with_diag`` share it instead of redoing it.  ``solve`` substitutes
+into a cached elimination when the rows have one; otherwise it
+eliminates and substitutes in one forward pass, one comprehension over
+the (multiplier, load) pairs that converts only the diagonal, and caches
+no elimination.  Either way it packs the back substitution into the
+result array in one call.  Rows shared by every level of every run on
+one plan (``imex_linear``) are eliminated once, by the first step that
 solves them; rows with a new diagonal at every level (``imex_linearized``)
-are derived from the plan's rows and take the one-pass sweep.
+are derived from the plan's rows and take the one-pass sweep.  These
+calls run once per level, so the reductions over the rows call the ufunc
+(``np.minimum.reduce``) rather than the array method, which adds a
+Python-level wrapper, and give the same value.
 """
 
 from __future__ import annotations
@@ -51,10 +55,11 @@ def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as
     given, without its ``__post_init__`` checks: for objects the library
     builds from values it has just made, on which those checks could not
-    fail."""
+    fail.  The fields go straight into the instance dictionary, where
+    ``object.__setattr__`` would put them one call each, since no field
+    (nor a cached property it fills) is a data descriptor."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -100,12 +105,12 @@ class TridiagonalRows:
 
     @_cached
     def off_diagonals(self) -> tuple:
-        """What A and B alone fix: A and B as Python floats, |A|, |B|, and
-        whether every A_i and B_i is positive (a NaN makes it False).
-        Rows derived by ``_with_diag`` share these instead of redoing
-        them."""
+        """What A and B alone fix: A and -B as Python floats (each sweep
+        divides -B_i by its pivot), |A|, |B|, and whether every A_i and B_i
+        is positive (a NaN makes it False).  Rows derived by ``_with_diag``
+        share these instead of redoing them."""
         lo, up = self.lower, self.upper
-        return (lo.tolist(), up.tolist(), np.abs(lo), np.abs(up),
+        return (lo.tolist(), (-up).tolist(), np.abs(lo), np.abs(up),
                 bool(lo.min() > 0 and up.min() > 0))
 
     def _with_diag(self, diag: np.ndarray) -> TridiagonalRows:
@@ -129,27 +134,35 @@ class TridiagonalRows:
         Python floats, which round each operation exactly as float64
         scalars do but index and compute several times faster.
         """
-        lo, up, *_ = self.off_diagonals
+        lo, neg_up, *_ = self.off_diagonals
         pivots, mult, c = [], [], -0.0
         try:
-            for a, b, e in zip(lo, self.diag.tolist(), up):
+            for a, b, ne in zip(lo, self.diag.tolist(), neg_up):
                 pivots.append(den := b + a * c)
-                mult.append(c := -e / den)
+                mult.append(c := ne / den)
         except ZeroDivisionError:
             raise SingularSystemError(
                 f"zero pivot in row {len(mult)}") from None
         return lo, pivots, mult
 
     @_cached
+    def _least_diag(self) -> float:
+        """The least C_i (NaN if any C_i is), read by ``domination`` and
+        ``check_m_matrix``."""
+        return float(np.minimum.reduce(self.diag))
+
+    @_cached
     def domination(self) -> np.ndarray:
-        """D_i = |C_i| - |A_i| - |B_i| of every row."""
+        """D_i = |C_i| - |A_i| - |B_i| of every row; where every C_i is
+        positive, |C| is C itself and is not worked out."""
         _, _, abs_lower, abs_upper, _ = self.off_diagonals
-        return np.abs(self.diag) - abs_lower - abs_upper
+        diag = self.diag if self._least_diag > 0 else np.abs(self.diag)
+        return diag - abs_lower - abs_upper
 
     @_cached
     def min_domination(self) -> float:
         """The least D_i (NaN if any D_i is), read by both checks."""
-        return float(self.domination.min())
+        return float(np.minimum.reduce(self.domination))
 
 
 @dataclass(frozen=True)
@@ -180,8 +193,11 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
     every pivot nonzero; a vanishing pivot raises SingularSystemError.
     Rows whose ``elimination`` is cached only have the load substituted;
     other rows are eliminated in the same forward pass as the load, in
-    the same operation order, and keep no elimination.  The result is a
-    new writable float64 array.
+    the same operation order (Python reads ``-e / den`` as ``(-e) / den``,
+    so dividing the cached -B_i gives the same bits), and keep no
+    elimination; a zero pivot there is named by eliminating the rows,
+    whose pivots do not depend on the load.  The result is a new writable
+    float64 array.
     """
     rows = sys.rows
     left, right = float(sys.left_value), float(sys.right_value)
@@ -195,25 +211,24 @@ def solve(sys: TridiagonalSystem) -> np.ndarray:
     if "elimination" in rows.__dict__:
         lo, pivots, mult = rows.elimination
         dp = [d := (g + a * d) / den for a, den, g in zip(lo, pivots, f)]
+        last, pairs = dp[-1], zip(mult[-2::-1], dp[-2::-1])
     else:
-        lo, up, *_ = rows.off_diagonals
-        mult, dp, c = [], [], -0.0
-        keep_c, keep_d = mult.append, dp.append
+        lo, neg_up, *_ = rows.off_diagonals
+        c = -0.0
         try:
-            for a, b, e, g in zip(lo, rows.diag.tolist(), up, f):
-                den = b + a * c
-                c = -e / den
-                d = (g + a * d) / den
-                keep_c(c)
-                keep_d(d)
+            cd = [(c := ne / (den := b + a * c), d := (g + a * d) / den)
+                  for a, b, ne, g in zip(lo, rows.diag.tolist(), neg_up, f)]
         except ZeroDivisionError:
-            raise SingularSystemError(
-                f"zero pivot in row {len(mult)}") from None
+            # the pivots do not depend on the load, so eliminating the rows
+            # meets the same zero pivot and raises naming its row
+            rows.elimination
+            raise
+        last, pairs = cd[-1][1], cd[-2::-1]
     # The last row already carries y_N, so the sweep back starts from it.
-    y = dp[-1]
-    back = [y := d - c * y for c, d in zip(mult[-2::-1], dp[-2::-1])]
-    out = np.empty(len(dp) + 2)
-    struct.pack_into(f"{out.size}d", out, 0, left, *reversed(back), dp[-1],
+    y = last
+    back = [y := d - c * y for c, d in pairs]
+    out = np.empty(len(back) + 3)
+    struct.pack_into(f"{out.size}d", out, 0, left, *reversed(back), last,
                      right)
     return out
 
@@ -227,7 +242,7 @@ def check_m_matrix(sys: TridiagonalSystem) -> bool:
     """
     rows = sys.rows
     # a NaN makes its min NaN and the compare False
-    return bool(rows.off_diagonals[-1] and rows.diag.min() > 0
+    return bool(rows.off_diagonals[-1] and rows._least_diag > 0
                 and rows.min_domination >= 0)
 
 
@@ -237,7 +252,8 @@ def stability_bound(sys: TridiagonalSystem) -> float:
     Requires strict domination D_i = |C_i| - |A_i| - |B_i| > 0 on every
     row; the solved y then satisfies ||y||_inf <= bound.
     """
-    if sys.rows.min_domination <= 0:
+    rows = sys.rows
+    if rows.min_domination <= 0:
         raise ValidationError("strict diagonal domination required")
-    interior = float((np.abs(sys.rhs) / sys.rows.domination).max())
+    interior = float(np.maximum.reduce(np.abs(sys.rhs) / rows.domination))
     return max(abs(sys.left_value), abs(sys.right_value), interior)

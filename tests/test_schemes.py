@@ -132,6 +132,52 @@ class TestStepPlan:
                 # changes with the level
                 assert (sys.rows is plan.rows) == (scheme == "imex_linear")
 
+    # The level's numpy calls take the plan's constants as 0-d arrays in
+    # place of Python floats, which must move no bit: each array equals its
+    # formula written with the floats of plan.dc and plan.tg, on the
+    # standard set and 20 draws from the criterion-9 box.
+    def test_constants_move_no_bit(self, params):
+        rng = np.random.default_rng(29)
+        box = [("sigma", 0.05, 1.0), ("mu", -0.5, 0.5), ("gamma", 0.1, 10.0),
+               ("nu01", 0.01, 20.0), ("nu10", 0.01, 20.0),
+               ("strike", 0.5, 10.0), ("horizon", 0.1, 3.0),
+               ("s_max", 11.0, 50.0)]
+        draws = [params] + [
+            ModelParams(s_min=0.0, **{key: float(rng.uniform(lo, hi))
+                                      for key, lo, hi in box})
+            for _ in range(20)]
+        for p in draws:
+            grid = uniform_grid(p.s_min, p.s_max, 60)
+            tg = time_grid_from_space(grid, p.horizon)
+            u = initial_state(grid, p).u
+            v = u + rng.uniform(-1.0, 1.0, u.size)
+            st, ui, vi = GridState(0, u, v), u[1:-1], v[1:-1]
+            for scheme in ("imex_linear", "imex_linearized"):
+                plan = StepPlan(grid, tg, derive_constants(p),
+                                SchemeConfig(scheme=scheme))
+                a, b, c, dt = plan.dc.a, plan.dc.b, plan.dc.c, plan.tg.dt
+                for const in plan._consts:
+                    assert const.shape == () and const.dtype == np.float64
+                    with pytest.raises(ValueError, match="read-only"):
+                        const[()] = 0.0
+                want = ui / dt - a * np.exp(ui - vi) + b
+                assert assemble_scheme1(st, plan).rhs.tobytes() == \
+                    want.tobytes()
+                w, z = a * np.exp(u - v), c * np.exp(v - u)
+                k_hat = 1.0 / dt + z
+                g = v / dt - z * (1.0 - v + u) + c
+                wi, ki = w[1:-1], k_hat[1:-1]
+                f_hat = ui / dt - wi * (1.0 + vi - ui) + b
+                sys, keg = assemble_scheme2(st, plan)
+                for got, want in zip(
+                        (sys.rows.diag, sys.rhs, *keg),
+                        (plan.rows.diag + wi - wi * z[1:-1] / ki,
+                         f_hat + wi / ki * g[1:-1], k_hat, -z, g)):
+                    assert got.tobytes() == want.tobytes()
+                if scheme == "imex_linear":
+                    want = v - dt * c * (np.exp(v - u) - 1.0)
+                    assert step(st, plan)[0].v.tobytes() == want.tobytes()
+
     def test_three_point_weights_at_tavella_node(self, params, dc):
         grid = tavella_randall_grid(0, 5, 2, 1.0, 12)
         assert not grid.uniform
@@ -394,6 +440,21 @@ class TestRestriction:
             solve_forward(p, grid, tg, SchemeConfig(scheme=scheme))
         assert exc.value.step_index == failing_step
         assert isinstance(exc.value.__cause__, OverflowError)
+
+    # A spread past the range of exp, handed to step (the march refuses it
+    # above): numpy's overflow in exp, or the natural edge's OverflowError,
+    # must not reach the caller; the level it would give is refused.  The
+    # warning gate in pyproject.toml turns an escaped numpy warning into a
+    # failure of this test.
+    @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
+    @pytest.mark.parametrize("u0,v0", [(0.0, 800.0), (800.0, 0.0)],
+                             ids=["v_above", "u_above"])
+    def test_overflowing_spread_refused_by_step(self, dc, scheme, u0, v0):
+        plan = StepPlan(uniform_grid(0, 5, 20), TimeGrid(0.05, 20), dc,
+                        SchemeConfig(scheme=scheme))
+        st = GridState(0, np.full(21, u0), np.full(21, v0))
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            step(st, plan)
 
 
 class TestSolveForward:

@@ -5,7 +5,6 @@ The public names are those of each module's ``__all__``.
 """
 
 from .analysis import *
-from .config import *
 from .errors import *
 from .mesh import *
 from .model import *

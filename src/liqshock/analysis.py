@@ -16,7 +16,7 @@ that the linearized stepper approximates.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -509,9 +509,11 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
 
     Three runs on one grid (call payoff, call + 0.1, zero payoff) march
     in lockstep on one ``StepPlan``, sharing its rows (for ``imex_linear``
-    also their one elimination), and one ``_scan`` folds positivity of the
-    call run, comparison of each ordered pair and translation by 0.1 gamma
-    as the levels stream past, so no trajectory is kept; the M-matrix
+    also their one elimination); only a Dirichlet edge gives the lifted
+    run a plan of its own, whose edge values are lifted by 0.1 gamma with
+    its data.  One ``_scan`` folds positivity of the call run, comparison
+    of each ordered pair and translation by 0.1 gamma as the levels
+    stream past, so no trajectory is kept; the M-matrix
     pattern and the sup-norm bound of the call run follow from its
     diagnostics.  The restriction maximum is taken over all three runs,
     and a restriction warning names the first caller outside liqshock.
@@ -521,15 +523,21 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     that breaks down raises its SolveFailure at the earliest failing step.
     """
     dc = derive_constants(params)
+    shift = 0.1 * params.gamma
     payoffs = (payoff_call, _lifted_call, payoff_zero)
     firsts = [initial_state(grid, params, h) for h in payoffs]
     plan = StepPlan(grid, tg, dc, config)
+    edges = {side: lambda tau, rule=getattr(config, side): rule(tau) + shift
+             for side in ("left_bc", "right_bc")
+             if callable(getattr(config, side))}
+    lifted = StepPlan(grid, tg, dc, replace(config, **edges)) if edges else plan
     diags = [SolveDiagnostics() for _ in payoffs]
-    marches = [_march(first, plan, d) for first, d in zip(firsts, diags)]
+    marches = [_march(first, p, d) for first, p, d
+               in zip(firsts, (plan, lifted, plan), diags)]
     checks = _scan(zip(*marches), [
         _positivity(params, plan),
         _comparison("comparison(h+0.1)", 1, 0),
         _comparison("comparison(call vs 0)", 0, 2),
-        _translation(0.1 * params.gamma, 0, 1)])
+        _translation(shift, 0, 1)])
     return AuditReport(checks=checks + _diagnostic_checks(diags[0]),
                        restriction_max=max(d.restriction_max for d in diags))

@@ -2,21 +2,122 @@
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure,
 3 verification failure.
+
+A run's settings come from ``RunConfig``'s defaults (the standard
+experiment set), then a ``--config`` file, then the flags.  The file is
+line-oriented key=value text: blank lines and '#' comments are ignored,
+keys are case-sensitive, and unknown or duplicate keys are rejected with
+their line numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, dataclass, fields
 
 from . import analysis
-from .config import CHOICES, RunConfig, _read_config
 from .errors import ConfigError, NumericalError, ValidationError
-from .mesh import HALF_MIN_SPACING, time_grid_from_space
-from .model import to_prices
-from .schemes import SchemeConfig, initial_state, solve_forward
+from .mesh import (HALF_MIN_SPACING, MAX_CELLS, _checked_steps,
+                   time_grid_from_space)
+from .model import ModelParams, _param_problems, to_prices
+from .schemes import (NATURAL, SCHEMES, SchemeConfig, initial_state,
+                      solve_forward)
+
+# Allowed values of the word-valued keys, in the order validate reports
+# them; scheme and left_bc map each word to what it selects.
+CHOICES = {
+    "grid": ("uniform", "tavella"),
+    "scheme": {word: name for name, word in SCHEMES.items()},
+    "left_bc": {"natural": NATURAL, "dirichlet": lambda tau: 0.0},
+}
+
+
+@dataclass
+class RunConfig:
+    """The settings of one run; each field is a config-file key."""
+
+    sigma: float = 0.3
+    mu: float = 0.06
+    gamma: float = 1.0
+    nu01: float = 1.0
+    nu10: float = 12.0
+    strike: float = 2.0
+    horizon: float = 1.0
+    s_min: float = 0.0
+    s_max: float = 5.0
+    grid: str = "uniform"
+    intervals: int = 240
+    alpha: float = 15.0
+    dt: float | None = None            # unset: min spacing / 2
+    scheme: str = "linear"
+    left_bc: str = "natural"
+    output_path: str | None = None
+
+    def model_params(self) -> ModelParams:
+        return ModelParams(**{f.name: getattr(self, f.name)
+                              for f in fields(ModelParams)})
+
+    def validate(self, one_grid: bool) -> list[tuple[str, str]]:
+        """Every (key, problem) of this config, as a run on one grid
+        (``one_grid``, where a set dt fixes the step count) or as a
+        ladder will use it."""
+        errs = [(key, "must be " + " or ".join(allowed))
+                for key, allowed in CHOICES.items()
+                if getattr(self, key) not in allowed]
+        if self.intervals < 2:
+            errs.append(("intervals", "must be >= 2"))
+        elif self.intervals > MAX_CELLS:
+            errs.append(("intervals", f"must be <= {MAX_CELLS}"))
+        for key in ("alpha", "dt"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value < math.inf:  # also NaN
+                errs.append((key, "must be > 0 and finite"))
+        if self.dt is not None and self.horizon < self.dt < math.inf:
+            errs.append(("dt", "must not exceed the horizon"))
+        errs += _param_problems(self).items()
+        if one_grid and self.dt is not None and not errs:
+            try:
+                _checked_steps(self.intervals, self.horizon, self.dt)
+            except ValidationError as e:
+                errs.append(("dt", str(e)))
+        return errs
+
+
+# Each key parses as its RunConfig annotation ("float | None" -> float).
+_PARSE = {f.name: {"float": float, "int": int, "str": str}[
+    f.type.split(" |")[0]] for f in fields(RunConfig)}
+
+
+def _read_config(text: str) -> tuple[RunConfig, dict[str, int]]:
+    """Parse config text (syntax, types, unknown and duplicate keys only),
+    returning the config and the line that set each key."""
+    values, errors, seen = {}, [], {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            errors.append((lineno, line.split()[0], "expected key=value"))
+            continue
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key not in _PARSE:
+            errors.append((lineno, key, "unknown key"))
+            continue
+        if key in seen:
+            errors.append((lineno, key, f"duplicate (first on line {seen[key]})"))
+            continue
+        seen[key] = lineno
+        try:
+            values[key] = _PARSE[key](val)
+        except ValueError as e:
+            errors.append((lineno, key, str(e)))
+    if errors:
+        raise ConfigError(errors)
+    return RunConfig(**values), seen
+
 
 # Flags of the commands; each overrides the RunConfig field its dest
 # names.  Only solve and verify take --I: the ladders take --levels.
@@ -32,9 +133,7 @@ _FLAGS = (
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.9g}"
+    return "" if value is None else f"{value:.9g}"
 
 
 def _write_lines(path: str | None, lines: list[str]):

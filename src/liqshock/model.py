@@ -145,8 +145,17 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
                             sigma=params.sigma, horizon=params.horizon)
 
 
-# Calendar times this close outside [0, T] are roundoff, not an error.
+# Calendar times outside [0, T] by at most TIME_SLACK * max(T, 1) are
+# roundoff, not an error: T / J steps of a long horizon overshoot it by
+# an ulp of T.
 TIME_SLACK = 1e-12
+
+
+def _in_horizon(t: float, horizon: float) -> bool:
+    """Whether calendar time t lies in [0, horizon] up to roundoff; NaN
+    does not."""
+    slack = TIME_SLACK * max(horizon, 1.0)
+    return -slack <= t <= horizon + slack
 
 
 def evaluate_f(dc: DerivedConstants, t: float) -> tuple[float, float]:
@@ -157,7 +166,7 @@ def evaluate_f(dc: DerivedConstants, t: float) -> tuple[float, float]:
     F0(T) = F1(T) = 1 up to roundoff.
     """
     T = dc.horizon
-    if not -TIME_SLACK <= t <= T * (1.0 + TIME_SLACK):  # also rejects NaN
+    if not _in_horizon(t, T):
         raise ValidationError(f"t={t} outside [0, {T}]")
     q1 = (dc.lambda2 - dc.d0) / (dc.lambda2 - dc.lambda1)
     q2 = (dc.lambda1 - dc.d0) / (dc.lambda1 - dc.lambda2)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import LiqshockError, SolveFailure, ValidationError
 from .mesh import SpatialGrid, TimeGrid, _check_cells
-from .model import (TIME_SLACK, DerivedConstants, ModelParams,
+from .model import (DerivedConstants, ModelParams, _in_horizon,
                     derive_constants, payoff_call)
 from .tridiag import (TridiagonalRows, TridiagonalSystem, _unchecked,
                       check_m_matrix, solve, stability_bound)
@@ -176,9 +176,10 @@ class StepPlan:
     _consts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dc.horizon - self.tg.steps * self.tg.dt < -TIME_SLACK:
+        T = self.dc.horizon
+        if not _in_horizon(T - self.tg.steps * self.tg.dt, T):
             raise ValidationError(f"{self.tg.steps} steps of dt={self.tg.dt} "
-                                  f"overshoot the horizon {self.dc.horizon}")
+                                  f"overshoot the horizon {T}")
         _check_cells(self.grid.intervals, self.tg.steps)
         # numpy scalars: their overflow gives inf where a Python float raises
         s, sigma = self.grid.nodes, np.float64(self.dc.sigma)

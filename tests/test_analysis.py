@@ -433,6 +433,37 @@ class TestAudits:
                    TimeGrid(dt=(1 + 4e-13) / 24, steps=24)):
             assert len(verify(params, grid, tg, SchemeConfig()).checks) == 6
 
+    def test_long_horizon_roundoff_runs(self, params):
+        # dt = T / J of a long horizon overshoots T by an ulp of T, here
+        # 3.6e-12, beyond an absolute 1e-12: the plan and the positivity
+        # audit's to_prices forgive it by one rule, relative to T
+        p = replace(params, nu10=1.0, horizon=27665.734685534153)
+        grid = uniform_grid(0, 5, 10)
+        tg = time_grid_from_space(grid, p.horizon, 8.442397)
+        assert p.horizon - tg.steps * tg.dt == pytest.approx(-3.6e-12,
+                                                             rel=0.01)
+        config = SchemeConfig(scheme="imex_linearized")
+        with pytest.warns(RuntimeWarning, match="restriction"):
+            report = verify(p, grid, tg, config)
+        assert report.checks[0].name == "positivity"
+        assert len(report.checks) == 6
+
+    @pytest.mark.filterwarnings("ignore:reaction time-step:RuntimeWarning")
+    @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
+    def test_verify_lifts_dirichlet_edges(self, params, scheme):
+        # the call + 0.1 run's data are lifted by 0.1 gamma, its Dirichlet
+        # edge values too, so translation holds to roundoff
+        p = replace(params, gamma=2.5)
+        grid = uniform_grid(0, 5, 40)
+        tg = time_grid_from_space(grid, p.horizon)
+        zero = lambda tau: 0.0
+        for config in (SchemeConfig(scheme, left_bc=zero),
+                       SchemeConfig(scheme, left_bc=zero,
+                                    right_bc=lambda tau: 7.5)):
+            translation = verify(p, grid, tg, config).checks[3]
+            assert translation.name == "translation"
+            assert translation.passed and translation.worst <= 1e-14
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_requires_trajectory(self, params):
         grid = uniform_grid(0, 5, 48)

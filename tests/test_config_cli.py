@@ -4,16 +4,17 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liqshock import (ConfigError, RunConfig, ValidationError, parse_config,
-                      time_grid_from_space, uniform_grid)
+from liqshock import (ConfigError, ValidationError, time_grid_from_space,
+                      uniform_grid)
 from liqshock import analysis
-from liqshock.cli import _build_parser, _load_config, main
+from liqshock.cli import RunConfig, _build_parser, _load_config, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 RESTRICTION_WARNING = ("warning: reaction time-step restriction violated; "
@@ -22,38 +23,53 @@ FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
               "s_min", "s_max", "alpha", "dt")
 
 
+@pytest.fixture
+def load(tmp_path):
+    """Config text as ``liqshock converge --config FILE`` loads it: the
+    file's keys checked as a ladder uses them."""
+    def load(text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        args = _build_parser().parse_args(["converge", "--config", str(path)])
+        with warnings.catch_warnings():
+            # the note that a ladder does not use the intervals or dt keys
+            warnings.filterwarnings("ignore", "converge ignores")
+            return _load_config(args, one_grid=False)
+    return load
+
+
 class TestParseConfig:
-    def test_minimal_with_defaults(self):
-        cfg = parse_config("sigma=0.3\nnu01=1\nnu10=12\n")
+    def test_minimal_with_defaults(self, load):
+        cfg = load("sigma=0.3\nnu01=1\nnu10=12\n")
         assert cfg.sigma == 0.3
         assert cfg.strike == 2.0
         assert cfg.horizon == 1.0
         assert cfg.grid == "uniform"
         assert cfg.scheme == "linear"
 
-    def test_comments_and_blanks(self):
-        cfg = parse_config("# settings\n\nsigma=0.4   # vol\n\n")
+    def test_comments_and_blanks(self, load):
+        cfg = load("# settings\n\nsigma=0.4   # vol\n\n")
         assert cfg.sigma == 0.4
 
-    def test_negative_sigma_names_key(self):
+    def test_negative_sigma_names_key(self, load):
         with pytest.raises(ConfigError) as exc:
-            parse_config("sigma=-1\n")
+            load("sigma=-1\n")
         assert "sigma" in str(exc.value)
 
-    def test_unknown_key_with_line_number(self):
+    def test_unknown_key_with_line_number(self, load):
         with pytest.raises(ConfigError) as exc:
-            parse_config("sigma=0.3\nbogus=1\n")
+            load("sigma=0.3\nbogus=1\n")
         assert exc.value.entries[0][0] == 2
         assert exc.value.entries[0][1] == "bogus"
 
-    def test_collects_every_error(self):
+    def test_collects_every_error(self, load):
         with pytest.raises(ConfigError) as exc:
-            parse_config("bogus=1\nsigma=abc\nno_equals_here\n")
+            load("bogus=1\nsigma=abc\nno_equals_here\n")
         assert len(exc.value.entries) == 3
 
-    def test_duplicate_key(self):
+    def test_duplicate_key(self, load):
         with pytest.raises(ConfigError) as exc:
-            parse_config("sigma=0.3\nsigma=0.4\n")
+            load("sigma=0.3\nsigma=0.4\n")
         assert "duplicate" in str(exc.value)
 
     @pytest.mark.parametrize("key,message", [
@@ -61,25 +77,25 @@ class TestParseConfig:
         ("scheme", "must be linear or linearized"),
         ("left_bc", "must be natural or dirichlet"),
     ])
-    def test_bad_word_value_lists_allowed(self, key, message):
+    def test_bad_word_value_lists_allowed(self, load, key, message):
         with pytest.raises(ConfigError) as exc:
-            parse_config(f"sigma=0.3\n{key}=bogus\n")
+            load(f"sigma=0.3\n{key}=bogus\n")
         assert exc.value.entries == [(2, key, message)]
 
-    def test_dt_alone_sets_explicit_step(self):
-        assert parse_config("dt=0.01\n").dt == 0.01
-        assert parse_config("sigma=0.3\n").dt is None
+    def test_dt_alone_sets_explicit_step(self, load):
+        assert load("dt=0.01\n").dt == 0.01
+        assert load("sigma=0.3\n").dt is None
         with pytest.raises(ConfigError) as exc:
-            parse_config("tau_rule=explicit\ndt=0.01\n")
+            load("tau_rule=explicit\ndt=0.01\n")
         assert exc.value.entries == [(1, "tau_rule", "unknown key")]
 
-    def test_dt_above_horizon_names_key(self):
+    def test_dt_above_horizon_names_key(self, load):
         with pytest.raises(ConfigError) as exc:
-            parse_config("dt=2\n")
+            load("dt=2\n")
         assert exc.value.entries == [(1, "dt", "must not exceed the horizon")]
-        assert parse_config("dt=2\nhorizon=2\n").dt == 2.0
+        assert load("dt=2\nhorizon=2\n").dt == 2.0
 
-    def test_runaway_steps_are_left_to_the_run(self):
+    def test_runaway_steps_are_left_to_the_run(self, load):
         # 10 x 10**6 cells fit, 11 x 10**6 do not; but the file alone
         # cannot tell, as --I may replace intervals and a ladder ignores
         # both keys
@@ -87,7 +103,7 @@ class TestParseConfig:
                                     1e-6).steps == 10**6
         with pytest.raises(ValidationError, match="MAX_CELLS"):
             time_grid_from_space(uniform_grid(0, 5, 11), 1.0, 1e-6)
-        assert parse_config("dt=1e-6\nintervals=11\n").dt == 1e-6
+        assert load("dt=1e-6\nintervals=11\n").dt == 1e-6
 
     @pytest.mark.parametrize("text,entries", [
         ("sigma=0.3\nmu=nan\n", [(2, "mu", "must be finite")]),
@@ -97,12 +113,12 @@ class TestParseConfig:
         ("strike=9\n", [(0, "model",
                          "domain must satisfy s_min < strike < s_max")]),
     ], ids=["mu-nan", "two-keys", "sigma-nan", "domain"])
-    def test_model_errors_name_key_and_line(self, text, entries):
+    def test_model_errors_name_key_and_line(self, load, text, entries):
         with pytest.raises(ConfigError) as exc:
-            parse_config(text)
+            load(text)
         assert exc.value.entries == entries
 
-    def test_every_key_parses_by_its_annotation(self):
+    def test_every_key_parses_by_its_annotation(self, load):
         text = """
 sigma=0.25
 mu=-0.04
@@ -121,7 +137,7 @@ scheme=linearized
 left_bc=dirichlet
 output_path=prices.csv
 """
-        cfg = parse_config(text)
+        cfg = load(text)
         assert cfg == RunConfig(
             sigma=0.25, mu=-0.04, gamma=2.5, nu01=0.5, nu10=7.0, strike=3.0,
             horizon=2.0, s_min=0.5, s_max=9.0, grid="tavella", intervals=77,
@@ -387,6 +403,26 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             "numerical failure: time step 5: math range error\n")
 
+    @pytest.mark.parametrize("command,scheme,code,err", [
+        ("solve", "linearized", 0, RESTRICTION_WARNING),
+        ("verify", "linearized", 3, RESTRICTION_WARNING),
+        ("solve", "linear", 2, RESTRICTION_WARNING + "numerical failure: "
+         "time step 3: math range error\n"),
+        ("verify", "linear", 2, RESTRICTION_WARNING + "numerical failure: "
+         "time step 3: math range error\n"),
+    ], ids=["solve-linearized", "verify-linearized", "solve-linear",
+            "verify-linear"])
+    def test_long_horizon_roundoff_runs(self, tmp_path, capsys, command,
+                                        scheme, code, err):
+        # 3277 steps of dt = T / 3277 overshoot T by an ulp of T (3.6e-12):
+        # roundoff, so every run marches (and imex_linear, at a restriction
+        # ratio of 8.9, breaks down on its own)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("horizon=27665.734685534153\ndt=8.442397\nnu10=1\n")
+        argv = [command, "--I", "10", "--scheme", scheme, "--config", str(cfg)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+
     def test_nonfinite_prices_are_numerical_failure(self, tmp_path, capsys):
         # the march is finite, but ln(F0)/gamma overflows in to_prices
         cfg = tmp_path / "run.cfg"
@@ -527,3 +563,14 @@ class TestCliProcess:
             env={**os.environ, "PYTHONPATH": str(SRC)})
         # the whole of stderr, so a traceback fails the test too
         assert (done.returncode, done.stderr) == (code, err)
+
+
+def test_import_leaves_out_the_cli():
+    # the run config belongs to the CLI, so the library imports no argparse
+    code = ("import sys, liqshock; print([m for m in ('argparse', "
+            "'liqshock.cli') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

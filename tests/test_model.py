@@ -173,6 +173,19 @@ class TestEvaluateF:
             with pytest.raises(ValidationError, match="outside"):
                 evaluate_f(dc, t)
 
+    def test_horizon_roundoff_scales_with_horizon(self, table_params):
+        # 1e-12 outside [0, T] for T <= 1, 1e-12 * T beyond: an ulp of a
+        # long horizon is roundoff, a microsecond is not
+        for horizon, inside, outside in ((1.0, 1e-12, 2e-12),
+                                         (0.25, 1e-12, 2e-12),
+                                         (27665.7, 2e-8, 3e-8)):
+            dc = derive_constants(replace(table_params, horizon=horizon))
+            for t in (-inside, horizon + inside):
+                evaluate_f(dc, t)
+            for t in (-outside, horizon + outside):
+                with pytest.raises(ValidationError, match="outside"):
+                    evaluate_f(dc, t)
+
 
 class TestPayoff:
     @pytest.mark.parametrize("s,strike,expected",

@@ -1,4 +1,4 @@
-"""Count the code-only lines and public names of a package.
+"""Count the modules, code-only lines and public names of a package.
 
     python tools/code_size.py src/liqshock
 
@@ -18,8 +18,9 @@ SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = (ast.Module, ast.ClassDef, *FUNCS)
+paths = sorted(Path(sys.argv[1]).glob("*.py"))
 total, methods, owners = 0, 0, {}
-for path in sorted(Path(sys.argv[1]).glob("*.py")):
+for path in paths:
     tree = ast.parse(path.read_text())
     doc = {n for node in ast.walk(tree) if isinstance(node, DEFS)
            and ast.get_docstring(node, clean=False) is not None
@@ -38,7 +39,8 @@ for path in sorted(Path(sys.argv[1]).glob("*.py")):
     methods += sum(not f.name.startswith("_") for c in tree.body
                    if isinstance(c, ast.ClassDef) and c.name in names
                    for f in c.body if isinstance(f, FUNCS))
-print(f"{'total':16} {total:6,}\npublic names {len(owners)}\n"
+print(f"{'total':16} {total:6,}\nmodules {len(paths)}\n"
+      f"public names {len(owners)}\n"
       f"public methods {methods}")
 clashes = {n: m for n, m in owners.items() if len(m) > 1}
 for name, modules in sorted(clashes.items()):

@@ -311,57 +311,58 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
              if rule != NATURAL]
     lo, up = np.pad(a_lo, 1), np.pad(b_up, 1)  # zero at both edges
     coupling = np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
-    for _ in range(tg.steps):
-        u_old, v_old = state.u, state.v
-        tau_next = (state.step_index + 1) * dt
-        # an edge without a rule keeps its level-j value
-        un = u_old.copy()
-        if callable(config.left_bc):
-            un[0] = float(config.left_bc(tau_next))
-        if callable(config.right_bc):
-            un[-1] = float(config.right_bc(tau_next))
-        vn = v_old.copy()
+    with np.errstate(all="ignore"):  # a stalled residual is refused
+        for _ in range(tg.steps):
+            u_old, v_old = state.u, state.v
+            tau_next = (state.step_index + 1) * dt
+            # an edge without a rule keeps its level-j value
+            un = u_old.copy()
+            if callable(config.left_bc):
+                un[0] = float(config.left_bc(tau_next))
+            if callable(config.right_bc):
+                un[-1] = float(config.right_bc(tau_next))
+            vn = v_old.copy()
 
-        def residual(uu, vv):
-            e = dc.a * np.exp(uu - vv)
-            zz = dc.c * np.exp(vv - uu)
-            # Natural edges, without diffusion, follow the reduced
-            # reaction ODE, implicitly.
-            diffusion = np.pad(a_lo * uu[:-2] - (a_lo + b_up) * uu[1:-1]
-                               + b_up * uu[2:], 1)
-            ru = (uu - u_old) / dt - diffusion + e - dc.b
-            ru[fixed] = 0.0
-            rv = (vv - v_old) / dt + zz - dc.c
-            return ru, rv, e, zz, max(np.abs(ru).max(), np.abs(rv).max())
+            def residual(uu, vv):
+                e = dc.a * np.exp(uu - vv)
+                zz = dc.c * np.exp(vv - uu)
+                # Natural edges, without diffusion, follow the reduced
+                # reaction ODE, implicitly.
+                diffusion = np.pad(a_lo * uu[:-2] - (a_lo + b_up) * uu[1:-1]
+                                   + b_up * uu[2:], 1)
+                ru = (uu - u_old) / dt - diffusion + e - dc.b
+                ru[fixed] = 0.0
+                rv = (vv - v_old) / dt + zz - dc.c
+                return ru, rv, e, zz, max(np.abs(ru).max(), np.abs(rv).max())
 
-        ru, rv, e, zz, res = residual(un, vn)
-        converged = res < ORACLE_TOL
-        for _ in range(ORACLE_MAX_ITER):
-            if converged:
-                break
-            jvv = 1.0 / dt + zz
-            # Schur complement in U after eliminating the diagonal V-block.
-            main = 1.0 / dt + e - e * zz / jvv + lo + up
-            main[fixed] = 1.0
-            rhs = -ru - e * rv / jvv
-            rhs[fixed] = 0.0
-            du = np.linalg.solve(np.diag(main) - coupling, rhs)
-            dv = (-rv + zz * du) / jvv
-            step = 1.0
-            for _ in range(40):
-                u_try = un + step * du
-                v_try = vn + step * dv
-                trial = residual(u_try, v_try)
-                if trial[-1] < res or trial[-1] < ORACLE_TOL:
-                    break
-                step *= 0.5
-            un, vn = u_try, v_try
-            ru, rv, e, zz, res = trial
+            ru, rv, e, zz, res = residual(un, vn)
             converged = res < ORACLE_TOL
-        if not converged:
-            raise OracleConvergenceError(
-                f"implicit step stalled at residual {res:.3e}")
-        state = GridState(state.step_index + 1, un, vn)
+            for _ in range(ORACLE_MAX_ITER):
+                if converged:
+                    break
+                jvv = 1.0 / dt + zz
+                # Schur complement in U after eliminating the diagonal V-block.
+                main = 1.0 / dt + e - e * zz / jvv + lo + up
+                main[fixed] = 1.0
+                rhs = -ru - e * rv / jvv
+                rhs[fixed] = 0.0
+                du = np.linalg.solve(np.diag(main) - coupling, rhs)
+                dv = (-rv + zz * du) / jvv
+                step = 1.0
+                for _ in range(40):
+                    u_try = un + step * du
+                    v_try = vn + step * dv
+                    trial = residual(u_try, v_try)
+                    if trial[-1] < res or trial[-1] < ORACLE_TOL:
+                        break
+                    step *= 0.5
+                un, vn = u_try, v_try
+                ru, rv, e, zz, res = trial
+                converged = res < ORACLE_TOL
+            if not converged:
+                raise OracleConvergenceError(
+                    f"implicit step stalled at residual {res:.3e}")
+            state = GridState(state.step_index + 1, un, vn)
     return state
 
 
@@ -498,46 +499,50 @@ def audit_sup_bound(run: SolveResult) -> CheckResult:
     return _diagnostic_checks(run.diagnostics)[1]
 
 
-def _lifted_call(s, k):
-    """Call payoff plus 0.1: the dominating data of ``verify``."""
-    return payoff_call(s, k) + 0.1
-
-
 def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
            config: SchemeConfig) -> AuditReport:
     """The audit suite that ``liqshock verify`` prints.
 
     Three runs on one grid (call payoff, call + 0.1, zero payoff) march
-    in lockstep on one ``StepPlan``, sharing its rows (for ``imex_linear``
-    also their one elimination); only a Dirichlet edge gives the lifted
-    run a plan of its own, whose edge values are lifted by 0.1 gamma with
-    its data.  One ``_scan`` folds positivity of the call run, comparison
-    of each ordered pair and translation by 0.1 gamma as the levels
-    stream past, so no trajectory is kept; the M-matrix
-    pattern and the sup-norm bound of the call run follow from its
-    diagnostics.  The restriction maximum is taken over all three runs,
-    and a restriction warning names the first caller outside liqshock.
-    The three level-0 states are built before the plan, so anything
-    either refuses fails, as for ``solve_forward``, before any run
-    marches.  Failed checks are reported as data, never raised; a run
-    that breaks down raises its SolveFailure at the earliest failing step.
+    in lockstep.  Each run derives its Dirichlet edge rules from the call
+    run's rule phi: the call run keeps phi, the lifted run gets
+    phi + 0.1 gamma with its data, and the zero run holds the edge at its
+    own level-0 value, 0.  Runs with equal configs share one ``StepPlan``
+    and so its rows (for ``imex_linear`` also their one elimination):
+    with natural or held edges all three do, and with a Dirichlet edge
+    the lifted and the zero run get a plan each.  One
+    ``_scan`` folds positivity of the call run, comparison of each
+    ordered pair and translation by 0.1 gamma as the levels stream past,
+    so no trajectory is kept; the M-matrix pattern and the sup-norm bound
+    of the call run follow from its diagnostics.  The restriction maximum
+    is taken over all three runs, and a restriction warning names the
+    first caller outside liqshock.  The three level-0 states are built
+    before the plans, so anything either refuses fails, as for
+    ``solve_forward``, before any run marches.  Failed checks are reported
+    as data, never raised; a run that breaks down raises its SolveFailure
+    at the earliest failing step, without a numpy warning.
     """
     dc = derive_constants(params)
     shift = 0.1 * params.gamma
-    payoffs = (payoff_call, _lifted_call, payoff_zero)
-    firsts = [initial_state(grid, params, h) for h in payoffs]
-    plan = StepPlan(grid, tg, dc, config)
-    edges = {side: lambda tau, rule=getattr(config, side): rule(tau) + shift
-             for side in ("left_bc", "right_bc")
-             if callable(getattr(config, side))}
-    lifted = StepPlan(grid, tg, dc, replace(config, **edges)) if edges else plan
-    diags = [SolveDiagnostics() for _ in payoffs]
-    marches = [_march(first, p, d) for first, p, d
-               in zip(firsts, (plan, lifted, plan), diags)]
-    checks = _scan(zip(*marches), [
-        _positivity(params, plan),
-        _comparison("comparison(h+0.1)", 1, 0),
-        _comparison("comparison(call vs 0)", 0, 2),
-        _translation(shift, 0, 1)])
+    # (payoff, the run's rule on a Dirichlet edge where the call run has phi)
+    runs = ((payoff_call, lambda phi: phi),
+            (lambda s, k: payoff_call(s, k) + 0.1,
+             lambda phi: lambda tau: phi(tau) + shift),
+            (payoff_zero, lambda phi: None))
+    firsts = [initial_state(grid, params, payoff) for payoff, _ in runs]
+    # a callable field of the config is a Dirichlet edge; runs whose
+    # configs are equal march on one plan
+    configs = [replace(config, **{side: edge(phi) for side, phi in
+                                  vars(config).items() if callable(phi)})
+               for _, edge in runs]
+    plans = {c: StepPlan(grid, tg, dc, c) for c in dict.fromkeys(configs)}
+    diags = [SolveDiagnostics() for _ in runs]
+    marches = list(map(_march, firsts, map(plans.get, configs), diags))
+    with np.errstate(all="ignore"):  # a non-finite level is refused
+        checks = _scan(zip(*marches), [
+            _positivity(params, plans[config]),
+            _comparison("comparison(h+0.1)", 1, 0),
+            _comparison("comparison(call vs 0)", 0, 2),
+            _translation(shift, 0, 1)])
     return AuditReport(checks=checks + _diagnostic_checks(diags[0]),
                        restriction_max=max(d.restriction_max for d in diags))

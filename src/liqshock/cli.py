@@ -119,17 +119,11 @@ def _read_config(text: str) -> tuple[RunConfig, dict[str, int]]:
     return RunConfig(**values), seen
 
 
-# Flags of the commands; each overrides the RunConfig field its dest
-# names.  Only solve and verify take --I: the ladders take --levels.
-_FLAGS = (
-    ("--scheme", dict(dest="scheme", choices=CHOICES["scheme"])),
-    ("--grid", dict(dest="grid", choices=CHOICES["grid"])),
-    ("--alpha", dict(dest="alpha", type=float)),
-    ("--I", dict(dest="intervals", type=int)),
-    ("--left-bc", dict(dest="left_bc", choices=CHOICES["left_bc"])),
-    ("--out", dict(dest="output_path", metavar="OUT",
-                   help="output path (default: stdout)")),
-)
+# Flags of the commands and the RunConfig field each overrides, which
+# sets its type and its words.  Only solve and verify take --I: the
+# ladders take --levels.
+_FLAGS = {"--scheme": "scheme", "--grid": "grid", "--alpha": "alpha",
+          "--I": "intervals", "--left-bc": "left_bc", "--out": "output_path"}
 
 
 def _fmt(value) -> str:
@@ -160,10 +154,10 @@ def _load_config(args, one_grid: bool) -> RunConfig:
             raise ValidationError(f"cannot read {args.config}: {e}") from e
     else:
         cfg, lines = RunConfig(), {}
-    set_by = {kwargs["dest"]: flag for flag, kwargs in _FLAGS
-              if getattr(args, kwargs["dest"], None) is not None}
-    for dest in set_by:
-        setattr(cfg, dest, getattr(args, dest))
+    set_by = {key: flag for flag, key in _FLAGS.items()
+              if getattr(args, key, None) is not None}
+    for key in set_by:
+        setattr(cfg, key, getattr(args, key))
     problems = cfg.validate(one_grid)
     # a bad flag is named only once the rest of the config holds
     unflagged = [(lines.get(key, 0), key, msg) for key, msg in problems
@@ -267,9 +261,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, helptext, levels) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="path to a key=value config file")
-        for flag, kwargs in _FLAGS:
-            if flag != "--I" or levels is None:
-                p.add_argument(flag, **kwargs)
+        for flag, key in _FLAGS.items():
+            if flag == "--out":
+                p.add_argument(flag, dest=key, metavar="OUT",
+                               help="output path (default: stdout)")
+            elif flag != "--I" or levels is None:
+                p.add_argument(flag, dest=key, type=_PARSE[key],
+                               choices=CHOICES.get(key))
         if levels is not None:
             p.add_argument("--levels", default=levels,
                            help=f"comma list of interval counts "

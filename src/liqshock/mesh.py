@@ -86,14 +86,11 @@ class SpatialGrid:
     def intervals(self) -> int:
         return self.nodes.size - 1
 
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
     def min_spacing(self) -> float:
         if self.uniform:
             # exact value, immune to linspace roundoff
             return float(self.nodes[-1] - self.nodes[0]) / self.intervals
-        return float(self.spacings().min())
+        return float(np.diff(self.nodes).min())
 
 
 @dataclass(frozen=True)

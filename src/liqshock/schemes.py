@@ -120,10 +120,6 @@ class SolveDiagnostics:
     restriction_max: float = 0.0
     restriction_max_step: int = -1
 
-    @property
-    def restriction_ok(self) -> bool:
-        return self.restriction_max <= RESTRICTION_SLACK
-
 
 def initial_state(grid: SpatialGrid, params: ModelParams,
                   payoff=payoff_call) -> GridState:
@@ -429,13 +425,14 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     ``MAX_CELLS`` cells, non-finite diffusion rows), fails before any
     level runs.  Numerical failures, overflow and lost strict domination
     included, are raised as SolveFailure carrying the failing step index
-    (0 for the rows).
+    (0 for the rows), without a numpy warning.
     """
     dc = derive_constants(params)
     first = initial_state(grid, params, payoff)
     plan = StepPlan(grid, tg, dc, config or SchemeConfig())
     diag = SolveDiagnostics()
     states = _march(first, plan, diag)
-    trajectory = list(states) if capture_trajectory else None
-    final = (trajectory or deque(states, maxlen=1))[-1]
+    with np.errstate(all="ignore"):  # a non-finite level is refused
+        trajectory = list(states) if capture_trajectory else None
+        final = (trajectory or deque(states, maxlen=1))[-1]
     return SolveResult(final, trajectory, diag, params, plan)

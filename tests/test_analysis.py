@@ -17,6 +17,7 @@ from liqshock import (
     ModelParams,
     OracleConvergenceError,
     SchemeConfig,
+    SolveFailure,
     StepPlan,
     TimeGrid,
     ValidationError,
@@ -464,6 +465,37 @@ class TestAudits:
             assert translation.name == "translation"
             assert translation.passed and translation.worst <= 1e-14
 
+    # The zero run holds a Dirichlet edge at its own level-0 value, 0,
+    # so it is zero data.  Given the call run's edge value 3 instead, its
+    # spread |U - V| at that edge broke the restriction (1.26 on
+    # imex_linear) and added a [WARN] line; the six check lines stay.
+    @pytest.mark.parametrize("scheme,lines", [
+        ("imex_linear", [
+            "[FAIL] positivity: worst -3.638e-04 at (level,node)=(1, 0)",
+            "[PASS] comparison(h+0.1): worst 1.000e-01 at (level,node)=(11, 29)",
+            "[PASS] comparison(call vs 0): worst 0.000e+00 at (level,node)=(0, 0)",
+            "[PASS] translation: worst 9.714e-16 at (level,node)=(8, 37)",
+            "[PASS] m_matrix: worst 1.600e+01 at (level,node)=(0,)",
+            "[PASS] sup_bound: worst 0.000e+00 at (level,node)=(0,)"]),
+        ("imex_linearized", [
+            "[FAIL] positivity: worst -1.277e-05 at (level,node)=(1, 4)",
+            "[PASS] comparison(h+0.1): worst 1.000e-01 at (level,node)=(9, 32)",
+            "[PASS] comparison(call vs 0): worst 0.000e+00 at (level,node)=(0, 0)",
+            "[PASS] translation: worst 1.416e-15 at (level,node)=(4, 38)",
+            "[PASS] m_matrix: worst 1.657e+01 at (level,node)=(0,)",
+            "[PASS] sup_bound: worst 0.000e+00 at (level,node)=(0,)"]),
+    ])
+    def test_verify_zero_run_holds_dirichlet_edges(self, params, scheme,
+                                                   lines):
+        grid = uniform_grid(0, 5, 40)
+        tg = time_grid_from_space(grid, params.horizon)
+        config = SchemeConfig(scheme, right_bc=lambda tau: 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no restriction warning either
+            report = verify(params, grid, tg, config)
+        assert report.restriction_max <= 1
+        assert report.lines() == lines  # and no [WARN] line
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_requires_trajectory(self, params):
         grid = uniform_grid(0, 5, 48)
@@ -609,3 +641,26 @@ def test_at_the_money_interpolates(params):
     res = solve_forward(params, off, time_grid_from_space(off, params.horizon))
     with pytest.raises(ValidationError, match="outside the grid"):
         at_the_money(res)
+
+
+# At gamma = 1e307 the level-0 state is finite, but u / dt overflows in the
+# first level.  Each public run refuses it through its finiteness checks,
+# and no numpy warning leaves it past the warning gate of pyproject.toml.
+@pytest.mark.filterwarnings("ignore:reaction time-step:RuntimeWarning")
+@pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
+def test_overflowing_level_raises_without_numpy_warning(params, scheme):
+    p = replace(params, gamma=1e307)
+    grid = uniform_grid(0, 5, 20)
+    tg = time_grid_from_space(grid, p.horizon)
+    config = SchemeConfig(scheme)
+    failure = "time step 0: non-finite entries in grid state"
+    for route, error, message in (
+            (lambda: solve_forward(p, grid, tg, config), SolveFailure, failure),
+            (lambda: verify(p, grid, tg, config), SolveFailure, failure),
+            (lambda: extrapolated_study(p, scheme, "uniform", [20, 40]),
+             SolveFailure, failure),
+            (lambda: implicit_oracle(p, grid, TimeGrid(0.05, 20), config),
+             OracleConvergenceError, "implicit step stalled at residual nan")):
+        with pytest.raises(error) as caught:
+            route()
+        assert str(caught.value) == message

@@ -19,6 +19,8 @@ from liqshock.cli import RunConfig, _build_parser, _load_config, main
 SRC = Path(__file__).resolve().parents[1] / "src"
 RESTRICTION_WARNING = ("warning: reaction time-step restriction violated; "
                        "positivity of the march is no longer guaranteed\n")
+OVERFLOWING_LEVEL = (RESTRICTION_WARNING + "numerical failure: time step 0: "
+                     "non-finite entries in grid state\n")
 FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
               "s_min", "s_max", "alpha", "dt")
 
@@ -337,6 +339,24 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             "error: non-finite entries in grid state\n")
 
+    # at gamma = 1e307 the level-0 state is finite, but u / dt overflows in
+    # the first level: the failure prints after the restriction warning,
+    # with no numpy warning between them
+    @pytest.mark.parametrize("command", [
+        ["solve", "--I", "20"],
+        ["solve", "--I", "20", "--scheme", "linearized"],
+        ["verify", "--I", "20"],
+        ["verify", "--I", "20", "--scheme", "linearized"],
+        ["converge", "--levels", "20,40"],
+    ], ids=["solve-linear", "solve-linearized", "verify-linear",
+            "verify-linearized", "converge"])
+    def test_overflowing_level_prints_only_the_failure(self, tmp_path, capsys,
+                                                       command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma=1e307\n")
+        assert main([*command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == OVERFLOWING_LEVEL
+
     @pytest.mark.parametrize("argv,message", [
         (["--alpha", "nan"], "error: --alpha: must be > 0 and finite\n"),
         (["--I", "1"], "error: --I: must be >= 2\n"),
@@ -549,9 +569,11 @@ class TestCliProcess:
         (["solve", "--I", "20", "--grid", "tavella", "--alpha", "1e-310"],
          None, 1,
          "error: grid nodes must be finite and strictly increasing\n"),
+        (["verify", "--I", "20", "--scheme", "linearized"], "gamma=1e307\n",
+         2, OVERFLOWING_LEVEL),
     ], ids=["solved", "runaway-I", "runaway-intervals", "runaway-dt",
             "lost-domination", "failed-audit", "nonfinite-rows",
-            "nonfinite-nodes"])
+            "nonfinite-nodes", "overflowing-level"])
     def test_exit_code_and_stderr(self, tmp_path, argv, config, code, err):
         if config is not None:
             cfg = tmp_path / "run.cfg"

@@ -96,7 +96,7 @@ class TestTavellaRandallGrid:
 
     def test_min_spacing_brackets_strike(self):
         g = tavella_randall_grid(0, 5, 2, 15, 240)
-        spacings = g.spacings()
+        spacings = np.diff(g.nodes)
         k = int(np.argmin(spacings))
         assert g.nodes[k] <= 2.0 <= g.nodes[k + 1]
 

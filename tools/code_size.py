@@ -6,7 +6,8 @@ A code-only line holds a token other than a comment, outside module,
 class and function docstrings.  Public names are read with ``ast`` from
 each module's ``__all__``, without importing it; public methods are the
 methods and properties without a leading underscore that the exported
-classes define.  Exits 1 when two modules export one name:
+classes define, counted and then listed by name, one line per class
+that has any.  Exits 1 when two modules export one name:
 ``from .x import *`` would keep only the last.
 """
 import ast
@@ -19,7 +20,7 @@ SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = (ast.Module, ast.ClassDef, *FUNCS)
 paths = sorted(Path(sys.argv[1]).glob("*.py"))
-total, methods, owners = 0, 0, {}
+total, methods, owners = 0, {}, {}
 for path in paths:
     tree = ast.parse(path.read_text())
     doc = {n for node in ast.walk(tree) if isinstance(node, DEFS)
@@ -36,12 +37,16 @@ for path in paths:
              for name in ast.literal_eval(node.value)]
     for name in names:
         owners.setdefault(name, []).append(path.name)
-    methods += sum(not f.name.startswith("_") for c in tree.body
-                   if isinstance(c, ast.ClassDef) and c.name in names
-                   for f in c.body if isinstance(f, FUNCS))
+    for c in tree.body:
+        if isinstance(c, ast.ClassDef) and c.name in names:
+            methods[c.name] = [f.name for f in c.body if isinstance(f, FUNCS)
+                               and not f.name.startswith("_")]
 print(f"{'total':16} {total:6,}\nmodules {len(paths)}\n"
       f"public names {len(owners)}\n"
-      f"public methods {methods}")
+      f"public methods {sum(map(len, methods.values()))}")
+for name, defined in methods.items():
+    if defined:
+        print(f"  {name}: {', '.join(defined)}")
 clashes = {n: m for n, m in owners.items() if len(m) > 1}
 for name, modules in sorted(clashes.items()):
     print(f"{name} is exported by {', '.join(modules)}", file=sys.stderr)

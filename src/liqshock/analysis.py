@@ -24,10 +24,10 @@ import numpy as np
 from .errors import OracleConvergenceError, ValidationError
 from .mesh import (
     HALF_MIN_SPACING,
-    MAX_CELLS,
     SpatialGrid,
     TimeGrid,
     _check_cells,
+    _checked_steps,
     tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
@@ -43,7 +43,7 @@ from .schemes import (
     SolveResult,
     StepPlan,
     _march,
-    initial_state,
+    _start,
     solve_forward,
 )
 
@@ -248,8 +248,11 @@ def ode_oracle(params: ModelParams, h_star: float,
 
     u' = b - a e^(u-v), v' = c (1 - e^(v-u)), u(0) = v(0) = gamma*h_star.
     The result is accurate to O(dt_ref^4) and serves as an independent
-    reference for constant-data solver runs.  A ``dt_ref`` that needs
-    more than ``MAX_CELLS`` steps is refused before the first.
+    reference for constant-data solver runs.  The horizon is cut into
+    steps as ``time_grid_from_space`` cuts it for an explicit dt on a
+    one-interval grid, so a ``dt_ref`` that needs more than ``MAX_CELLS``
+    steps is refused before the first.  A step that leaves the float
+    range is an OracleConvergenceError naming it.
     """
     dc = derive_constants(params)
     T = params.horizon
@@ -258,23 +261,24 @@ def ode_oracle(params: ModelParams, h_star: float,
     u = v = params.gamma * h_star
     if not math.isfinite(u):
         raise ValidationError("gamma * h_star must be finite")
-    steps = T / dt_ref * (1.0 - 1e-12)
-    if steps > MAX_CELLS:  # also an infinite count, which ceil cannot take
-        raise ValidationError(f"dt_ref needs more than MAX_CELLS = "
-                              f"{MAX_CELLS} steps")
-    n = max(1, math.ceil(steps))
+    n = _checked_steps(1, T, dt_ref)
     dt = T / n
 
     def f(uu, vv):
         return dc.b - dc.a * math.exp(uu - vv), dc.c * (1.0 - math.exp(vv - uu))
 
-    for _ in range(n):
-        k1u, k1v = f(u, v)
-        k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-        k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-        k4u, k4v = f(u + dt * k3u, v + dt * k3v)
-        u += dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v += dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    for j in range(n):
+        try:
+            k1u, k1v = f(u, v)
+            k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+            k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+            k4u, k4v = f(u + dt * k3u, v + dt * k3v)
+            u += dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+            v += dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        except OverflowError:  # math.exp past the float range
+            u = math.nan
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise OracleConvergenceError(f"RK4 step {j} left the float range")
     return u, v
 
 
@@ -291,17 +295,18 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     solve, so the oracle shares no code path with the production
     elimination.
     Intended for small instances as the reference the linearized stepper
-    approximates.  After the size limit, it builds the level-0 state
-    before its ``StepPlan``, as ``solve_forward`` and ``verify`` do, so the
-    three refuse alike: a non-finite level-0 state first, then what the
-    plan refuses (a time grid that overshoots the horizon, and diffusion
-    rows it cannot represent as the same SolveFailure at step 0).
+    approximates.  After the size limit, it starts as ``solve_forward``
+    and ``verify`` do (``_start``), so the three refuse alike: parameters
+    without constants first, then a non-finite level-0 state, then what
+    the plan refuses (a time grid that overshoots the horizon, and
+    diffusion rows it cannot represent as the same SolveFailure at step
+    0).  A level whose residual is not finite, or that does not reach
+    ``ORACLE_TOL`` in ``ORACLE_MAX_ITER`` iterations, is an
+    OracleConvergenceError.
     """
     if grid.intervals > 64 or tg.steps > 128:
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
-    state = initial_state(grid, params, payoff)
-    plan = StepPlan(grid, tg, derive_constants(params),
-                    config or SchemeConfig())
+    (state,), (plan,) = _start(params, grid, tg, (payoff,), (config,))
     config, dc = plan.config, plan.dc
     a_lo, b_up = plan.rows.lower, plan.rows.upper
     dt = tg.dt
@@ -333,12 +338,13 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                 ru = (uu - u_old) / dt - diffusion + e - dc.b
                 ru[fixed] = 0.0
                 rv = (vv - v_old) / dt + zz - dc.c
-                return ru, rv, e, zz, max(np.abs(ru).max(), np.abs(rv).max())
+                # NaN in either half makes the max NaN
+                return ru, rv, e, zz, np.abs((ru, rv)).max()
 
             ru, rv, e, zz, res = residual(un, vn)
-            converged = res < ORACLE_TOL
             for _ in range(ORACLE_MAX_ITER):
-                if converged:
+                # no step lowers a residual that is not finite
+                if res < ORACLE_TOL or not math.isfinite(res):
                     break
                 jvv = 1.0 / dt + zz
                 # Schur complement in U after eliminating the diagonal V-block.
@@ -358,8 +364,7 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                     step *= 0.5
                 un, vn = u_try, v_try
                 ru, rv, e, zz, res = trial
-                converged = res < ORACLE_TOL
-            if not converged:
+            if not res < ORACLE_TOL:
                 raise OracleConvergenceError(
                     f"implicit step stalled at residual {res:.3e}")
             state = GridState(state.step_index + 1, un, vn)
@@ -516,31 +521,29 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     so no trajectory is kept; the M-matrix pattern and the sup-norm bound
     of the call run follow from its diagnostics.  The restriction maximum
     is taken over all three runs, and a restriction warning names the
-    first caller outside liqshock.  The three level-0 states are built
-    before the plans, so anything either refuses fails, as for
-    ``solve_forward``, before any run marches.  Failed checks are reported
+    first caller outside liqshock.  The runs start as ``solve_forward``'s
+    does (``_start``: the constants, the three level-0 states, then the
+    plans), so anything either refuses fails, with the same error, before
+    any run marches.  Failed checks are reported
     as data, never raised; a run that breaks down raises its SolveFailure
     at the earliest failing step, without a numpy warning.
     """
-    dc = derive_constants(params)
     shift = 0.1 * params.gamma
     # (payoff, the run's rule on a Dirichlet edge where the call run has phi)
-    runs = ((payoff_call, lambda phi: phi),
-            (lambda s, k: payoff_call(s, k) + 0.1,
-             lambda phi: lambda tau: phi(tau) + shift),
-            (payoff_zero, lambda phi: None))
-    firsts = [initial_state(grid, params, payoff) for payoff, _ in runs]
-    # a callable field of the config is a Dirichlet edge; runs whose
-    # configs are equal march on one plan
+    payoffs, edges = zip((payoff_call, lambda phi: phi),
+                         (lambda s, k: payoff_call(s, k) + 0.1,
+                          lambda phi: lambda tau: phi(tau) + shift),
+                         (payoff_zero, lambda phi: None))
+    # a callable field of the config is a Dirichlet edge
     configs = [replace(config, **{side: edge(phi) for side, phi in
                                   vars(config).items() if callable(phi)})
-               for _, edge in runs]
-    plans = {c: StepPlan(grid, tg, dc, c) for c in dict.fromkeys(configs)}
-    diags = [SolveDiagnostics() for _ in runs]
-    marches = list(map(_march, firsts, map(plans.get, configs), diags))
+               for edge in edges]
+    firsts, plans = _start(params, grid, tg, payoffs, configs)
+    diags = [SolveDiagnostics() for _ in plans]
+    marches = list(map(_march, firsts, plans, diags))
     with np.errstate(all="ignore"):  # a non-finite level is refused
         checks = _scan(zip(*marches), [
-            _positivity(params, plans[config]),
+            _positivity(params, plans[0]),
             _comparison("comparison(h+0.1)", 1, 0),
             _comparison("comparison(call vs 0)", 0, 2),
             _translation(shift, 0, 1)])

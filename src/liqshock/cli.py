@@ -19,7 +19,7 @@ import warnings
 from dataclasses import astuple, dataclass, fields
 
 from . import analysis
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .mesh import (HALF_MIN_SPACING, MAX_CELLS, _checked_steps,
                    time_grid_from_space)
 from .model import ModelParams, _param_problems, to_prices
@@ -84,6 +84,19 @@ class RunConfig:
             except ValidationError as e:
                 errs.append(("dt", str(e)))
         return errs
+
+
+class ConfigError(ValidationError):
+    """Malformed run-configuration text.
+
+    ``entries`` lists one ``(line_number, key, message)`` tuple per offending
+    line so callers can report every problem at once.
+    """
+
+    def __init__(self, entries):
+        self.entries = list(entries)
+        lines = "; ".join(f"line {n}: {key}: {msg}" for n, key, msg in self.entries)
+        super().__init__(f"invalid config ({lines})")
 
 
 # Each key parses as its RunConfig annotation ("float | None" -> float).

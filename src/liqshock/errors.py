@@ -1,6 +1,6 @@
 """Exception types shared across the solver library."""
 
-__all__ = ["LiqshockError", "ValidationError", "ConfigError", "NumericalError",
+__all__ = ["LiqshockError", "ValidationError", "NumericalError",
            "SingularSystemError", "OracleConvergenceError", "SolveFailure"]
 
 
@@ -10,19 +10,6 @@ class LiqshockError(Exception):
 
 class ValidationError(LiqshockError, ValueError):
     """Invalid parameters, grids, or configuration."""
-
-
-class ConfigError(ValidationError):
-    """Malformed run-configuration text.
-
-    ``entries`` lists one ``(line_number, key, message)`` tuple per offending
-    line so callers can report every problem at once.
-    """
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-        lines = "; ".join(f"line {n}: {key}: {msg}" for n, key, msg in self.entries)
-        super().__init__(f"invalid config ({lines})")
 
 
 class NumericalError(LiqshockError, RuntimeError):

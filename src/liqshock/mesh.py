@@ -158,8 +158,10 @@ def _check_cells(intervals: int, steps: int):
 def _checked_steps(intervals: int, horizon: float, dt: float) -> int:
     """Fewest steps of at most ``dt`` (to the snap tolerance) that cover the
     horizon; more than MAX_CELLS cells in all are rejected."""
-    # capped, so that an infinite ratio never reaches ceil
-    steps = max(1, math.ceil(min(horizon / dt * (1 - _SNAP_RTOL), MAX_CELLS)))
+    # capped past MAX_CELLS, so that an infinite ratio never reaches ceil
+    # and a capped count is refused even on one interval
+    steps = max(1, math.ceil(min(horizon / dt * (1 - _SNAP_RTOL),
+                                 MAX_CELLS + 1)))
     _check_cells(intervals, steps)
     return steps
 

@@ -407,29 +407,46 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
         raise SolveFailure(j, str(err)) from err
 
 
+def _start(params: ModelParams, grid: SpatialGrid, tg: TimeGrid, payoffs,
+           configs) -> tuple[list[GridState], list[StepPlan]]:
+    """The level-0 state of each of ``payoffs`` and the plan of each of
+    ``configs`` (``None`` is the default ``SchemeConfig()``), built in the
+    one order in which every public run refuses its input: the constants,
+    every level-0 state, then one ``StepPlan`` per distinct config, which
+    runs with equal configs share."""
+    dc = derive_constants(params)
+    firsts = [initial_state(grid, params, payoff) for payoff in payoffs]
+    plans = []
+    for config in configs:
+        config = config or SchemeConfig()
+        shared = [plan for plan in plans if plan.config == config]
+        plans.append(shared[0] if shared else StepPlan(grid, tg, dc, config))
+    return firsts, plans
+
+
 def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                   config: SchemeConfig | None = None, payoff=payoff_call,
                   capture_trajectory: bool = False) -> SolveResult:
     """March the scheme from the payoff level to tau = T.
 
     Works out the constants, the level-0 state and then the run's
-    ``StepPlan`` once, then drains ``_march``, keeping every level with
+    ``StepPlan`` once (``_start``, as ``verify`` and ``implicit_oracle``
+    do), then drains ``_march``, keeping every level with
     ``capture_trajectory`` and otherwise only the last.  Returns the
     final state together with the run's diagnostics (worst M-matrix
     margin, worst sup-norm bound margin, worst reaction-step restriction
     ratio, each with its step) and its plan, which carries the grid,
     time grid, constants and scheme config the run used.  A restriction
     ratio above 1 warns, pointing at the first caller outside liqshock.
-    A level-0 state the payoff cannot represent, then anything the plan
-    refuses (a time grid that overshoots the horizon, more than
-    ``MAX_CELLS`` cells, non-finite diffusion rows), fails before any
-    level runs.  Numerical failures, overflow and lost strict domination
-    included, are raised as SolveFailure carrying the failing step index
-    (0 for the rows), without a numpy warning.
+    Parameters without constants, then a level-0 state the payoff cannot
+    represent, then anything the plan refuses (a time grid that
+    overshoots the horizon, more than ``MAX_CELLS`` cells, non-finite
+    diffusion rows), fail before any level runs.  Numerical failures,
+    overflow and lost strict domination included, are raised as
+    SolveFailure carrying the failing step index (0 for the rows), without
+    a numpy warning.
     """
-    dc = derive_constants(params)
-    first = initial_state(grid, params, payoff)
-    plan = StepPlan(grid, tg, dc, config or SchemeConfig())
+    (first,), (plan,) = _start(params, grid, tg, (payoff,), (config,))
     diag = SolveDiagnostics()
     states = _march(first, plan, diag)
     with np.errstate(all="ignore"):  # a non-finite level is refused

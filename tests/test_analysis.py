@@ -248,6 +248,26 @@ class TestOdeOracle:
             with pytest.raises(ValidationError, match="h_star must be finite"):
                 ode_oracle(p, h_star, dt_ref=0.01)
 
+    def test_steps_as_the_time_grid_cuts_them(self, params):
+        # a dt a hair under 1/20 is 20 steps of a time grid, so of the oracle
+        dt = 1 / (20 * (1 + 1e-10))
+        assert time_grid_from_space(uniform_grid(0, 5, 2), 1.0, dt).steps == 20
+        assert ode_oracle(params, 1.0, dt) == ode_oracle(params, 1.0, 1 / 20)
+
+    # RK4 leaves the float range: math.exp raises OverflowError on the
+    # first two, and on the third the stage arithmetic overflows, making U
+    # -inf with no exception
+    @pytest.mark.parametrize("nu01,nu10,dt_ref,at", [
+        (20.0, 20.0, 0.1, 5), (50.0, 50.0, 0.05, 4), (889.0, 12.0, 0.1, 1)])
+    def test_leaving_the_float_range_is_refused(self, params, nu01, nu10,
+                                                dt_ref, at):
+        p = replace(params, nu01=nu01, nu10=nu10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OracleConvergenceError) as exc:
+                ode_oracle(p, 0.0, dt_ref)
+        assert str(exc.value) == f"RK4 step {at} left the float range"
+
 
 class TestImplicitOracle:
     def test_size_guard(self, params):
@@ -262,6 +282,24 @@ class TestImplicitOracle:
         with pytest.raises(OracleConvergenceError, match="stalled"):
             implicit_oracle(params, grid, TimeGrid(dt=0.1, steps=1))
 
+    @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
+    def test_nan_residual_ends_the_level(self, params, monkeypatch, scheme):
+        # diffusion of the level-0 state at gamma = 1e307 overflows to
+        # inf - inf: no Newton step can lower a NaN residual
+        solves, dense = [], np.linalg.solve
+
+        def counted(*args):
+            solves.append(args)
+            return dense(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        with pytest.raises(OracleConvergenceError) as exc:
+            implicit_oracle(replace(params, gamma=1e307),
+                            uniform_grid(0, 5, 20), TimeGrid(0.05, 20),
+                            SchemeConfig(scheme))
+        assert str(exc.value) == "implicit step stalled at residual nan"
+        assert len(solves) <= 1
+
     def test_linear_regime_matches_scheme1(self, params, monkeypatch):
         # with the reaction switched off both reduce to implicit diffusion
         dc0 = DerivedConstants(d0=0.0, a=0.0, b=0.0, c=0.0, lambda1=1.0,
@@ -274,8 +312,8 @@ class TestImplicitOracle:
         for _ in range(tg.steps):
             state, _ = step(state, plan)
 
-        import liqshock.analysis as analysis_mod
-        monkeypatch.setattr(analysis_mod, "derive_constants", lambda p: dc0)
+        import liqshock.schemes as schemes_mod
+        monkeypatch.setattr(schemes_mod, "derive_constants", lambda p: dc0)
         oracle = implicit_oracle(params, grid, tg, cfg)
         np.testing.assert_allclose(oracle.u, state.u, atol=1e-11)
         np.testing.assert_allclose(oracle.v, state.v, atol=1e-11)

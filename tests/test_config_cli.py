@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liqshock import (ConfigError, ValidationError, time_grid_from_space,
-                      uniform_grid)
+from liqshock import ValidationError, time_grid_from_space, uniform_grid
 from liqshock import analysis
-from liqshock.cli import RunConfig, _build_parser, _load_config, main
+from liqshock.cli import (ConfigError, RunConfig, _build_parser, _load_config,
+                          main)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 RESTRICTION_WARNING = ("warning: reaction time-step restriction violated; "

@@ -16,7 +16,7 @@ from liqshock import (
     time_grid_from_space,
     uniform_grid,
 )
-from liqshock.mesh import MAX_CELLS
+from liqshock.mesh import MAX_CELLS, _checked_steps
 
 # S_1 of the 2-interval stretched grid on [0,5], K=2, alpha=15,
 # computed with mpmath at 50 digits and frozen.
@@ -212,3 +212,8 @@ class TestTimeGrid:
                 time_grid_from_space(g, 1.0, dt)
         tg = time_grid_from_space(g, 1.0, 2 / MAX_CELLS)  # at the cap
         assert tg.steps == MAX_CELLS // 2
+        # on one interval (the ODE oracle's) a runaway count is refused
+        # too, not cut to MAX_CELLS steps
+        with pytest.raises(ValidationError, match="MAX_CELLS"):
+            _checked_steps(1, 1.0, 1e-300)
+        assert _checked_steps(1, 1.0, 1 / MAX_CELLS) == MAX_CELLS

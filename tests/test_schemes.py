@@ -531,17 +531,23 @@ class TestSolveForward:
                 assert exc.value.step_index == 0
 
     def test_nonfinite_state_refused_before_rows(self, params):
-        # gamma * payoff overflows the level-0 state and sigma**2 the rows:
-        # every route builds the state first, so all three report it
-        p = replace(params, sigma=1.3e154, gamma=1e308)
+        # gamma * payoff overflows the level-0 state, sigma**2 the rows and
+        # nu01 the constants' discriminant: every route derives the
+        # constants, then builds the state, then the rows, so all three
+        # report the first that fails
         grid = uniform_grid(0, 5, 20)
-        for route in (solve_forward, implicit_oracle,
-                      lambda p, g, tg: verify(p, g, tg, SchemeConfig())):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValidationError,
-                                   match="non-finite entries in grid state"):
-                    route(p, grid, TimeGrid(dt=0.05, steps=20))
+        for p, message in (
+                (replace(params, sigma=1.3e154, gamma=1e308),
+                 "non-finite entries in grid state"),
+                (replace(params, gamma=1e308, nu01=1e200),
+                 "degenerate root pair: discriminant <= 0 or inf")):
+            for route in (solve_forward, implicit_oracle,
+                          lambda p, g, tg: verify(p, g, tg, SchemeConfig())):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValidationError) as exc:
+                        route(p, grid, TimeGrid(dt=0.05, steps=20))
+                assert str(exc.value) == message
 
     # step 3 puts an inf into U (through the solve, both schemes) or into
     # V alone (through G of the linearized recovery, at the S = 0 edge):

@@ -4,7 +4,8 @@
 
 A code-only line holds a token other than a comment, outside module,
 class and function docstrings.  Public names are read with ``ast`` from
-each module's ``__all__``, without importing it; public methods are the
+each module's ``__all__``, without importing it.  Each module's line
+gives its code-only lines, then its public names; public methods are the
 methods and properties without a leading underscore that the exported
 classes define, counted and then listed by name, one line per class
 that has any.  Exits 1 when two modules export one name:
@@ -31,10 +32,10 @@ for path in paths:
                 if tok.type not in SKIP
                 for n in range(tok.start[0], tok.end[0] + 1)} - doc
     total += len(code)
-    print(f"{path.name:16} {len(code):6,}")
     names = [name for node in tree.body if isinstance(node, ast.Assign)
              and any(getattr(t, "id", None) == "__all__" for t in node.targets)
              for name in ast.literal_eval(node.value)]
+    print(f"{path.name:16} {len(code):6,} {len(names):4}")
     for name in names:
         owners.setdefault(name, []).append(path.name)
     for c in tree.body:

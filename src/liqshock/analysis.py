@@ -129,14 +129,14 @@ def at_the_money(result: SolveResult, quantity: str = "r0") -> float:
     return float(np.interp(strike, nodes, values)) / result.params.gamma
 
 
-def _build_grid(params: ModelParams, grid_kind: str, intervals: int,
-                alpha: float) -> SpatialGrid:
-    if grid_kind == "uniform":
-        return uniform_grid(params.s_min, params.s_max, intervals)
-    if grid_kind == "tavella":
-        return tavella_randall_grid(params.s_min, params.s_max, params.strike,
-                                    alpha, intervals)
-    raise ValidationError(f"unknown grid kind {grid_kind!r}")
+# Each grid kind, as the CLI words it, and its grid on (params,
+# intervals, alpha).  The builders are looked up in this module when a
+# grid is built, so a wrapper set on the module's name is called.
+_GRIDS = {"uniform": lambda p, n, alpha: uniform_grid(p.s_min, p.s_max, n),
+          "tavella": lambda p, n, alpha: tavella_randall_grid(
+              p.s_min, p.s_max, p.strike, alpha, n)}
+# The Tavella-Randall stretch of the studies and the CLI by default
+_ALPHA = 15.0
 
 
 def _level_grids(params: ModelParams, grid_kind: str, levels: Sequence[int],
@@ -150,7 +150,9 @@ def _level_grids(params: ModelParams, grid_kind: str, levels: Sequence[int],
         raise ValidationError("need at least one level")
     if any(fine != 2 * coarse for coarse, fine in zip(levels, levels[1:])):
         raise ValidationError("levels must double at each step")
-    grids = [_build_grid(params, grid_kind, lvl, alpha) for lvl in levels]
+    if grid_kind not in _GRIDS:
+        raise ValidationError(f"unknown grid kind {grid_kind!r}")
+    grids = [_GRIDS[grid_kind](params, lvl, alpha) for lvl in levels]
     out = []
     for g in grids:
         tg = time_grid_from_space(g, params.horizon, HALF_MIN_SPACING)
@@ -197,7 +199,7 @@ def _ladder(params, scheme, grid_kind, levels, alpha, left_bc, on_result,
 
 
 def convergence_tables(params: ModelParams, scheme: str, grid_kind: str,
-                       levels: Sequence[int], alpha: float = 15.0,
+                       levels: Sequence[int], alpha: float = _ALPHA,
                        left_bc=NATURAL, on_result=None,
                        ) -> dict[str, list[ConvergenceRow]]:
     """Solve each level of a doubling ladder once and tabulate the
@@ -215,7 +217,7 @@ def convergence_tables(params: ModelParams, scheme: str, grid_kind: str,
 
 
 def convergence_study(params: ModelParams, scheme: str, grid_kind: str,
-                      levels: Sequence[int], alpha: float = 15.0,
+                      levels: Sequence[int], alpha: float = _ALPHA,
                       left_bc=NATURAL, on_result=None) -> list[ConvergenceRow]:
     """The R0 table of ``convergence_tables``."""
     return convergence_tables(params, scheme, grid_kind, levels, alpha,
@@ -223,7 +225,7 @@ def convergence_study(params: ModelParams, scheme: str, grid_kind: str,
 
 
 def extrapolated_study(params: ModelParams, scheme: str, grid_kind: str,
-                       levels: Sequence[int], alpha: float = 15.0,
+                       levels: Sequence[int], alpha: float = _ALPHA,
                        left_bc=NATURAL, on_result=None,
                        ) -> list[ExtrapolationRow]:
     """Per level: pair the slaved dt with dt/2 on the same spatial grid
@@ -250,19 +252,18 @@ def ode_oracle(params: ModelParams, h_star: float,
     The result is accurate to O(dt_ref^4) and serves as an independent
     reference for constant-data solver runs.  The horizon is cut into
     steps as ``time_grid_from_space`` cuts it for an explicit dt on a
-    one-interval grid, so a ``dt_ref`` that needs more than ``MAX_CELLS``
-    steps is refused before the first.  A step that leaves the float
+    one-interval grid, so a ``dt_ref`` that it refuses (not > 0 and
+    finite, past the horizon, or needing more than ``MAX_CELLS`` steps)
+    is refused before the first.  A step that leaves the float
     range is an OracleConvergenceError naming it.
     """
     dc = derive_constants(params)
     T = params.horizon
-    if not 0 < dt_ref < math.inf:  # also rejects NaN
-        raise ValidationError("dt_ref must be > 0 and finite")
+    n = _checked_steps(1, T, dt_ref)
+    dt = T / n
     u = v = params.gamma * h_star
     if not math.isfinite(u):
         raise ValidationError("gamma * h_star must be finite")
-    n = _checked_steps(1, T, dt_ref)
-    dt = T / n
 
     def f(uu, vv):
         return dc.b - dc.a * math.exp(uu - vv), dc.c * (1.0 - math.exp(vv - uu))

@@ -13,23 +13,22 @@ their line numbers.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 from dataclasses import astuple, dataclass, fields
 
 from . import analysis
 from .errors import NumericalError, ValidationError
-from .mesh import (HALF_MIN_SPACING, MAX_CELLS, _checked_steps,
+from .mesh import (HALF_MIN_SPACING, _checked_steps, _size_problems,
                    time_grid_from_space)
 from .model import ModelParams, _param_problems, to_prices
 from .schemes import (NATURAL, SCHEMES, SchemeConfig, initial_state,
                       solve_forward)
 
 # Allowed values of the word-valued keys, in the order validate reports
-# them; scheme and left_bc map each word to what it selects.
+# them; each maps a word to what it selects.
 CHOICES = {
-    "grid": ("uniform", "tavella"),
+    "grid": analysis._GRIDS,
     "scheme": {word: name for name, word in SCHEMES.items()},
     "left_bc": {"natural": NATURAL, "dirichlet": lambda tau: 0.0},
 }
@@ -50,7 +49,7 @@ class RunConfig:
     s_max: float = 5.0
     grid: str = "uniform"
     intervals: int = 240
-    alpha: float = 15.0
+    alpha: float = analysis._ALPHA
     dt: float | None = None            # unset: min spacing / 2
     scheme: str = "linear"
     left_bc: str = "natural"
@@ -67,16 +66,8 @@ class RunConfig:
         errs = [(key, "must be " + " or ".join(allowed))
                 for key, allowed in CHOICES.items()
                 if getattr(self, key) not in allowed]
-        if self.intervals < 2:
-            errs.append(("intervals", "must be >= 2"))
-        elif self.intervals > MAX_CELLS:
-            errs.append(("intervals", f"must be <= {MAX_CELLS}"))
-        for key in ("alpha", "dt"):
-            value = getattr(self, key)
-            if value is not None and not 0 < value < math.inf:  # also NaN
-                errs.append((key, "must be > 0 and finite"))
-        if self.dt is not None and self.horizon < self.dt < math.inf:
-            errs.append(("dt", "must not exceed the horizon"))
+        errs += _size_problems(self.intervals, self.alpha, self.dt,
+                               self.horizon).items()
         errs += _param_problems(self).items()
         if one_grid and self.dt is not None and not errs:
             try:
@@ -195,7 +186,7 @@ def _scheme_config(cfg: RunConfig) -> SchemeConfig:
 def _one_grid(cfg: RunConfig):
     """Params, spatial grid and time grid of a run on one grid (--I)."""
     params = cfg.model_params()
-    grid = analysis._build_grid(params, cfg.grid, cfg.intervals, cfg.alpha)
+    grid = analysis._GRIDS[cfg.grid](params, cfg.intervals, cfg.alpha)
     rule = HALF_MIN_SPACING if cfg.dt is None else cfg.dt
     return params, grid, time_grid_from_space(grid, cfg.horizon, rule)
 

@@ -30,3 +30,11 @@ class SolveFailure(NumericalError):
     def __init__(self, step_index, message):
         self.step_index = step_index
         super().__init__(f"time step {step_index}: {message}")
+
+
+def _raise_first(problems: dict[str, str]):
+    """Raise the first of ``problems`` (key: message, in the order the
+    checks report them) as a ValidationError; a "model" problem spans
+    several keys and reads as its message alone."""
+    for key, msg in problems.items():
+        raise ValidationError(msg if key == "model" else f"{key} {msg}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _raise_first
 from .tridiag import _unchecked
 
 __all__ = [
@@ -33,19 +33,36 @@ _SNAP_RTOL = 1e-9
 MAX_CELLS = 10**7
 
 
-def _is_count(n, least: int) -> bool:
-    """Whether n is a whole number (int or numpy integer) >= least."""
+def _whole(n) -> int | None:
+    """n as an int when it is a whole number (int or numpy integer)."""
     try:
-        return operator.index(n) >= least
+        return operator.index(n)
     except TypeError:
-        return False
+        return None
 
 
-def _check_intervals(intervals):
-    if not _is_count(intervals, 2):
-        raise ValidationError("need a whole number of at least 2 intervals")
-    if intervals > MAX_CELLS:
-        raise ValidationError(f"more than MAX_CELLS = {MAX_CELLS} intervals")
+def _size_problems(intervals=None, alpha=None, dt=None, horizon=math.inf):
+    """First failed check of each size of a run that is given: a grid's
+    intervals, the Tavella-Randall ``alpha`` and a step ``dt`` (which
+    must not exceed the horizon), as ``model._param_problems`` lists the
+    parameters'."""
+    problems = {}
+    if intervals is not None:
+        n = _whole(intervals)
+        if n is None:
+            problems["intervals"] = "must be a whole number"
+        elif n < 2:
+            problems["intervals"] = "must be >= 2"
+        elif n > MAX_CELLS:
+            problems["intervals"] = f"must be <= {MAX_CELLS}"
+    if alpha is not None and not 0 < alpha < math.inf:  # also NaN
+        problems["alpha"] = "must be > 0 and finite"
+    if dt is not None:
+        if not 0 < dt < math.inf:
+            problems["dt"] = "must be > 0 and finite"
+        elif dt > horizon:
+            problems["dt"] = "must not exceed the horizon"
+    return problems
 
 
 def _checked_nodes(nodes: np.ndarray) -> np.ndarray:
@@ -105,9 +122,10 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValidationError("dt must be positive and finite")
-        if not _is_count(self.steps, 1):
+        steps = _whole(self.steps)
+        if steps is None or steps < 1:
             raise ValidationError("steps must be a whole number >= 1")
-        object.__setattr__(self, "steps", operator.index(self.steps))
+        object.__setattr__(self, "steps", steps)
 
     def halved(self) -> "TimeGrid":
         """Same horizon with twice the steps (for temporal extrapolation)."""
@@ -116,7 +134,7 @@ class TimeGrid:
 
 def uniform_grid(s_min: float, s_max: float, intervals: int) -> SpatialGrid:
     """Equally spaced grid with the given number of intervals (>= 2)."""
-    _check_intervals(intervals)
+    _raise_first(_size_problems(intervals))
     if not s_min < s_max:
         raise ValidationError("s_min must be < s_max")
     # linspace of its own ends, so uniform without SpatialGrid's comparison
@@ -134,9 +152,7 @@ def tavella_randall_grid(s_min: float, s_max: float, strike: float,
     smallest where the argument of sinh crosses zero, i.e. at the strike.
     Large alpha flattens the stretch toward the uniform grid.
     """
-    _check_intervals(intervals)
-    if not 0 < alpha < math.inf:  # also rejects NaN
-        raise ValidationError("alpha must be > 0 and finite")
+    _raise_first(_size_problems(intervals, alpha))
     if not s_min < strike < s_max:
         raise ValidationError("requires s_min < strike < s_max")
     c1 = math.asinh((s_min - strike) / alpha)
@@ -157,7 +173,9 @@ def _check_cells(intervals: int, steps: int):
 
 def _checked_steps(intervals: int, horizon: float, dt: float) -> int:
     """Fewest steps of at most ``dt`` (to the snap tolerance) that cover the
-    horizon; more than MAX_CELLS cells in all are rejected."""
+    horizon; a ``dt`` that ``_size_problems`` refuses, or more than
+    MAX_CELLS cells in all, are rejected."""
+    _raise_first(_size_problems(dt=dt, horizon=horizon))
     # capped past MAX_CELLS, so that an infinite ratio never reaches ceil
     # and a capped count is refused even on one interval
     steps = max(1, math.ceil(min(horizon / dt * (1 - _SNAP_RTOL),
@@ -170,21 +188,19 @@ def time_grid_from_space(grid: SpatialGrid, horizon: float,
                          rule: str | float = HALF_MIN_SPACING) -> TimeGrid:
     """Build the time partition coupled to the spatial resolution.
 
-    rule = "half_min_spacing" takes dt = min_i(S_i - S_{i-1}) / 2; a float
-    is taken as an explicit candidate dt.  Either way the candidate is
-    shrunk so an integer number of steps covers the horizon exactly.
+    rule = "half_min_spacing" takes dt = min_i(S_i - S_{i-1}) / 2, at most
+    the horizon; a float is taken as an explicit candidate dt, which
+    ``_size_problems`` checks.  Either way the candidate is shrunk so an
+    integer number of steps covers the horizon exactly.
     """
     if not 0 < horizon < math.inf:  # also rejects NaN
         raise ValidationError("horizon must be > 0 and finite")
     if rule == HALF_MIN_SPACING:
-        candidate = grid.min_spacing() / 2.0
+        # a spacing past the horizon takes one step, as the horizon does
+        candidate = min(grid.min_spacing() / 2.0, horizon)
     elif isinstance(rule, str):
         raise ValidationError(f"unknown time step rule {rule!r}")
     else:
         candidate = float(rule)
-        if not candidate > 0:  # also rejects NaN
-            raise ValidationError("explicit dt must be > 0")
-        if candidate > horizon:
-            raise ValidationError("explicit dt exceeds the horizon")
     steps = _checked_steps(grid.intervals, horizon, candidate)
     return TimeGrid(dt=horizon / steps, steps=steps)

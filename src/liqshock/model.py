@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _raise_first
 
 __all__ = [
     "ModelParams",
@@ -65,8 +65,7 @@ class ModelParams:
     s_max: float = 5.0
 
     def __post_init__(self):
-        for key, msg in _param_problems(self).items():
-            raise ValidationError(msg if key == "model" else f"{key} {msg}")
+        _raise_first(_param_problems(self))
 
 
 def _param_problems(p) -> dict[str, str]:

@@ -236,7 +236,7 @@ class TestOdeOracle:
 
     def test_rejects_nonpositive_step(self, params):
         for dt_ref in (0, math.nan, math.inf):
-            with pytest.raises(ValidationError, match="dt_ref must be > 0"):
+            with pytest.raises(ValidationError, match="dt must be > 0 and finite"):
                 ode_oracle(params, 1.0, dt_ref=dt_ref)
         # T/dt_ref is inf or 1e300 steps: refused before the first
         for dt_ref in (5e-324, 1e-300):

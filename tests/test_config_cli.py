@@ -1,6 +1,7 @@
 """Config parsing and the command-line surface."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liqshock import ValidationError, time_grid_from_space, uniform_grid
+from liqshock import (ModelParams, ValidationError, ode_oracle,
+                      tavella_randall_grid, time_grid_from_space,
+                      uniform_grid)
 from liqshock import analysis
 from liqshock.cli import (ConfigError, RunConfig, _build_parser, _load_config,
                           main)
@@ -221,9 +224,8 @@ class TestCliTables:
             assert main(["converge", "--levels", levels]) == 1
 
     @pytest.mark.parametrize("command,levels,message", [
-        ("converge", "1,2", "need a whole number of at least 2 intervals"),
-        ("extrapolate", "100000000",
-         "more than MAX_CELLS = 10000000 intervals"),
+        ("converge", "1,2", "intervals must be >= 2"),
+        ("extrapolate", "100000000", "intervals must be <= 10000000"),
         ("extrapolate", "3,5", "levels must double at each step"),
         # 8000 x 3200 steps of half the spacing
         ("converge", "8000", "intervals x steps > MAX_CELLS = 10000000"),
@@ -514,6 +516,48 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             f"error: invalid config (line {line}: dt: "
             "intervals x steps > MAX_CELLS = 10000000)\n")
+
+    @pytest.mark.parametrize("key,value,words", [
+        ("intervals", 1, "must be >= 2"),
+        ("intervals", 10**8, "must be <= 10000000"),
+        ("alpha", 0.0, "must be > 0 and finite"),
+        ("alpha", math.nan, "must be > 0 and finite"),
+        ("dt", 0.0, "must be > 0 and finite"),
+        ("dt", math.nan, "must be > 0 and finite"),
+        ("dt", 2.0, "must not exceed the horizon"),
+    ])
+    def test_bad_size_reads_alike_everywhere(self, tmp_path, capsys, key,
+                                             value, words):
+        # one rule, so one wording: from a config line, its flag (--I or
+        # --alpha), --levels, and the library calls that take the size
+        # (the horizon is 1 throughout)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        cli = [(["solve", "--config", str(cfg)],
+                f"invalid config (line 1: {key}: {words})")]
+        flag = {"intervals": "--I", "alpha": "--alpha"}.get(key)
+        if flag is not None:
+            cli.append((["solve", flag, str(value)], f"{flag}: {words}"))
+        if key == "intervals":
+            cli.append((["converge", "--levels", str(value)],
+                        f"--levels: {key} {words}"))
+        for argv, message in cli:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        params = ModelParams(sigma=0.3, mu=0.06, gamma=1.0, nu01=1.0,
+                             nu10=12.0, strike=2.0, horizon=1.0)
+        grid = uniform_grid(0, 5, 10)
+        library = {
+            "intervals": [lambda: uniform_grid(0, 5, value),
+                          lambda: tavella_randall_grid(0, 5, 2, 15, value)],
+            "alpha": [lambda: tavella_randall_grid(0, 5, 2, value, 10)],
+            "dt": [lambda: time_grid_from_space(grid, 1.0, value),
+                   lambda: ode_oracle(params, 0.0, value)],
+        }
+        for call in library[key]:
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == f"{key} {words}"
 
     def test_dt_cells_counted_on_the_run_config(self, tmp_path):
         # dt=2e-5 is 50000 steps: too many for the file's 240 intervals,

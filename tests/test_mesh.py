@@ -54,8 +54,9 @@ class TestUniformGrid:
     def test_rejects_degenerate(self):
         with pytest.raises(ValidationError):
             uniform_grid(0, 5, 1)
-        for intervals in (1, 10.5):
-            with pytest.raises(ValidationError, match="at least 2 intervals"):
+        for intervals, words in ((1, ">= 2"), (10.5, "a whole number")):
+            with pytest.raises(ValidationError,
+                               match=f"intervals must be {words}"):
                 tavella_randall_grid(0, 5, 2, 15, intervals)
         with pytest.raises(ValidationError, match="whole number"):
             uniform_grid(0, 5, 10.5)
@@ -76,7 +77,8 @@ class TestUniformGrid:
         try:
             for build in (lambda n: uniform_grid(0, 5, n),
                           lambda n: tavella_randall_grid(0, 5, 2, 15, n)):
-                with pytest.raises(ValidationError, match="MAX_CELLS"):
+                with pytest.raises(ValidationError,
+                                   match="intervals must be <= 10000000"):
                     build(10 ** 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -192,13 +194,19 @@ class TestTimeGrid:
                 TimeGrid(dt=0.25, steps=steps)
         assert TimeGrid(dt=0.25, steps=np.int64(4)).halved().steps == 8
 
+    def test_checked_steps_refuses_bad_dt(self):
+        for dt in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValidationError,
+                               match="dt must be > 0 and finite"):
+                _checked_steps(3, 1.0, dt)
+
     def test_rejects_bad_dt(self):
         g = uniform_grid(0, 5, 10)
         with pytest.raises(ValidationError):
             time_grid_from_space(g, 1.0, rule=-0.1)
         with pytest.raises(ValidationError):
             time_grid_from_space(g, 1.0, rule=2.0)
-        with pytest.raises(ValidationError, match="explicit dt must be > 0"):
+        with pytest.raises(ValidationError, match="dt must be > 0 and finite"):
             time_grid_from_space(g, 1.0, rule=float("nan"))
         with pytest.raises(ValidationError, match="'explicit'"):
             time_grid_from_space(g, 1.0, rule="explicit")

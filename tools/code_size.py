@@ -5,7 +5,10 @@
 A code-only line holds a token other than a comment, outside module,
 class and function docstrings.  Public names are read with ``ast`` from
 each module's ``__all__``, without importing it.  Each module's line
-gives its code-only lines, then its public names; public methods are the
+gives its code-only lines, then its public names; below it, a module
+lists the ``_``-prefixed names it takes from another module of the
+package (``from .x import _y``, or ``x._y`` after ``from . import x``):
+the decisions that two modules share.  Public methods are the
 methods and properties without a leading underscore that the exported
 classes define, counted and then listed by name, one line per class
 that has any.  Exits 1 when two modules export one name:
@@ -20,6 +23,27 @@ SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = (ast.Module, ast.ClassDef, *FUNCS)
+
+
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def shared(tree):
+    """Sorted "module._name" of the private names ``tree`` takes from a
+    sibling module, imported by name or read off the imported module."""
+    imports = [n for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.level]
+    modules = {a.asname or a.name: a.name
+               for n in imports if n.module is None for a in n.names}
+    found = {f"{n.module}.{a.name}" for n in imports if n.module
+             for a in n.names if private(a.name)}
+    found |= {f"{modules[n.value.id]}.{n.attr}" for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and private(n.attr)
+              and isinstance(n.value, ast.Name) and n.value.id in modules}
+    return sorted(found)
+
+
 paths = sorted(Path(sys.argv[1]).glob("*.py"))
 total, methods, owners = 0, {}, {}
 for path in paths:
@@ -36,6 +60,9 @@ for path in paths:
              and any(getattr(t, "id", None) == "__all__" for t in node.targets)
              for name in ast.literal_eval(node.value)]
     print(f"{path.name:16} {len(code):6,} {len(names):4}")
+    taken = shared(tree)
+    if taken:
+        print(f"  takes {', '.join(taken)}")
     for name in names:
         owners.setdefault(name, []).append(path.name)
     for c in tree.body:

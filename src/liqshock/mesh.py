@@ -70,7 +70,7 @@ def _checked_nodes(nodes: np.ndarray) -> np.ndarray:
     # strictly increasing (a NaN fails a comparison) between finite ends
     # is finite throughout
     if not (math.isfinite(nodes[0]) and math.isfinite(nodes[-1])
-            and (nodes[1:] > nodes[:-1]).all()):
+            and np.logical_and.reduce(nodes[1:] > nodes[:-1])):
         raise ValidationError(
             "grid nodes must be finite and strictly increasing")
     nodes.setflags(write=False)
@@ -93,8 +93,9 @@ class SpatialGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.flags.writeable or not nodes.flags.owndata:
             nodes = nodes.copy()
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ValidationError("grid needs at least 3 nodes")
+        if nodes.ndim != 1:
+            raise ValidationError("grid nodes must be one-dimensional")
+        _raise_first(_size_problems(nodes.size - 1))
         object.__setattr__(self, "nodes", _checked_nodes(nodes))
         object.__setattr__(self, "uniform", np.array_equal(
             nodes, np.linspace(nodes[0], nodes[-1], nodes.size)))
@@ -120,8 +121,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValidationError("dt must be positive and finite")
+        _raise_first(_size_problems(dt=self.dt))
         steps = _whole(self.steps)
         if steps is None or steps < 1:
             raise ValidationError("steps must be a whole number >= 1")
@@ -137,8 +137,20 @@ def uniform_grid(s_min: float, s_max: float, intervals: int) -> SpatialGrid:
     _raise_first(_size_problems(intervals))
     if not s_min < s_max:
         raise ValidationError("s_min must be < s_max")
-    # linspace of its own ends, so uniform without SpatialGrid's comparison
-    nodes = np.linspace(s_min, s_max, intervals + 1)
+    # np.linspace(s_min, s_max, intervals + 1) without its Python wrapper:
+    # one float64 operation for each of linspace's, so the same bits, and
+    # uniform without SpatialGrid's comparison.  What linspace makes of an
+    # infinite span, or of a spacing that rounds to 0, is refused below.
+    # The last node, whose product alone could overflow and warn, is
+    # s_max, set last as linspace sets it.
+    s_min, s_max = float(s_min), float(s_max)
+    span = s_max - s_min
+    nodes = np.arange(intervals + 1.0)
+    nodes[-1] = 0.0
+    if span < math.inf:
+        nodes *= span / intervals
+    nodes += s_min
+    nodes[-1] = s_max
     return _unchecked(SpatialGrid, nodes=_checked_nodes(nodes), uniform=True)
 
 
@@ -202,5 +214,7 @@ def time_grid_from_space(grid: SpatialGrid, horizon: float,
         raise ValidationError(f"unknown time step rule {rule!r}")
     else:
         candidate = float(rule)
+    # a Python int >= 1 of steps, so horizon / steps is a positive finite
+    # dt: TimeGrid's checks cannot fail
     steps = _checked_steps(grid.intervals, horizon, candidate)
-    return TimeGrid(dt=horizon / steps, steps=steps)
+    return _unchecked(TimeGrid, dt=horizon / steps, steps=steps)

@@ -133,7 +133,7 @@ def initial_state(grid: SpatialGrid, params: ModelParams,
     if h.shape != grid.nodes.shape:
         raise ValidationError("payoff must give one value per grid node")
     # rounding is monotone: a finite gamma max|h| bounds every gamma h_i
-    if not math.isfinite(params.gamma * float(np.abs(h).max())):
+    if not math.isfinite(params.gamma * float(np.maximum.reduce(np.abs(h)))):
         raise ValidationError("non-finite entries in grid state")
     u0 = params.gamma * h
     return _unchecked(GridState, step_index=0, u=u0, v=u0.copy())
@@ -153,11 +153,13 @@ class StepPlan:
     (ValidationError both), and rows that cannot be represented (an inf or
     NaN anywhere, say from nodes whose square overflows) as SolveFailure
     at step 0, without a numpy warning.  Every run marched on one plan
-    shares its rows, built once per plan by the public, checked
-    ``TridiagonalRows``.  They are the whole ``imex_linear`` rows, so every
-    level of such runs shares them, and with them one elimination (worked
-    out by the first ``step`` that solves them) and one domination;
-    ``imex_linearized`` derives each level's rows from them.  The plan also
+    shares its rows, built once per plan, unchecked, from the arrays just
+    worked out for them, which the rows own and keep read-only; on a
+    uniform grid A and B are one array.  They are the whole
+    ``imex_linear`` rows, so every level of such runs shares them, and
+    with them one elimination (worked out by the first ``step`` that
+    solves them) and one domination; ``imex_linearized`` derives each
+    level's rows from them.  The plan also
     keeps dt, 1/dt, a, b, c, dt*c and 1.0 as read-only 0-d float64 arrays,
     which every level's numpy calls take in place of the Python floats:
     numpy charges extra to take in a Python-float operand, and the 0-d
@@ -188,10 +190,16 @@ class StepPlan:
                 ssq = sigma ** 2 * s[1:-1] ** 2
                 lower, upper = ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
             diag = 1.0 / self.tg.dt + lower + upper
-        # A and B are >= 0 or NaN, so a finite C = 1/dt + A + B means all are
-        if not np.isfinite(diag).all():
+        # A and B are >= 0 or NaN, so C = 1/dt + A + B is positive or not
+        # finite, and a finite greatest C (NaN propagates) means all are
+        if not math.isfinite(np.maximum.reduce(diag)):
             raise SolveFailure(0, "non-finite diffusion rows")
-        object.__setattr__(self, "rows", TridiagonalRows(lower, diag, upper))
+        # 1-d float64 arrays of one length just made, as TridiagonalRows
+        # would keep them, frozen in place
+        for arr in (lower, diag, upper):
+            arr.setflags(write=False)
+        object.__setattr__(self, "rows", _unchecked(
+            TridiagonalRows, lower=lower, diag=diag, upper=upper))
         dt, dc = self.tg.dt, self.dc
         consts = np.array([dt, 1.0 / dt, dc.a, dc.b, dc.c, dt * dc.c, 1.0],
                           dtype=float)
@@ -452,4 +460,5 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     with np.errstate(all="ignore"):  # a non-finite level is refused
         trajectory = list(states) if capture_trajectory else None
         final = (trajectory or deque(states, maxlen=1))[-1]
-    return SolveResult(final, trajectory, diag, params, plan)
+    return _unchecked(SolveResult, final_state=final, trajectory=trajectory,
+                      diagnostics=diag, params=params, plan=plan)

@@ -83,7 +83,8 @@ class TridiagonalRows:
     already a read-only array owning its data (as the rows of another
     TridiagonalRows are), so the caller's arrays stay writable and what is
     cached from the rows cannot go stale through them.  ``_with_diag``
-    derives rows with a new diagonal, unchecked, from a set built this way.
+    derives rows with a new diagonal, unchecked, from a set built this way;
+    a ``StepPlan`` builds its rows unchecked from arrays it has just made.
     """
 
     lower: np.ndarray
@@ -108,10 +109,16 @@ class TridiagonalRows:
         """What A and B alone fix: A and -B as Python floats (each sweep
         divides -B_i by its pivot), |A|, |B|, and whether every A_i and B_i
         is positive (a NaN makes it False).  Rows derived by ``_with_diag``
-        share these instead of redoing them."""
+        share these instead of redoing them; where A and B are one array,
+        as on a uniform grid, |A| and the least entry are worked out once."""
         lo, up = self.lower, self.upper
-        return (lo.tolist(), (-up).tolist(), np.abs(lo), np.abs(up),
-                bool(lo.min() > 0 and up.min() > 0))
+        abs_lo, positive = np.abs(lo), np.minimum.reduce(lo) > 0
+        if lo is up:
+            abs_up = abs_lo
+        else:
+            abs_up = np.abs(up)
+            positive = positive and np.minimum.reduce(up) > 0
+        return lo.tolist(), (-up).tolist(), abs_lo, abs_up, bool(positive)
 
     def _with_diag(self, diag: np.ndarray) -> TridiagonalRows:
         """Rows with these A and B and the diagonal ``diag``, a 1-d float64

@@ -5,7 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from liqshock import mesh
 from liqshock import (
     ModelParams,
     SpatialGrid,
@@ -63,7 +66,7 @@ class TestUniformGrid:
         assert uniform_grid(0, 5, np.int64(10)).intervals == 10
         with pytest.raises(ValidationError):
             uniform_grid(5, 5, 10)
-        with pytest.raises(ValidationError, match="at least 3 nodes"):
+        with pytest.raises(ValidationError, match="intervals must be >= 2"):
             SpatialGrid([0.0, 1.0])
         with pytest.raises(ValidationError, match="strictly increasing"):
             SpatialGrid([0.0, 2.0, 2.0, 3.0])
@@ -84,6 +87,39 @@ class TestUniformGrid:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20  # the grid alone would take 800 MB
+
+    # uniform_grid makes its nodes as np.linspace does, without its Python
+    # wrapper: the same bits wherever a grid is built, and refused exactly
+    # where linspace's nodes are not finite and strictly increasing
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(s_min=st.floats(allow_nan=False, allow_infinity=False),
+           span=st.floats(min_value=5e-324, allow_infinity=False),
+           intervals=st.integers(2, 400))
+    def test_nodes_are_linspace_bit_for_bit(self, s_min, span, intervals):
+        s_max = s_min + span
+        assume(s_min < s_max)
+        with np.errstate(all="ignore"):
+            expected = np.linspace(s_min, s_max, intervals + 1)
+        try:
+            nodes = uniform_grid(s_min, s_max, intervals).nodes
+        except ValidationError:
+            assert not (np.isfinite(expected).all()
+                        and (np.diff(expected) > 0).all())
+        else:
+            assert nodes.dtype == np.float64
+            assert nodes.tobytes() == expected.tobytes()
+
+    def test_node_count_is_the_size_rule(self, monkeypatch):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            SpatialGrid(np.zeros((3, 3)))
+        for nodes in ([], [1.0], [0.0, 1.0]):
+            with pytest.raises(ValidationError,
+                               match="intervals must be >= 2"):
+                SpatialGrid(nodes)
+        monkeypatch.setattr(mesh, "MAX_CELLS", 10)
+        assert SpatialGrid(np.arange(11.0)).intervals == 10
+        with pytest.raises(ValidationError, match="intervals must be <= 10"):
+            SpatialGrid(np.arange(12.0))
 
 
 class TestTavellaRandallGrid:
@@ -180,13 +216,25 @@ class TestTimeGrid:
         tg = time_grid_from_space(g, 1.0)
         assert tg.steps == 384
 
+    def test_from_space_is_the_checked_time_grid(self):
+        grids = (uniform_grid(0, 5, 10), uniform_grid(0.0, 20.0, 60),
+                 tavella_randall_grid(0, 5, 2, 15, 40))
+        for grid in grids:
+            for horizon, rule in ((1.0, "half_min_spacing"), (1.0, 0.3),
+                                  (np.float64(2.5), 0.07), (0.01, 0.004)):
+                tg = time_grid_from_space(grid, horizon, rule)
+                assert type(tg.steps) is int
+                assert tg == TimeGrid(dt=tg.dt, steps=tg.steps)
+                assert tg.dt == horizon / tg.steps > 0
+
     def test_halved(self):
         tg = TimeGrid(dt=0.25, steps=4).halved()
         assert tg.steps == 8 and tg.dt == 0.125
 
     def test_rejects_bad_partition(self):
         for dt in (0.0, -0.1, math.inf):
-            with pytest.raises(ValidationError, match="dt must be positive"):
+            with pytest.raises(ValidationError,
+                               match="dt must be > 0 and finite"):
                 TimeGrid(dt=dt, steps=4)
         for steps in (-1, 0, 2.5):
             with pytest.raises(ValidationError,

@@ -132,6 +132,40 @@ class TestStepPlan:
                 # changes with the level
                 assert (sys.rows is plan.rows) == (scheme == "imex_linear")
 
+    # The plan builds its rows unchecked from the arrays it has just made:
+    # they hold the bits of the public rows built from the documented
+    # weights, are float64, read-only and own their data, and every fact
+    # worked out from them is the public rows' (on a uniform grid A and B
+    # stay one array, whose facts are worked out once).
+    def test_rows_are_the_public_rows(self, params, dc):
+        sigma = params.sigma
+        for grid in (uniform_grid(0, 5, 60),
+                     tavella_randall_grid(0, 5, 2, 15, 60)):
+            tg = time_grid_from_space(grid, params.horizon)
+            rows = StepPlan(grid, tg, dc, SchemeConfig()).rows
+            s, ds = grid.nodes, grid.min_spacing()
+            if grid.uniform:
+                lower = 0.5 * sigma ** 2 * s[1:-1] ** 2 / ds ** 2
+                upper = lower.copy()
+            else:
+                hl, hr = np.diff(s[:-1]), np.diff(s[1:])
+                ssq = sigma ** 2 * s[1:-1] ** 2
+                lower, upper = ssq / (hl * (hl + hr)), ssq / (hr * (hl + hr))
+            public = TridiagonalRows(lower, 1.0 / tg.dt + lower + upper, upper)
+            assert (rows.lower is rows.upper) == grid.uniform
+            for name in ("lower", "diag", "upper"):
+                got, want = getattr(rows, name), getattr(public, name)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert not got.flags.writeable and got.flags.owndata
+                assert got.tobytes() == want.tobytes()
+            *lists, abs_lo, abs_up, positive = rows.off_diagonals
+            *want_lists, want_lo, want_up, want_positive = public.off_diagonals
+            assert lists == want_lists and positive is want_positive is True
+            assert abs_lo.tobytes() == want_lo.tobytes()
+            assert abs_up.tobytes() == want_up.tobytes()
+            assert rows.elimination == public.elimination
+            assert rows.domination.tobytes() == public.domination.tobytes()
+
     # The level's numpy calls take the plan's constants as 0-d arrays in
     # place of Python floats, which must move no bit: each array equals its
     # formula written with the floats of plan.dc and plan.tg, on the

@@ -170,6 +170,26 @@ class TestSolve:
         # a row set's own arrays are shared, not copied again
         assert TridiagonalRows(rows.lower, diag, rows.upper).upper is rows.upper
 
+    def test_one_off_diagonal_array_gives_the_facts_of_two(self):
+        # A and B as one array (a uniform grid's plan) give the facts of
+        # two equal arrays, a non-positive or NaN entry included
+        rng = np.random.default_rng(59)
+        for bad in (None, 0.0, -1.0, np.nan):
+            sys = random_dominant(rng, 17)
+            arr = sys.rows.lower.copy()
+            if bad is not None:
+                arr[5] = bad
+            arr.setflags(write=False)
+            one = TridiagonalRows(arr, sys.rows.diag, arr)
+            two = TridiagonalRows(arr.copy(), sys.rows.diag, arr.copy())
+            assert one.lower is one.upper and two.lower is not two.upper
+            for got, want in zip(one.off_diagonals, two.off_diagonals):
+                if isinstance(got, np.ndarray):
+                    assert got.tobytes() == want.tobytes()
+                else:  # lists of floats, NaN included, and the flag
+                    assert repr(got) == repr(want)
+            assert got is (bad is None)
+
     def test_result_is_a_new_writable_array(self):
         rng = np.random.default_rng(47)
         for n in (1, 639):

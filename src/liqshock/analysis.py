@@ -23,10 +23,8 @@ import numpy as np
 
 from .errors import OracleConvergenceError, ValidationError
 from .mesh import (
-    HALF_MIN_SPACING,
     SpatialGrid,
     TimeGrid,
-    _check_cells,
     _checked_steps,
     tavella_randall_grid,
     time_grid_from_space,
@@ -141,11 +139,11 @@ _ALPHA = 15.0
 
 def _level_grids(params: ModelParams, grid_kind: str, levels: Sequence[int],
                  alpha: float, halved: bool = False
-                 ) -> list[tuple[SpatialGrid, tuple[TimeGrid, ...]]]:
+                 ) -> list[tuple[SpatialGrid, list[TimeGrid]]]:
     """The spatial grid and the time grids of every level of a doubling
-    ladder: the slaved one and (with ``halved``) its dt/2 twin, so that a
-    bad level, or a twin over the cell cap, is refused before any level
-    runs."""
+    ladder: the slaved one and (with ``halved``) its dt/2 twin, both cut
+    by ``time_grid_from_space``, so that a bad level, or a twin over the
+    cell cap, is refused before any level runs."""
     if len(levels) < 1:
         raise ValidationError("need at least one level")
     if any(fine != 2 * coarse for coarse, fine in zip(levels, levels[1:])):
@@ -155,9 +153,9 @@ def _level_grids(params: ModelParams, grid_kind: str, levels: Sequence[int],
     grids = [_GRIDS[grid_kind](params, lvl, alpha) for lvl in levels]
     out = []
     for g in grids:
-        tg = time_grid_from_space(g, params.horizon, HALF_MIN_SPACING)
-        tgs = (tg, tg.halved()) if halved else (tg,)
-        _check_cells(g.intervals, tgs[-1].steps)
+        tgs = [time_grid_from_space(g, params.horizon)]
+        if halved:  # dt = T/J, so dt/2 cuts the horizon into 2J steps
+            tgs.append(time_grid_from_space(g, params.horizon, tgs[0].dt / 2))
         out.append((g, tgs))
     return out
 

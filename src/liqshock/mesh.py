@@ -127,10 +127,6 @@ class TimeGrid:
             raise ValidationError("steps must be a whole number >= 1")
         object.__setattr__(self, "steps", steps)
 
-    def halved(self) -> "TimeGrid":
-        """Same horizon with twice the steps (for temporal extrapolation)."""
-        return TimeGrid(dt=self.dt / 2.0, steps=2 * self.steps)
-
 
 def uniform_grid(s_min: float, s_max: float, intervals: int) -> SpatialGrid:
     """Equally spaced grid with the given number of intervals (>= 2)."""

@@ -29,7 +29,8 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .errors import LiqshockError, SolveFailure, ValidationError
+from .errors import (LiqshockError, NumericalError, SolveFailure,
+                     ValidationError)
 from .mesh import SpatialGrid, TimeGrid, _check_cells
 from .model import (DerivedConstants, ModelParams, _in_horizon,
                     derive_constants, payoff_call)
@@ -252,20 +253,25 @@ def restriction_ratio(state: GridState, plan: StepPlan) -> float:
     """Max of dt*c*e^(max(V-U)) and dt*a*e^(max(U-V)).
 
     Values above 1 void the sign conditions behind the discrete comparison
-    principle for the explicit reaction update.
+    principle for the explicit reaction update.  A spread |U - V| past the
+    range of exp is a NumericalError naming it.
     """
     # one difference serves both maxima: fl(v - u) is exactly -fl(u - v)
     diff = state.u - state.v
     vu, uv = -float(np.minimum.reduce(diff)), float(np.maximum.reduce(diff))
     dt, dc = plan.tg.dt, plan.dc
-    return dt * max(dc.c * math.exp(vu), dc.a * math.exp(uv))
+    try:
+        return dt * max(dc.c * math.exp(vu), dc.a * math.exp(uv))
+    except OverflowError as err:
+        raise NumericalError(f"restriction ratio overflows at max |U - V| "
+                             f"= {max(vu, uv):.3e}") from err
 
 
 def _fit(state: GridState, plan: StepPlan):
     """Refuse a caller's state that does not fit the plan's grid, before
     any of its values meet the plan's rows."""
     if state.u.size != plan.grid.nodes.size:
-        raise ValidationError("rhs must have one entry per row")
+        raise ValidationError("state must have one value per grid node")
 
 
 def assemble_scheme1(state: GridState, plan: StepPlan) -> TridiagonalSystem:
@@ -409,9 +415,10 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
                 diag.bound_margin, diag.bound_margin_step = margin, j
             yield state
     except (LiqshockError, OverflowError) as err:
-        # math.exp (restriction ratio, natural edge) overflows on a large
-        # spread |U - V|, and rows that lose strict domination have no
-        # sup-norm bound; both are breakdowns of step j.
+        # the restriction ratio refuses a spread |U - V| past the range of
+        # exp (so the natural edge's math.exp cannot overflow), a caller's
+        # Dirichlet rule can raise OverflowError, and rows that lose strict
+        # domination have no sup-norm bound; all are breakdowns of step j.
         raise SolveFailure(j, str(err)) from err
 
 

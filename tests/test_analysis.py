@@ -168,7 +168,7 @@ class TestStudies:
         for lvl in (40, 80, 160):
             tg = time_grid_from_space(
                 uniform_grid(params.s_min, params.s_max, lvl), params.horizon)
-            for t in (tg, tg.halved()):
+            for t in (tg, TimeGrid(tg.dt / 2, 2 * tg.steps)):
                 expected += [("march", lvl, t), ("seen", lvl, t)]
         assert events == expected
 
@@ -182,7 +182,8 @@ class TestStudies:
             grid = uniform_grid(params.s_min, params.s_max, lvl)
             tg = time_grid_from_space(grid, params.horizon)
             run = solve_forward(params, grid, tg, config)
-            twin = solve_forward(params, grid, tg.halved(), config)
+            twin = solve_forward(params, grid,
+                                 TimeGrid(tg.dt / 2, 2 * tg.steps), config)
             assert tables["r0"][k].value == at_the_money(run)
             assert tables["r1"][k].value == at_the_money(run, "r1")
             assert rows[k].coarse_value == at_the_money(run)
@@ -299,6 +300,45 @@ class TestImplicitOracle:
                             SchemeConfig(scheme))
         assert str(exc.value) == "implicit step stalled at residual nan"
         assert len(solves) <= 1
+
+    def test_damped_step_converges(self, monkeypatch):
+        # The fourth draw of default_rng(3) from the criterion-9 box: the
+        # full Newton step does not lower the residual, so it is halved.
+        rng = np.random.default_rng(3)
+        box = [("sigma", 0.05, 1.0), ("mu", -0.5, 0.5), ("gamma", 0.1, 10.0),
+               ("nu01", 0.01, 20.0), ("nu10", 0.01, 20.0),
+               ("strike", 0.5, 10.0), ("horizon", 0.1, 3.0),
+               ("s_max", 11.0, 50.0)]
+        p = [ModelParams(s_min=0.0, **{key: float(rng.uniform(lo, hi))
+                                       for key, lo, hi in box})
+             for _ in range(4)][-1]
+        grid = uniform_grid(p.s_min, p.s_max, 20)
+        tg = TimeGrid(p.horizon / 4, 4)
+        cfg = SchemeConfig("imex_linearized")
+        # each residual takes two np.exp, each Newton iteration one solve
+        exps, solves, exp, dense = [], [], np.exp, np.linalg.solve
+
+        def counted_exp(x):
+            exps.append(x)
+            return exp(x)
+
+        def counted_solve(*args):
+            solves.append(args)
+            return dense(*args)
+
+        monkeypatch.setattr(np, "exp", counted_exp)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        base = implicit_oracle(p, grid, tg, cfg)
+        # the trial residuals, less each level's first: one per Newton
+        # iteration, and one more for each refused step, of which there
+        # are two, each accepted once halved
+        assert len(exps) // 2 - tg.steps - len(solves) == 2
+        # lifting the payoff by delta / gamma lifts U and V by delta
+        delta = 0.25
+        lifted = implicit_oracle(p, grid, tg, cfg, payoff=lambda s, k:
+                                 payoff_call(s, k) + delta / p.gamma)
+        assert np.abs(lifted.u - base.u - delta).max() <= 1e-12
+        assert np.abs(lifted.v - base.v - delta).max() <= 1e-12
 
     def test_linear_regime_matches_scheme1(self, params, monkeypatch):
         # with the reaction switched off both reduce to implicit diffusion

@@ -417,21 +417,25 @@ class TestCliErrors:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
-        # the reaction restriction ratio overflows math.exp at step 5
+        # the reaction restriction ratio overflows at step 5, on a spread
+        # that the level before it had already let run away
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma=0.5\nmu=0.45\ngamma=1.5\nnu01=19\nnu10=6\n"
                        "strike=4.5\nhorizon=2.5\ns_max=27\nintervals=60\n")
         assert main(["solve", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
-            "numerical failure: time step 5: math range error\n")
+            "numerical failure: time step 5: restriction ratio overflows "
+            "at max |U - V| = 3.394e+266\n")
 
     @pytest.mark.parametrize("command,scheme,code,err", [
         ("solve", "linearized", 0, RESTRICTION_WARNING),
         ("verify", "linearized", 3, RESTRICTION_WARNING),
         ("solve", "linear", 2, RESTRICTION_WARNING + "numerical failure: "
-         "time step 3: math range error\n"),
+         "time step 3: restriction ratio overflows at max |U - V| = "
+         "1.043e+04\n"),
         ("verify", "linear", 2, RESTRICTION_WARNING + "numerical failure: "
-         "time step 3: math range error\n"),
+         "time step 3: restriction ratio overflows at max |U - V| = "
+         "1.043e+04\n"),
     ], ids=["solve-linearized", "verify-linearized", "solve-linear",
             "verify-linear"])
     def test_long_horizon_roundoff_runs(self, tmp_path, capsys, command,

@@ -227,10 +227,6 @@ class TestTimeGrid:
                 assert tg == TimeGrid(dt=tg.dt, steps=tg.steps)
                 assert tg.dt == horizon / tg.steps > 0
 
-    def test_halved(self):
-        tg = TimeGrid(dt=0.25, steps=4).halved()
-        assert tg.steps == 8 and tg.dt == 0.125
-
     def test_rejects_bad_partition(self):
         for dt in (0.0, -0.1, math.inf):
             with pytest.raises(ValidationError,
@@ -240,7 +236,7 @@ class TestTimeGrid:
             with pytest.raises(ValidationError,
                                match="steps must be a whole number >= 1"):
                 TimeGrid(dt=0.25, steps=steps)
-        assert TimeGrid(dt=0.25, steps=np.int64(4)).halved().steps == 8
+        assert type(TimeGrid(dt=0.25, steps=np.int64(4)).steps) is int
 
     def test_checked_steps_refuses_bad_dt(self):
         for dt in (-1.0, 0.0, math.nan):

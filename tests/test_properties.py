@@ -67,7 +67,7 @@ def test_solve_finishes_clean_or_raises_liqshock_error(params, scheme):
 # with its slaved dt.  A finished run's line holds the repr of its
 # at-the-money R0 and R1 and of every SolveDiagnostics field; a run that
 # breaks down, its step and message.
-BOX_PIN = "c9fa24e8ef12b7c59a4849361c1e4a61804614097b20181d3c32aa6552e04d9d"
+BOX_PIN = "97ab936a3e1dab61cc41bdf04cbf74f8673a83159e16fa158fc9b9f3e6552320"
 
 
 def test_box_sample_pinned_bit_for_bit():

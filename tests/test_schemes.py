@@ -14,6 +14,7 @@ from liqshock import (
     DerivedConstants,
     GridState,
     ModelParams,
+    NumericalError,
     SchemeConfig,
     SolveFailure,
     StepPlan,
@@ -102,7 +103,7 @@ class TestInitialState:
                             SchemeConfig(scheme=scheme))
             for build in (assemble_scheme1, assemble_scheme2, step):
                 with pytest.raises(ValidationError,
-                                   match="one entry per row"):
+                                   match="one value per grid node"):
                     build(st, plan)
         with pytest.raises(ValidationError, match="equal length"):
             GridState(0, np.zeros(3), np.zeros(4))
@@ -441,6 +442,18 @@ class TestRestriction:
         plan = StepPlan(grid, tg, dc, SchemeConfig())
         assert restriction_ratio(st, plan) == pytest.approx(0.1 * 12.0)
 
+    # a spread past the range of exp is named, not a raw OverflowError
+    @pytest.mark.parametrize("u0,v0", [(0.0, 800.0), (800.0, 0.0)],
+                             ids=["v_above", "u_above"])
+    def test_overflowing_spread_is_numerical_error(self, dc, u0, v0):
+        plan = StepPlan(uniform_grid(0, 5, 20), TimeGrid(0.05, 20), dc,
+                        SchemeConfig())
+        st = GridState(0, np.full(21, u0), np.full(21, v0))
+        with pytest.raises(NumericalError) as exc:
+            restriction_ratio(st, plan)
+        assert str(exc.value) == ("restriction ratio overflows at "
+                                  "max |U - V| = 8.000e+02")
+
     def test_warns_by_default(self, params):
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.5, steps=2)
@@ -473,7 +486,7 @@ class TestRestriction:
         with pytest.raises(SolveFailure) as exc:
             solve_forward(p, grid, tg, SchemeConfig(scheme=scheme))
         assert exc.value.step_index == failing_step
-        assert isinstance(exc.value.__cause__, OverflowError)
+        assert isinstance(exc.value.__cause__, NumericalError)
 
     # A spread past the range of exp, handed to step (the march refuses it
     # above): numpy's overflow in exp, or the natural edge's OverflowError,

@@ -504,12 +504,14 @@ def audit_sup_bound(run: SolveResult) -> CheckResult:
 
 
 def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
-           config: SchemeConfig) -> AuditReport:
+           config: SchemeConfig | None = None) -> AuditReport:
     """The audit suite that ``liqshock verify`` prints.
 
     Three runs on one grid (call payoff, call + 0.1, zero payoff) march
-    in lockstep.  Each run derives its Dirichlet edge rules from the call
-    run's rule phi: the call run keeps phi, the lifted run gets
+    in lockstep under ``config`` (``None`` is the default
+    ``SchemeConfig()``, as for ``solve_forward``).  Each run derives its
+    Dirichlet edge rules from the call run's rule phi: the call run keeps
+    phi, the lifted run gets
     phi + 0.1 gamma with its data, and the zero run holds the edge at its
     own level-0 value, 0.  Runs with equal configs share one ``StepPlan``
     and so its rows (for ``imex_linear`` also their one elimination):
@@ -527,7 +529,7 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     as data, never raised; a run that breaks down raises its SolveFailure
     at the earliest failing step, without a numpy warning.
     """
-    shift = 0.1 * params.gamma
+    config, shift = config or SchemeConfig(), 0.1 * params.gamma
     # (payoff, the run's rule on a Dirichlet edge where the call run has phi)
     payoffs, edges = zip((payoff_call, lambda phi: phi),
                          (lambda s, k: payoff_call(s, k) + 0.1,

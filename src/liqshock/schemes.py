@@ -228,15 +228,21 @@ def _edge(rule: BoundaryRule, node: int, state: GridState,
     keeps the level-j value, a callable rule is a Dirichlet value at
     tau_{j+1}, and the natural rule advances the reduced ODE
     u' = b - a e^(u-v) one explicit Euler step (for S = 0, where the
-    diffusion degenerates)."""
+    diffusion degenerates).  A value past the float range (the natural
+    rule's ``math.exp``, or a Dirichlet rule or its ``float()`` raising
+    OverflowError) is NaN, so the level it gives is refused as any other
+    non-finite level is."""
     u = float(state.u[node])
     if rule is None:
         return u
-    if rule == NATURAL:
-        dc = plan.dc
-        return u - plan.tg.dt * (dc.a * math.exp(u - float(state.v[node]))
-                                 - dc.b)
-    return float(rule((state.step_index + 1) * plan.tg.dt))
+    try:
+        if rule == NATURAL:
+            dc = plan.dc
+            return u - plan.tg.dt * (
+                dc.a * math.exp(u - float(state.v[node])) - dc.b)
+        return float(rule((state.step_index + 1) * plan.tg.dt))
+    except OverflowError:
+        return math.nan
 
 
 def _system(rows: TridiagonalRows, rhs: np.ndarray, state: GridState,
@@ -276,7 +282,13 @@ def _fit(state: GridState, plan: StepPlan):
 
 def assemble_scheme1(state: GridState, plan: StepPlan) -> TridiagonalSystem:
     """Linear IMEX rows: implicit diffusion, level-j reaction in the load.
-    A state that does not fit the plan's grid is a ValidationError."""
+    A state that does not fit the plan's grid is a ValidationError.
+
+    Called directly, it runs under the caller's numpy error state: on a
+    spread |U - V| that the restriction ratio refuses, or within
+    ln(max(a, c)) of it, numpy warns (``overflow encountered in exp``) and
+    the system holds non-finite values.  ``step`` is the quiet single
+    step, which refuses the level such a system gives."""
     _fit(state, plan)
     u, v = state.u[1:-1], state.v[1:-1]
     dt, _, a, b, *_ = plan._consts
@@ -298,7 +310,12 @@ def assemble_scheme2(state: GridState, plan: StepPlan
     in domination) and the V relation doubles as the recovery formula
     V_new = (G - E U_new) / K, whose (K, E, G) are returned with the rows.
     The rows are derived from the plan's with the new diagonal.  A state
-    that does not fit the plan's grid is a ValidationError.
+    that does not fit the plan's grid is a ValidationError.  Called
+    directly, it has ``assemble_scheme1``'s precondition: near or past the
+    spread the restriction ratio refuses, numpy warns (from U = 0,
+    V = 708, ``overflow encountered in multiply`` and ``invalid value
+    encountered`` in multiply and divide) and the system holds
+    non-finite values; ``step`` is the quiet single step.
     """
     _fit(state, plan)
     u, v = state.u, state.v
@@ -355,14 +372,11 @@ def step(state: GridState,
     eliminated one-point relation.  A state that does not fit the plan's
     grid, or a new level that is not finite, is a ValidationError, raised
     without a numpy warning: a spread |U - V| past the range of exp (which
-    the march refuses before it steps, through the restriction ratio) is
-    such a level, whether numpy or the natural edge's ``math.exp`` meets it.
+    the march refuses before it steps, through the restriction ratio) and
+    an edge value past the float range (``_edge``) both give such a level.
     """
-    try:
-        with np.errstate(all="ignore"):  # a non-finite level is refused
-            new, _, sys = _advance(state, plan)
-    except OverflowError:
-        raise ValidationError("non-finite entries in grid state") from None
+    with np.errstate(all="ignore"):  # a non-finite level is refused
+        new, _, sys = _advance(state, plan)
     return new, sys
 
 
@@ -382,9 +396,10 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
     on the load and is checked at every level.  Each level comes from
     ``_advance``, as ``step``'s does, which checks its finiteness and
     hands back the max |U| that the bound margin reuses.  Numerical
-    failures in the loop, a non-finite level, overflow and lost strict
-    domination included, are re-raised as SolveFailure carrying the
-    failing step index.
+    failures in the loop are LiqshockErrors, a non-finite level (an edge
+    value past the float range included), a restriction ratio that
+    overflows and lost strict domination among them, and are re-raised
+    as SolveFailure carrying the failing step index.
     """
     checked = level = None
     j = 0
@@ -414,11 +429,11 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
             if margin < diag.bound_margin:
                 diag.bound_margin, diag.bound_margin_step = margin, j
             yield state
-    except (LiqshockError, OverflowError) as err:
-        # the restriction ratio refuses a spread |U - V| past the range of
-        # exp (so the natural edge's math.exp cannot overflow), a caller's
-        # Dirichlet rule can raise OverflowError, and rows that lose strict
-        # domination have no sup-norm bound; all are breakdowns of step j.
+    except LiqshockError as err:
+        # the restriction ratio names a spread |U - V| past the range of
+        # exp, _advance refuses a non-finite level (an edge rule past the
+        # float range gives NaN), and rows that lose strict domination have
+        # no sup-norm bound; all are breakdowns of step j.
         raise SolveFailure(j, str(err)) from err
 
 

@@ -257,10 +257,12 @@ def stability_bound(sys: TridiagonalSystem) -> float:
     """Sup-norm a-priori bound max(|mu1|, |mu2|, max_i |F_i| / D_i).
 
     Requires strict domination D_i = |C_i| - |A_i| - |B_i| > 0 on every
-    row; the solved y then satisfies ||y||_inf <= bound.
+    row (a NaN row has none); the solved y then satisfies
+    ||y||_inf <= bound.  A NaN load gives a NaN bound.
     """
     rows = sys.rows
-    if rows.min_domination <= 0:
+    if not rows.min_domination > 0:
         raise ValidationError("strict diagonal domination required")
     interior = float(np.maximum.reduce(np.abs(sys.rhs) / rows.domination))
-    return max(abs(sys.left_value), abs(sys.right_value), interior)
+    # first, so that max keeps a NaN (it drops one that comes later)
+    return max(interior, abs(sys.left_value), abs(sys.right_value))

@@ -458,6 +458,14 @@ class TestAudits:
             assert report.restriction_ok
             assert len(report.lines()) == 6
 
+    def test_verify_default_config(self, params):
+        # no config is the default SchemeConfig(), as for solve_forward
+        grid = uniform_grid(0, 5, 48)
+        tg = time_grid_from_space(grid, params.horizon)
+        lines = verify(params, grid, tg, SchemeConfig()).lines()
+        assert verify(params, grid, tg).lines() == lines
+        assert verify(params, grid, tg, None).lines() == lines
+
     def test_restriction_flagged_on_coarse_run(self, params):
         # dt * c = 3 violates the explicit-reaction restriction
         grid = uniform_grid(0, 5, 12)

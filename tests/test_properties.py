@@ -93,6 +93,8 @@ def test_box_sample_pinned_bit_for_bit():
                         res = solve_forward(p, grid, tg,
                                             SchemeConfig(scheme=scheme))
                 except SolveFailure as err:
+                    # every breakdown is a refusal of the library's own
+                    assert isinstance(err.__cause__, LiqshockError)
                     lines.append(f"{k} {scheme} SolveFailure "
                                  f"{err.step_index} {err}")
                     continue

@@ -503,6 +503,38 @@ class TestRestriction:
         with pytest.raises(ValidationError, match="non-finite entries"):
             step(st, plan)
 
+    # The natural edge's math.exp past the float range gives a NaN edge
+    # value, not a raw OverflowError, from the public assemblers too.
+    @pytest.mark.parametrize("assemble", [assemble_scheme1, assemble_scheme2])
+    def test_overflowing_natural_edge_is_nan(self, dc, assemble):
+        plan = StepPlan(uniform_grid(0, 5, 20), TimeGrid(0.05, 20), dc,
+                        SchemeConfig(left_bc=NATURAL))
+        st = GridState(0, np.full(21, 800.0), np.zeros(21))
+        with np.errstate(all="ignore"):
+            out = assemble(st, plan)
+        system = out if assemble is assemble_scheme1 else out[0]
+        assert not math.isfinite(system.left_value)
+
+    # A Dirichlet rule past the float range, an int float() cannot take
+    # or a body that raises OverflowError, is refused as a non-finite
+    # level by every route, as a rule returning inf is.
+    @pytest.mark.parametrize("rule", [lambda tau: 10 ** 400,
+                                      lambda tau: 10.0 ** 400],
+                             ids=["int_too_large", "raises_overflow"])
+    def test_overflowing_dirichlet_rule_is_non_finite_level(self, params, dc,
+                                                            rule):
+        grid, tg = uniform_grid(0, 5, 20), TimeGrid(0.05, 20)
+        config = SchemeConfig(left_bc=rule)
+        for route in (lambda: solve_forward(params, grid, tg, config),
+                      lambda: verify(params, grid, tg, config)):
+            with pytest.raises(SolveFailure) as exc:
+                route()
+            assert exc.value.step_index == 0
+            assert "non-finite entries" in str(exc.value)
+            assert isinstance(exc.value.__cause__, ValidationError)
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            step(initial_state(grid, params), StepPlan(grid, tg, dc, config))
+
 
 class TestSolveForward:
     def test_trajectory_capture(self, params):

@@ -1,5 +1,6 @@
 """Direct 3-point solver and its monotonicity/stability diagnostics."""
 
+import math
 import os
 import subprocess
 import sys as _sys
@@ -386,3 +387,17 @@ class TestStabilityBound:
                      left_value=0.0, right_value=0.0)
         with pytest.raises(ValidationError):
             stability_bound(sys)
+
+    def test_nan_row_has_no_domination(self):
+        sys = system(lower=np.zeros(2), diag=np.array([1.0, np.nan]),
+                     upper=np.zeros(2), rhs=np.ones(2),
+                     left_value=0.0, right_value=0.0)
+        with pytest.raises(ValidationError, match="strict diagonal"):
+            stability_bound(sys)
+
+    def test_nan_load_gives_nan_bound(self):
+        sys = system(lower=np.zeros(2), diag=np.ones(2),
+                     upper=np.zeros(2), rhs=np.array([np.nan, 1.0]),
+                     left_value=0.0, right_value=0.0)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(stability_bound(sys))

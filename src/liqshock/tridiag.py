@@ -258,11 +258,14 @@ def stability_bound(sys: TridiagonalSystem) -> float:
 
     Requires strict domination D_i = |C_i| - |A_i| - |B_i| > 0 on every
     row (a NaN row has none); the solved y then satisfies
-    ||y||_inf <= bound.  A NaN load gives a NaN bound.
+    ||y||_inf <= bound.  A NaN load or edge value gives a NaN bound.
     """
     rows = sys.rows
     if not rows.min_domination > 0:
         raise ValidationError("strict diagonal domination required")
     interior = float(np.maximum.reduce(np.abs(sys.rhs) / rows.domination))
-    # first, so that max keeps a NaN (it drops one that comes later)
-    return max(interior, abs(sys.left_value), abs(sys.right_value))
+    parts = interior, abs(sys.left_value), abs(sys.right_value)
+    # max drops a NaN that is not its first argument, but the sum keeps
+    # any and, with no NaN, is no less than the max: min picks the NaN or
+    # the max (all parts are >= +0.0, so its bits too)
+    return min(sum(parts), max(parts))

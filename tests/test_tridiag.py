@@ -401,3 +401,11 @@ class TestStabilityBound:
                      left_value=0.0, right_value=0.0)
         with np.errstate(invalid="ignore"):
             assert math.isnan(stability_bound(sys))
+
+    @pytest.mark.parametrize("side", ["left_value", "right_value"])
+    def test_nan_edge_gives_nan_bound(self, side):
+        edges = {"left_value": 0.0, "right_value": 0.0, side: math.nan}
+        sys = system(lower=np.zeros(2), diag=np.ones(2),
+                     upper=np.zeros(2), rhs=np.ones(2), **edges)
+        assert math.isnan(stability_bound(sys))
+        assert np.isnan(solve(sys)).any()

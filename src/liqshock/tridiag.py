@@ -264,8 +264,8 @@ def stability_bound(sys: TridiagonalSystem) -> float:
     if not rows.min_domination > 0:
         raise ValidationError("strict diagonal domination required")
     interior = float(np.maximum.reduce(np.abs(sys.rhs) / rows.domination))
-    parts = interior, abs(sys.left_value), abs(sys.right_value)
+    left, right = abs(sys.left_value), abs(sys.right_value)
     # max drops a NaN that is not its first argument, but the sum keeps
     # any and, with no NaN, is no less than the max: min picks the NaN or
-    # the max (all parts are >= +0.0, so its bits too)
-    return min(sum(parts), max(parts))
+    # the max (all three are >= +0.0, so its bits too)
+    return min(interior + left + right, max(interior, left, right))

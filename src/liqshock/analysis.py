@@ -521,13 +521,14 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     ordered pair and translation by 0.1 gamma as the levels stream past,
     so no trajectory is kept; the M-matrix pattern and the sup-norm bound
     of the call run follow from its diagnostics.  The restriction maximum
-    is taken over all three runs, and a restriction warning names the
-    first caller outside liqshock.  The runs start as ``solve_forward``'s
+    is taken over all three runs, and the report is its one record: a
+    violation raises no warning.  The runs start as ``solve_forward``'s
     does (``_start``: the constants, the three level-0 states, then the
     plans), so anything either refuses fails, with the same error, before
     any run marches.  Failed checks are reported
     as data, never raised; a run that breaks down raises its SolveFailure
-    at the earliest failing step, without a numpy warning.
+    at the earliest failing step, carrying the diagnostics of that run
+    alone, without a numpy warning.
     """
     config, shift = config or SchemeConfig(), 0.1 * params.gamma
     # (payoff, the run's rule on a Dirichlet edge where the call run has phi)

@@ -7,14 +7,18 @@ A run's settings come from ``RunConfig``'s defaults (the standard
 experiment set), then a ``--config`` file, then the flags.  The file is
 line-oriented key=value text: blank lines and '#' comments are ignored,
 keys are case-sensitive, and unknown or duplicate keys are rejected with
-their line numbers.
+their line numbers.  The file is read as UTF-8, whatever the locale.
+
+Each command hands ``main`` the reaction restriction maximum of every
+run it made, and a breakdown carries its run's in
+``SolveFailure.diagnostics``; when any broke the restriction, ``main``
+prints one ``warning:`` line on stderr, before any error line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import astuple, dataclass, fields
 
 from . import analysis
@@ -22,8 +26,8 @@ from .errors import NumericalError, ValidationError
 from .mesh import (HALF_MIN_SPACING, _checked_steps, _size_problems,
                    time_grid_from_space)
 from .model import ModelParams, _param_problems, to_prices
-from .schemes import (NATURAL, SCHEMES, SchemeConfig, initial_state,
-                      solve_forward)
+from .schemes import (NATURAL, RESTRICTION_SLACK, SCHEMES, SchemeConfig,
+                      initial_state, solve_forward)
 
 # Allowed values of the word-valued keys, in the order validate reports
 # them; each maps a word to what it selects.
@@ -148,13 +152,13 @@ def _write_lines(path: str | None, lines: list[str]):
 
 def _load_config(args, one_grid: bool) -> RunConfig:
     """The config file (or the defaults) with the flags applied, checked
-    as the command will use it.  A ladder warns of the file's keys it
-    does not use."""
+    as the command will use it.  A ladder prints a warning line naming
+    the file's keys it does not use."""
     if args.config is not None:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 cfg, lines = _read_config(fh.read())
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ValidationError(f"cannot read {args.config}: {e}") from e
     else:
         cfg, lines = RunConfig(), {}
@@ -173,8 +177,9 @@ def _load_config(args, one_grid: bool) -> RunConfig:
                                         for key, msg in problems))
     unused = [key for key in ("intervals", "dt") if key in lines]
     if unused and not one_grid:
-        warnings.warn(f"{args.command} ignores the config keys "
-                      f"{', '.join(unused)} (--levels sets the grids)")
+        print(f"warning: {args.command} ignores the config keys "
+              f"{', '.join(unused)} (--levels sets the grids)",
+              file=sys.stderr)
     return cfg
 
 
@@ -195,9 +200,10 @@ def _write_csv(path: str | None, header: str, rows):
     _write_lines(path, [header] + [",".join(map(_fmt, row)) for row in rows])
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: RunConfig, maxima: list[float]) -> int:
     params, grid, tg = _one_grid(cfg)
     result = solve_forward(params, grid, tg, _scheme_config(cfg))
+    maxima.append(result.diagnostics.restriction_max)
     dc = result.plan.dc
     first = initial_state(grid, params)
     p_T, q_T = to_prices(first.u, first.v, params.horizon, params, dc)
@@ -208,11 +214,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _study(study, cfg: RunConfig, levels: str, halved: bool = False):
-    """Run a ladder study on the comma list ``levels``.  Every level's
-    grids (with ``halved``, also the dt/2 twins) are built first, so a
-    bad level names --levels; an error from a run prints as it does for
-    solve."""
+def _study(study, cfg: RunConfig, maxima: list[float], levels: str,
+           halved: bool = False):
+    """Run a ladder study on the comma list ``levels``, adding each run's
+    restriction maximum to ``maxima``.  Every level's grids (with
+    ``halved``, also the dt/2 twins) are built first, so a bad level
+    names --levels; an error from a run prints as it does for solve."""
     params = cfg.model_params()
     try:
         sizes = [int(tok) for tok in levels.split(",") if tok.strip()]
@@ -221,11 +228,12 @@ def _study(study, cfg: RunConfig, levels: str, halved: bool = False):
         raise ValidationError(f"--levels: {e}") from e
     sc = _scheme_config(cfg)
     return study(params, sc.scheme, cfg.grid, sizes, alpha=cfg.alpha,
-                 left_bc=sc.left_bc)
+                 left_bc=sc.left_bc, on_result=lambda run: maxima.append(
+                     run.diagnostics.restriction_max))
 
 
-def cmd_converge(cfg: RunConfig, levels: str) -> int:
-    tables = _study(analysis.convergence_tables, cfg, levels)
+def cmd_converge(cfg: RunConfig, maxima: list[float], levels: str) -> int:
+    tables = _study(analysis.convergence_tables, cfg, maxima, levels)
     _write_csv(cfg.output_path, "I,value_R0,diff_R0,ratio_R0,order_R0,"
                "value_R1,diff_R1,ratio_R1,order_R1",
                [astuple(r0) + astuple(r1)[1:]
@@ -233,15 +241,18 @@ def cmd_converge(cfg: RunConfig, levels: str) -> int:
     return 0
 
 
-def cmd_extrapolate(cfg: RunConfig, levels: str) -> int:
-    rows = _study(analysis.extrapolated_study, cfg, levels, halved=True)
+def cmd_extrapolate(cfg: RunConfig, maxima: list[float], levels: str
+                    ) -> int:
+    rows = _study(analysis.extrapolated_study, cfg, maxima, levels,
+                  halved=True)
     _write_csv(cfg.output_path, "I,Z,W,Y,diff_Y,ratio,order",
                map(astuple, rows))
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, maxima: list[float]) -> int:
     report = analysis.verify(*_one_grid(cfg), _scheme_config(cfg))
+    maxima.append(report.restriction_max)
     _write_lines(cfg.output_path, report.lines())
     return 0 if report.passed else 3
 
@@ -285,27 +296,25 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    shown = set()
-
-    def show(message, *_):  # each distinct warning once, as one line
-        if str(message) not in shown:
-            shown.add(str(message))
-            print(f"warning: {message}", file=sys.stderr)
-
     command, _, levels = _COMMANDS[args.command]
-    with warnings.catch_warnings():
-        warnings.showwarning = show
-        try:
-            cfg = _load_config(args, one_grid=levels is None)
-            if levels is None:
-                return command(cfg)
-            return command(cfg, args.levels)
-        except ValidationError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        except NumericalError as e:
-            print(f"numerical failure: {e}", file=sys.stderr)
-            return 2
+    maxima = []  # the restriction maximum of each run, broken down or not
+    try:
+        cfg = _load_config(args, one_grid=levels is None)
+        extra = () if levels is None else (args.levels,)
+        code, error = command(cfg, maxima, *extra), None
+    except ValidationError as e:
+        code, error = 1, f"error: {e}"
+    except NumericalError as e:
+        if getattr(e, "diagnostics", None) is not None:
+            maxima.append(e.diagnostics.restriction_max)
+        code, error = 2, f"numerical failure: {e}"
+    # the rule of AuditReport.restriction_ok, over every run's record
+    if max(maxima, default=0.0) > RESTRICTION_SLACK:
+        print("warning: reaction time-step restriction violated; positivity "
+              "of the march is no longer guaranteed", file=sys.stderr)
+    if error is not None:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,13 @@ class OracleConvergenceError(NumericalError):
 
 
 class SolveFailure(NumericalError):
-    """A time-marching run failed; records the failing step."""
+    """A time-marching run failed; records the failing step.
+
+    ``diagnostics`` holds the run's ``SolveDiagnostics`` up to the failing
+    step, the reaction restriction maximum included; it is ``None`` when
+    the run's plan refused it before any level."""
+
+    diagnostics = None
 
     def __init__(self, step_index, message):
         self.step_index = step_index

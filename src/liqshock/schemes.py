@@ -20,9 +20,7 @@ follows the reduced reaction ODE one explicit Euler step at a time.
 
 from __future__ import annotations
 
-import inspect
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
@@ -110,7 +108,14 @@ class SchemeConfig:
 
 @dataclass
 class SolveDiagnostics:
-    """Per-run aggregates over every tridiagonal solve and reaction step."""
+    """Per-run aggregates over every tridiagonal solve and reaction step.
+
+    The run's one record of the reaction restriction: ``restriction_max``
+    is the worst ratio dt*max(c e^max(V-U), a e^max(U-V)) over the levels
+    stepped from, at ``restriction_max_step``; above ``RESTRICTION_SLACK``
+    the positivity of the march is no longer guaranteed.  A finished run
+    carries it in ``SolveResult.diagnostics``, a breakdown in
+    ``SolveFailure.diagnostics``."""
 
     solves: int = 0
     m_matrix_ok: bool = True
@@ -388,20 +393,20 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
 
     Each step's checks are folded into the caller's ``diag`` before its
     state is yielded, in this order: the reaction restriction ratio of
-    the level stepped from (a ratio above 1 warns at the first frame
-    outside liqshock, the caller of ``solve_forward``, ``verify`` or a
-    ladder), the new level's finiteness, the M-matrix conditions once per
-    distinct row set (once per run for ``imex_linear``, whose rows are the
-    plan's at every level), and the sup-norm bound margin, which depends
-    on the load and is checked at every level.  Each level comes from
-    ``_advance``, as ``step``'s does, which checks its finiteness and
-    hands back the max |U| that the bound margin reuses.  Numerical
-    failures in the loop are LiqshockErrors, a non-finite level (an edge
-    value past the float range included), a restriction ratio that
-    overflows and lost strict domination among them, and are re-raised
-    as SolveFailure carrying the failing step index.
+    the level stepped from (recorded only: a ratio above 1 voids the
+    positivity guarantee but not the run), the new level's finiteness,
+    the M-matrix conditions once per distinct row set (once per run for
+    ``imex_linear``, whose rows are the plan's at every level), and the
+    sup-norm bound margin, which depends on the load and is checked at
+    every level.  Each level comes from ``_advance``, as ``step``'s does,
+    which checks its finiteness and hands back the max |U| that the bound
+    margin reuses.  Numerical failures in the loop are LiqshockErrors, a
+    non-finite level (an edge value past the float range included), a
+    restriction ratio that overflows and lost strict domination among
+    them, and are re-raised as SolveFailure carrying the failing step
+    index and ``diag`` as it stood then.
     """
-    checked = level = None
+    checked = None
     j = 0
     try:
         yield state
@@ -409,15 +414,6 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
             ratio = restriction_ratio(state, plan)
             if ratio > diag.restriction_max:
                 diag.restriction_max, diag.restriction_max_step = ratio, j
-            if ratio > RESTRICTION_SLACK:
-                if level is None:  # one caller resumes every level
-                    frame, level = inspect.currentframe().f_back, 2
-                    while frame and frame.f_globals.get(
-                            "__name__", "").startswith("liqshock."):
-                        frame, level = frame.f_back, level + 1
-                warnings.warn("reaction time-step restriction violated; "
-                              "positivity of the march is no longer "
-                              "guaranteed", RuntimeWarning, stacklevel=level)
             state, u_max, sys = _advance(state, plan)
             if sys.rows is not checked:
                 checked, ok = sys.rows, check_m_matrix(sys)
@@ -434,7 +430,9 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
         # exp, _advance refuses a non-finite level (an edge rule past the
         # float range gives NaN), and rows that lose strict domination have
         # no sup-norm bound; all are breakdowns of step j.
-        raise SolveFailure(j, str(err)) from err
+        failure = SolveFailure(j, str(err))
+        failure.diagnostics = diag
+        raise failure from err
 
 
 def _start(params: ModelParams, grid: SpatialGrid, tg: TimeGrid, payoffs,
@@ -467,14 +465,15 @@ def solve_forward(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     margin, worst sup-norm bound margin, worst reaction-step restriction
     ratio, each with its step) and its plan, which carries the grid,
     time grid, constants and scheme config the run used.  A restriction
-    ratio above 1 warns, pointing at the first caller outside liqshock.
-    Parameters without constants, then a level-0 state the payoff cannot
-    represent, then anything the plan refuses (a time grid that
-    overshoots the horizon, more than ``MAX_CELLS`` cells, non-finite
-    diffusion rows), fail before any level runs.  Numerical failures,
-    overflow and lost strict domination included, are raised as
-    SolveFailure carrying the failing step index (0 for the rows), without
-    a numpy warning.
+    ratio above 1 is reported only there, in ``restriction_max``: the run
+    raises no warning of its own.  Parameters without constants, then a
+    level-0 state the payoff cannot represent, then anything the plan
+    refuses (a time grid that overshoots the horizon, more than
+    ``MAX_CELLS`` cells, non-finite diffusion rows), fail before any
+    level runs.  Numerical failures, overflow and lost strict domination
+    included, are raised as SolveFailure carrying the failing step index
+    (0 for the rows) and the diagnostics up to it (``None`` for the
+    rows), without a numpy warning.
     """
     (first,), (plan,) = _start(params, grid, tg, (payoff,), (config,))
     diag = SolveDiagnostics()

@@ -470,33 +470,31 @@ class TestAudits:
         # dt * c = 3 violates the explicit-reaction restriction
         grid = uniform_grid(0, 5, 12)
         tg = TimeGrid(dt=0.25, steps=4)
-        with pytest.warns(RuntimeWarning):
-            run = solve_forward(params, grid, tg, capture_trajectory=True)
+        run = solve_forward(params, grid, tg, capture_trajectory=True)
         report = AuditReport(checks=[audit_m_matrix(run)],
                              restriction_max=run.diagnostics.restriction_max)
         assert not report.restriction_ok
         assert report.restriction_max > 2.0
         assert any("restriction" in line for line in report.lines())
 
-    def test_restriction_warning_names_verify_caller(self, params):
+    def test_restriction_recorded_by_verify_and_ladders(self, params):
+        # dt*c = 3 in each of verify's three runs
         grid = uniform_grid(0, 5, 12)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            verify(params, grid, TimeGrid(dt=0.25, steps=4), SchemeConfig())
-        # one per step of each of the three runs, each naming this line
-        assert len(caught) == 12
-        assert {w.filename for w in caught} == {__file__}
-        # the ladders name their caller too: at levels 10 and 20 the slaved
-        # dt gives dt*c = 3 and 1.5, so every step of those runs warns, and
-        # the dt/2 twins give 1.5 and 0.75
-        for study, warned in ((extrapolated_study, 4 + 8 + 8),
-                              (convergence_tables, 4 + 8),
-                              (convergence_study, 4 + 8)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                study(params, "imex_linear", "uniform", [10, 20])
-            assert len(caught) == warned
-            assert {w.filename for w in caught} == {__file__}
+        report = verify(params, grid, TimeGrid(dt=0.25, steps=4),
+                        SchemeConfig())
+        assert report.restriction_max > 1
+        # a ladder hands each run's record to on_result: at levels 10 and
+        # 20 the slaved dt gives dt*c = 3 and 1.5, and the dt/2 twins give
+        # 1.5 and 0.75
+        for study, violated in ((extrapolated_study, [True, True, True,
+                                                      False]),
+                                (convergence_tables, [True, True]),
+                                (convergence_study, [True, True])):
+            maxima = []
+            study(params, "imex_linear", "uniform", [10, 20],
+                  on_result=lambda run: maxima.append(
+                      run.diagnostics.restriction_max))
+            assert [m > 1 for m in maxima] == violated
 
     def test_overshooting_time_grid_refused(self, params):
         # 5 steps of 1/4.8 end at tau = 1.0417 > T = 1: refused before any
@@ -530,12 +528,46 @@ class TestAudits:
         assert p.horizon - tg.steps * tg.dt == pytest.approx(-3.6e-12,
                                                              rel=0.01)
         config = SchemeConfig(scheme="imex_linearized")
-        with pytest.warns(RuntimeWarning, match="restriction"):
-            report = verify(p, grid, tg, config)
+        report = verify(p, grid, tg, config)
+        assert not report.restriction_ok
         assert report.checks[0].name == "positivity"
         assert len(report.checks) == 6
 
-    @pytest.mark.filterwarnings("ignore:reaction time-step:RuntimeWarning")
+    def test_verify_breakdown_carries_its_run_diagnostics(self, params):
+        # on the long horizon above, imex_linear's restriction ratio
+        # overflows at step 3 of the call run, the first of the three
+        # lockstep runs to take that step: verify's failure carries that
+        # run's diagnostics, as the call run's own failure does
+        p = replace(params, nu10=1.0, horizon=27665.734685534153)
+        grid = uniform_grid(0, 5, 10)
+        tg = time_grid_from_space(grid, p.horizon, 8.442397)
+        failures = []
+        for route in (solve_forward, verify):
+            with pytest.raises(SolveFailure) as exc:
+                route(p, grid, tg, SchemeConfig())
+            failures.append(exc.value)
+        alone, lockstep = failures
+        assert lockstep.step_index == alone.step_index == 3
+        assert lockstep.diagnostics == alone.diagnostics
+        assert lockstep.diagnostics.restriction_max > 1
+
+    def test_restriction_raises_no_warning(self, params):
+        # dt*c = 3 and 1.5: every run below breaks the restriction but the
+        # last twin, and each route returns normally under a filter that
+        # makes any warning an error, with the violation in its record
+        grid, tg = uniform_grid(0, 5, 12), TimeGrid(dt=0.25, steps=4)
+        maxima = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = solve_forward(params, grid, tg)
+            report = verify(params, grid, tg, SchemeConfig())
+            extrapolated_study(params, "imex_linear", "uniform", [10, 20],
+                               on_result=lambda r: maxima.append(
+                                   r.diagnostics.restriction_max))
+        assert run.diagnostics.restriction_max > 1
+        assert report.restriction_max > 1
+        assert max(maxima) > 1
+
     @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
     def test_verify_lifts_dirichlet_edges(self, params, scheme):
         # the call + 0.1 run's data are lifted by 0.1 gamma, its Dirichlet
@@ -577,12 +609,11 @@ class TestAudits:
         tg = time_grid_from_space(grid, params.horizon)
         config = SchemeConfig(scheme, right_bc=lambda tau: 3.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no restriction warning either
+            warnings.simplefilter("error")  # no numpy warning
             report = verify(params, grid, tg, config)
         assert report.restriction_max <= 1
         assert report.lines() == lines  # and no [WARN] line
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_requires_trajectory(self, params):
         grid = uniform_grid(0, 5, 48)
         tg = time_grid_from_space(grid, params.horizon)
@@ -637,9 +668,7 @@ def captured_verify(params, grid, tg, config):
 def outcome(route, *args):
     """What ``route`` returns, or the type and message it raises."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return route(*args)
+        return route(*args)
     except LiqshockError as err:
         return f"{type(err).__name__}: {err}"
 
@@ -732,7 +761,6 @@ def test_at_the_money_interpolates(params):
 # At gamma = 1e307 the level-0 state is finite, but u / dt overflows in the
 # first level.  Each public run refuses it through its finiteness checks,
 # and no numpy warning leaves it past the warning gate of pyproject.toml.
-@pytest.mark.filterwarnings("ignore:reaction time-step:RuntimeWarning")
 @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
 def test_overflowing_level_raises_without_numpy_warning(params, scheme):
     p = replace(params, gamma=1e307)

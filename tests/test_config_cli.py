@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,6 +23,8 @@ RESTRICTION_WARNING = ("warning: reaction time-step restriction violated; "
                        "positivity of the march is no longer guaranteed\n")
 OVERFLOWING_LEVEL = (RESTRICTION_WARNING + "numerical failure: time step 0: "
                      "non-finite entries in grid state\n")
+UNDECODABLE = ("'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte\n")
 FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
               "s_min", "s_max", "alpha", "dt")
 
@@ -36,10 +37,7 @@ def load(tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(text)
         args = _build_parser().parse_args(["converge", "--config", str(path)])
-        with warnings.catch_warnings():
-            # the note that a ladder does not use the intervals or dt keys
-            warnings.filterwarnings("ignore", "converge ignores")
-            return _load_config(args, one_grid=False)
+        return _load_config(args, one_grid=False)
     return load
 
 
@@ -376,11 +374,20 @@ class TestCliErrors:
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent/x.cfg"]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        # the file is read as UTF-8 whatever the locale
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {cfg}: {UNDECODABLE}")
+
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         assert main(["solve", "--I", "10", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}:")
+        # the run finished, breaking the restriction, before the write
+        assert capsys.readouterr().err.startswith(
+            f"{RESTRICTION_WARNING}error: cannot write {out}:")
 
     def test_restriction_warning_is_one_line(self, tmp_path, capsys):
         # dt*c = 0.25*12 breaks the reaction restriction on every step
@@ -415,7 +422,6 @@ class TestCliErrors:
         assert key in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_is_numerical_failure(self, tmp_path, capsys):
         # the reaction restriction ratio overflows at step 5, on a spread
         # that the level before it had already let run away
@@ -423,7 +429,7 @@ class TestCliErrors:
         cfg.write_text("sigma=0.5\nmu=0.45\ngamma=1.5\nnu01=19\nnu10=6\n"
                        "strike=4.5\nhorizon=2.5\ns_max=27\nintervals=60\n")
         assert main(["solve", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr().err == RESTRICTION_WARNING + (
             "numerical failure: time step 5: restriction ratio overflows "
             "at max |U - V| = 3.394e+266\n")
 
@@ -459,7 +465,6 @@ class TestCliErrors:
         assert "numerical failure: non-finite prices" in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", [
         ["solve", "--scheme", "linear"],
         ["solve", "--scheme", "linearized"],
@@ -470,7 +475,7 @@ class TestCliErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma=1e8\n")
         assert main([*command, "--I", "10", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr().err == RESTRICTION_WARNING + (
             "numerical failure: time step 0: "
             "strict diagonal domination required\n")
 
@@ -627,12 +632,35 @@ class TestCliProcess:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(config)
             argv = [*argv, "--config", str(cfg)]
-        done = subprocess.run(
-            [sys.executable, "-m", "liqshock.cli", *argv],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
+        done = run_cli(argv)
         # the whole of stderr, so a traceback fails the test too
         assert (done.returncode, done.stderr) == (code, err)
+
+    # the restriction line is read from the run's record, so no warning
+    # filter turns it into an error or drops it
+    @pytest.mark.parametrize("flags,env", [
+        ([], {"PYTHONWARNINGS": "error"}), (["-W", "ignore"], {})],
+        ids=["warnings-error", "warnings-ignore"])
+    def test_warning_filters_change_nothing(self, flags, env):
+        done = run_cli(["solve", "--I", "10"], flags, env)
+        assert (done.returncode, done.stderr) == (0, RESTRICTION_WARNING)
+
+    def test_undecodable_config_file(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        done = run_cli(["solve", "--config", str(cfg)])
+        assert "Traceback" not in done.stderr
+        assert (done.returncode, done.stderr) == (
+            1, f"error: cannot read {cfg}: {UNDECODABLE}")
+
+
+def run_cli(argv, flags=(), env=None):
+    """``python FLAGS -m liqshock.cli ARGV`` as a real process, with
+    ``env`` added to the environment, under a 60 s timeout."""
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "liqshock.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC), **(env or {})})
 
 
 def test_import_leaves_out_the_cli():

@@ -266,7 +266,6 @@ class TestAssembleScheme1:
 
 
 class TestStepScheme1:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_reaction_only_hand_values(self, params):
         dc = reaction_only_dc()
         grid = uniform_grid(0, 5, 6)
@@ -342,7 +341,6 @@ class TestStepScheme2:
         lhs = e_hat * nxt.u + k_hat * nxt.v
         np.testing.assert_allclose(lhs, g, rtol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_reaction_only_v_relation(self, params):
         dc = reaction_only_dc()
         grid = uniform_grid(0, 5, 6)
@@ -454,19 +452,18 @@ class TestRestriction:
         assert str(exc.value) == ("restriction ratio overflows at "
                                   "max |U - V| = 8.000e+02")
 
-    def test_warns_by_default(self, params):
+    def test_restriction_recorded_by_default(self, params):
+        # dt*c = 6: the run's diagnostics are the one record of it
         grid = uniform_grid(0, 5, 10)
         tg = TimeGrid(dt=0.5, steps=2)
-        with pytest.warns(RuntimeWarning) as caught:
-            res = solve_forward(params, grid, tg)
-        # the warning names the line that asked for the run
-        assert caught[0].filename == __file__
+        res = solve_forward(params, grid, tg)
         assert res.diagnostics.restriction_max == pytest.approx(0.5 * 12.0)
         assert res.diagnostics.restriction_max_step == 0
 
     # Parameter sets from the acceptance criterion-9 box on which the
-    # restriction ratio's math.exp overflows at the given step.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # restriction ratio's math.exp overflows at the given step, after the
+    # levels before it broke the restriction: the failure carries their
+    # diagnostics.
     @pytest.mark.parametrize("scheme,values,failing_step", [
         ("imex_linear", dict(sigma=0.5, mu=0.45, gamma=1.5, nu01=19.0,
                              nu10=6.0, strike=4.5, horizon=2.5, s_max=27.0),
@@ -487,6 +484,10 @@ class TestRestriction:
             solve_forward(p, grid, tg, SchemeConfig(scheme=scheme))
         assert exc.value.step_index == failing_step
         assert isinstance(exc.value.__cause__, NumericalError)
+        diag = exc.value.diagnostics
+        assert diag.restriction_max > 1
+        assert 0 <= diag.restriction_max_step < failing_step
+        assert diag.solves == failing_step
 
     # A spread past the range of exp, handed to step (the march refuses it
     # above): numpy's overflow in exp, or the natural edge's OverflowError,
@@ -570,7 +571,6 @@ class TestSolveForward:
 
     # sigma = 1e8 swamps 1/dt in D = C - A - B, so the first rows lose
     # strict domination and have no sup-norm bound.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
     def test_lost_domination_is_solve_failure(self, params, scheme):
         p = replace(params, sigma=1e8)
@@ -596,8 +596,9 @@ class TestSolveForward:
             with pytest.raises(SolveFailure, match=rows) as exc:
                 route(params, grid, TimeGrid(dt=0.1, steps=10))
             assert exc.value.step_index == 0
-        # dt*c = 0.6 keeps the restriction, and the overflow is reported
-        # once, as the failure, without a warning first
+        # the overflow is reported once, as the failure, without a numpy
+        # warning first; refused by the plan, before any level, the
+        # failure carries no diagnostics
         for p, grid in ((params, grid), (params, uniform_grid(0, 1e155, 10)),
                         (params, tavella_randall_grid(0, 1e200, 2, 15, 10)),
                         (replace(params, sigma=1.3e154),
@@ -608,6 +609,7 @@ class TestSolveForward:
                     with pytest.raises(SolveFailure, match=rows) as exc:
                         route(p, grid, TimeGrid(dt=0.05, steps=20))
                 assert exc.value.step_index == 0
+                assert exc.value.diagnostics is None
 
     def test_nonfinite_state_refused_before_rows(self, params):
         # gamma * payoff overflows the level-0 state, sigma**2 the rows and

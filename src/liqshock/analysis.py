@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OracleConvergenceError, ValidationError
+from .errors import NumericalError, OracleConvergenceError, ValidationError
 from .mesh import (
     SpatialGrid,
     TimeGrid,
@@ -115,7 +115,9 @@ class ExtrapolationRow:
 
 def at_the_money(result: SolveResult, quantity: str = "r0") -> float:
     """Linear interpolation of R0 ("r0") or R1 ("r1") at S = strike on
-    the final level; a strike off the grid is an error."""
+    the final level; a strike off the grid is a ValidationError, and a
+    value that is not finite (a subnormal gamma overflows the division)
+    a NumericalError, so no ladder tabulates it."""
     if quantity not in ("r0", "r1"):
         raise ValidationError(f"quantity must be 'r0' or 'r1': {quantity!r}")
     nodes = result.plan.grid.nodes
@@ -124,7 +126,11 @@ def at_the_money(result: SolveResult, quantity: str = "r0") -> float:
         raise ValidationError(f"strike {strike} outside the grid "
                               f"[{nodes[0]}, {nodes[-1]}]")
     values = result.final_state.u if quantity == "r0" else result.final_state.v
-    return float(np.interp(strike, nodes, values)) / result.params.gamma
+    value = float(np.interp(strike, nodes, values)) / result.params.gamma
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite at-the-money {quantity.upper()} "
+                             f"at S={strike}")
+    return value
 
 
 # Each grid kind, as the CLI words it, and its grid on (params,
@@ -299,9 +305,10 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     without constants first, then a non-finite level-0 state, then what
     the plan refuses (a time grid that overshoots the horizon, and
     diffusion rows it cannot represent as the same SolveFailure at step
-    0).  A level whose residual is not finite, or that does not reach
-    ``ORACLE_TOL`` in ``ORACLE_MAX_ITER`` iterations, is an
-    OracleConvergenceError.
+    0).  A level whose residual is not finite, whose Newton matrix is
+    singular, or that does not reach ``ORACLE_TOL`` in ``ORACLE_MAX_ITER``
+    iterations stops iterating, and is an OracleConvergenceError naming
+    the residual it stalled at.
     """
     if grid.intervals > 64 or tg.steps > 128:
         raise ValidationError("implicit oracle is restricted to I <= 64, J <= 128")
@@ -351,7 +358,10 @@ def implicit_oracle(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
                 main[fixed] = 1.0
                 rhs = -ru - e * rv / jvv
                 rhs[fixed] = 0.0
-                du = np.linalg.solve(np.diag(main) - coupling, rhs)
+                try:
+                    du = np.linalg.solve(np.diag(main) - coupling, rhs)
+                except np.linalg.LinAlgError:  # singular: no Newton step
+                    break
                 dv = (-rv + zz * du) / jvv
                 step = 1.0
                 for _ in range(40):
@@ -468,7 +478,8 @@ def _translation(delta: float, base: int, shifted: int):
 
 
 def audit_positivity(run: SolveResult) -> CheckResult:
-    """Worst transformed price (p or q) over the whole space-time grid."""
+    """Worst transformed price (p or q) over the whole space-time grid;
+    a level whose prices are not finite is ``to_prices``' NumericalError."""
     return _scan(_captured("positivity", [run]),
                  [_positivity(run.params, run.plan)])[0]
 
@@ -528,7 +539,8 @@ def verify(params: ModelParams, grid: SpatialGrid, tg: TimeGrid,
     any run marches.  Failed checks are reported
     as data, never raised; a run that breaks down raises its SolveFailure
     at the earliest failing step, carrying the diagnostics of that run
-    alone, without a numpy warning.
+    alone, without a numpy warning, and a level whose prices are not
+    finite raises the NumericalError of ``to_prices``.
     """
     config, shift = config or SchemeConfig(), 0.1 * params.gamma
     # (payoff, the run's rule on a Dirichlet edge where the call run has phi)

@@ -25,16 +25,17 @@ class OracleConvergenceError(NumericalError):
 
 
 class SolveFailure(NumericalError):
-    """A time-marching run failed; records the failing step.
+    """A time-marching run failed; records the failing step and the run's
+    diagnostics up to it.
 
     ``diagnostics`` holds the run's ``SolveDiagnostics`` up to the failing
-    step, the reaction restriction maximum included; it is ``None`` when
-    the run's plan refused it before any level."""
+    step, the reaction restriction maximum included, given when the
+    failure is built; it is ``None`` when the run's plan refused it before
+    any level."""
 
-    diagnostics = None
-
-    def __init__(self, step_index, message):
+    def __init__(self, step_index, message, diagnostics=None):
         self.step_index = step_index
+        self.diagnostics = diagnostics
         super().__init__(f"time step {step_index}: {message}")
 
 

@@ -136,10 +136,11 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
         # Algebraically impossible for positive intensities: corrupted
         # inputs, or a trace whose square overflows (or is NaN).
         raise ValidationError("degenerate root pair: discriminant <= 0 or inf")
+    # disc is at least an ulp of trace^2, so sqrt(disc) is at least about
+    # 1e-8 trace and lam1 exceeds lam2 by far more than an ulp (an
+    # underflowing d0 * nu10 gives lam2 = 0): the roots never coincide.
     lam1 = 0.5 * (trace + math.sqrt(disc))
     lam2 = (d0 * params.nu10) / lam1
-    if lam1 == lam2:
-        raise ValidationError("degenerate root pair: lambda1 == lambda2")
     return DerivedConstants(d0=d0, a=a, b=b, c=c, lambda1=lam1, lambda2=lam2,
                             sigma=params.sigma, horizon=params.horizon)
 
@@ -161,8 +162,11 @@ def evaluate_f(dc: DerivedConstants, t: float) -> tuple[float, float]:
     """Evaluate (F0(t), F1(t)) for calendar time t in [0, T].
 
     Internally uses exponents lam*(t - T) <= 0, which keeps both values
-    finite and positive for arbitrarily large rates and enforces
-    F0(T) = F1(T) = 1 up to roundoff.
+    finite for arbitrarily large rates (no exp(+lam t) overflows) and
+    enforces F0(T) = F1(T) = 1 up to roundoff.  They are positive in exact
+    arithmetic, not always in floating point: F0 underflows to 0 once
+    lam2*(T - t) passes about 745, and F1 cancels to 0 when nu01 is
+    subnormal.  ``to_prices`` refuses a time whose F is not positive.
     """
     T = dc.horizon
     if not _in_horizon(t, T):
@@ -194,7 +198,9 @@ def to_prices(u, v, t: float, params: ModelParams,
 
     p = u/gamma + ln(F0(t))/gamma and q = v/gamma + ln(F1(t))/gamma,
     applied pointwise; u and v must share a shape.  A price that is not
-    finite (a subnormal gamma overflows the division) is a NumericalError.
+    finite is a NumericalError, ``non-finite prices at t=...``: a
+    subnormal gamma overflows the division, and an F that underflowed or
+    cancelled to 0 has no log, which reads as NaN.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -203,8 +209,8 @@ def to_prices(u, v, t: float, params: ModelParams,
     f0, f1 = evaluate_f(dc, t)
     g = params.gamma
     with np.errstate(all="ignore"):  # reported once, just below
-        p = u / g + math.log(f0) / g
-        q = v / g + math.log(f1) / g
+        p = u / g + (math.log(f0) if f0 > 0 else math.nan) / g
+        q = v / g + (math.log(f1) if f1 > 0 else math.nan) / g
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise NumericalError(f"non-finite prices at t={t}")
     return p, q

@@ -403,8 +403,8 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
     margin reuses.  Numerical failures in the loop are LiqshockErrors, a
     non-finite level (an edge value past the float range included), a
     restriction ratio that overflows and lost strict domination among
-    them, and are re-raised as SolveFailure carrying the failing step
-    index and ``diag`` as it stood then.
+    them, and are re-raised as one SolveFailure, built with the failing
+    step index and ``diag`` as it stood then.
     """
     checked = None
     j = 0
@@ -430,9 +430,7 @@ def _march(state: GridState, plan: StepPlan, diag: SolveDiagnostics
         # exp, _advance refuses a non-finite level (an edge rule past the
         # float range gives NaN), and rows that lose strict domination have
         # no sup-norm bound; all are breakdowns of step j.
-        failure = SolveFailure(j, str(err))
-        failure.diagnostics = diag
-        raise failure from err
+        raise SolveFailure(j, str(err), diag) from err
 
 
 def _start(params: ModelParams, grid: SpatialGrid, tg: TimeGrid, payoffs,

@@ -301,6 +301,22 @@ class TestImplicitOracle:
         assert str(exc.value) == "implicit step stalled at residual nan"
         assert len(solves) <= 1
 
+    @pytest.mark.parametrize("scheme", ["imex_linear", "imex_linearized"])
+    def test_singular_newton_matrix_ends_the_level(self, scheme):
+        # on nodes up to 1e150, 1/dt ~ 8e-150 vanishes beside the diffusion
+        # weights and the reaction terms cancel, so the dense Newton matrix
+        # is singular; solve_forward refuses the same rows as lost strict
+        # domination
+        p = ModelParams(sigma=3, mu=3, gamma=0.01, nu01=20, nu10=20,
+                        strike=7.5e149, horizon=1e150, s_max=1e150)
+        grid = uniform_grid(0, 1e150, 4)
+        tg = time_grid_from_space(grid, p.horizon)
+        with pytest.raises(OracleConvergenceError,
+                           match="^implicit step stalled at residual "):
+            implicit_oracle(p, grid, tg, SchemeConfig(scheme))
+        with pytest.raises(SolveFailure, match="strict diagonal domination"):
+            solve_forward(p, grid, tg, SchemeConfig(scheme))
+
     def test_damped_step_converges(self, monkeypatch):
         # The fourth draw of default_rng(3) from the criterion-9 box: the
         # full Newton step does not lower the residual, so it is halved.

@@ -27,6 +27,14 @@ UNDECODABLE = ("'utf-8' codec can't decode byte 0xff in position 0: "
                "invalid start byte\n")
 FLOAT_KEYS = ("sigma", "mu", "gamma", "nu01", "nu10", "strike", "horizon",
               "s_min", "s_max", "alpha", "dt")
+# F0 underflows to 0 below t ~ 1.53, where lambda2 * (T - t) passes ~745
+LONG_HORIZON = "sigma=0.05\nmu=0.5\nnu10=20\nhorizon=40\n"
+# subnormal intensities: F1 cancels to 0 at the horizon itself
+SUBNORMAL_RATES = ("sigma=0.5\nmu=0.01\ngamma=1e5\nnu01=1e-320\nnu10=1e-320\n"
+                   "strike=82855.537370781\nhorizon=0.5\ns_max=1e5\n")
+# d0 = 5e29: F1 cancels to 0 at the horizon too, where it is 1 exactly
+HUGE_D0 = ("sigma=1e-10\nmu=-1e5\ngamma=1e150\nnu01=0.5\nnu10=1\n"
+           "strike=11.133014673778128\nhorizon=1e-300\ns_max=20\n")
 
 
 @pytest.fixture
@@ -465,6 +473,41 @@ class TestCliErrors:
         assert "numerical failure: non-finite prices" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["converge", "extrapolate"])
+    def test_nonfinite_ladder_value_is_numerical_failure(self, tmp_path,
+                                                         capsys, command):
+        # the march is finite, but R1 = V / gamma overflows at the strike:
+        # refused as solve refuses its prices, with no table written
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma=1e-310\n")
+        assert main([command, "--levels", "10,20", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", RESTRICTION_WARNING + (
+            "numerical failure: non-finite at-the-money R1 at S=2.0\n"))
+
+    @pytest.mark.parametrize("command,text,err", [
+        (["solve", "--I", "10", "--scheme", "linearized"], LONG_HORIZON,
+         RESTRICTION_WARNING + "numerical failure: non-finite prices at "
+         "t=0.0\n"),
+        (["verify", "--I", "10", "--scheme", "linearized"], LONG_HORIZON,
+         "numerical failure: non-finite prices at t=1.5\n"),
+        (["solve", "--I", "3"], SUBNORMAL_RATES,
+         "numerical failure: non-finite prices at t=0.5\n"),
+        (["verify", "--I", "3"], SUBNORMAL_RATES,
+         "numerical failure: non-finite prices at t=0.5\n"),
+        (["verify", "--I", "2"], HUGE_D0,
+         "numerical failure: non-finite prices at t=1e-300\n"),
+    ], ids=["solve-long-horizon", "verify-long-horizon",
+            "solve-subnormal-rates", "verify-subnormal-rates",
+            "verify-huge-d0"])
+    def test_f_without_log_is_numerical_failure(self, tmp_path, capsys,
+                                                command, text, err):
+        # F0 or F1 underflowed or cancelled to 0, so it has no
+        # log and the prices at that time are refused as non-finite
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main([*command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize("command", [
         ["solve", "--scheme", "linear"],
         ["solve", "--scheme", "linearized"],
@@ -624,9 +667,12 @@ class TestCliProcess:
          "error: grid nodes must be finite and strictly increasing\n"),
         (["verify", "--I", "20", "--scheme", "linearized"], "gamma=1e307\n",
          2, OVERFLOWING_LEVEL),
+        (["solve", "--I", "10", "--scheme", "linearized"], LONG_HORIZON, 2,
+         RESTRICTION_WARNING + "numerical failure: non-finite prices at "
+         "t=0.0\n"),
     ], ids=["solved", "runaway-I", "runaway-intervals", "runaway-dt",
             "lost-domination", "failed-audit", "nonfinite-rows",
-            "nonfinite-nodes", "overflowing-level"])
+            "nonfinite-nodes", "overflowing-level", "f-without-log"])
     def test_exit_code_and_stderr(self, tmp_path, argv, config, code, err):
         if config is not None:
             cfg = tmp_path / "run.cfg"

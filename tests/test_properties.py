@@ -12,6 +12,7 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +22,14 @@ from liqshock import (
     SchemeConfig,
     SolveFailure,
     at_the_money,
+    audit_positivity,
+    extrapolated_study,
+    implicit_oracle,
     solve_forward,
     tavella_randall_grid,
     time_grid_from_space,
     uniform_grid,
+    verify,
 )
 
 # the box acceptance criterion 9 samples
@@ -99,3 +104,48 @@ def test_box_sample_pinned_bit_for_bit():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert sum("SolveFailure" in line for line in lines) > 0
     assert digest == BOX_PIN
+
+
+# Parameter sets past the box, each with the intervals of its uniform
+# grid and the schemes it runs, that reach corners of floating point the
+# box does not: F0 underflowing to 0 over a long horizon, F1 cancelling
+# to 0 under subnormal intensities or a huge d0, and a Newton matrix of
+# the implicit oracle that is singular on nodes up to 1e150.
+BOTH = ["imex_linear", "imex_linearized"]
+EDGE_SETS = {
+    "long-horizon": (dict(sigma=0.05, mu=0.5, gamma=1.0, nu01=1.0,
+                          nu10=20.0, strike=2.0, horizon=40.0), 10,
+                     ["imex_linearized"]),
+    "subnormal-rates": (dict(sigma=0.5, mu=0.01, gamma=1e5, nu01=1e-320,
+                             nu10=1e-320, strike=82855.537370781,
+                             horizon=0.5, s_max=1e5), 3, BOTH),
+    "huge-d0": (dict(sigma=1e-10, mu=-1e5, gamma=1e150, nu01=0.5, nu10=1.0,
+                     strike=11.133014673778128, horizon=1e-300,
+                     s_max=20.0), 2, BOTH),
+    "singular-oracle": (dict(sigma=3.0, mu=3.0, gamma=0.01, nu01=20.0,
+                             nu10=20.0, strike=7.5e149, horizon=1e150,
+                             s_max=1e150), 4, BOTH),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_SETS)
+def test_edge_sets_raise_only_liqshock_errors(name):
+    kw, intervals, schemes = EDGE_SETS[name]
+    p = ModelParams(**kw)
+    grid = uniform_grid(p.s_min, p.s_max, intervals)
+    tg = time_grid_from_space(grid, p.horizon)
+    for scheme in schemes:
+        config = SchemeConfig(scheme=scheme)
+        calls = [
+            lambda: audit_positivity(solve_forward(
+                p, grid, tg, config, capture_trajectory=True)),
+            lambda: verify(p, grid, tg, config),
+            lambda: extrapolated_study(p, scheme, "uniform",
+                                       [intervals, 2 * intervals]),
+            lambda: implicit_oracle(p, grid, tg, config),
+        ]
+        for call in calls:
+            try:
+                call()
+            except LiqshockError:
+                pass
